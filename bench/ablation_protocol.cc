@@ -28,7 +28,7 @@
  * the protocol-zoo rows as CSV (results/ablation.csv).
  *
  * Usage: ablation_protocol [--procs 16] [--scale 0.5] [--app <name>]
- *                          [--csv] [--jobs N] [--replicas MODE]
+ *                          [--csv] [--jobs N] [--replicas off|on]
  */
 #include <cstdio>
 #include <vector>

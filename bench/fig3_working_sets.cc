@@ -12,19 +12,17 @@
  * small 2-way -> 4-way one.
  *
  * Engine: each application (execution + sweep) is one runner job
- * (--jobs overlaps applications); --sweep-threads selects the host
- * worker pool replaying the sweep within a job (0 = hardware
- * concurrency, 1 = serial online); --delivery selects the
- * runtime->simulator reference delivery shape.  All change wall clock
- * only -- output bytes are identical.  --sweep selects the engine:
+ * (--jobs overlaps applications); --replicas on replays the sweep
+ * within a job across a worker pool sized from the host's cores,
+ * --replicas off keeps it serial.  Both change wall clock only --
+ * output bytes are identical.  --sweep selects the engine:
  * exact (default; the output above), model (reuse-distance analytical
  * predictions, same schema), or both (each point reported from both
  * engines plus the absolute error -- the model-validation artifact).
  *
  * Usage: fig3_working_sets [--procs 32] [--scale 1.0] [--app <name>]
  *                          [--n N] [--sweep exact|model|both]
- *                          [--sweep-threads N] [--jobs N]
- *                          [--delivery batched|direct] [--csv]
+ *                          [--jobs N] [--replicas off|on] [--csv]
  */
 #include <cstdio>
 #include <memory>

@@ -57,9 +57,10 @@ main(int argc, char** argv)
             runner.add(apps[i]->name() + "/P" +
                            std::to_string(procs[j]),
                        appCostHint(*apps[i]) * procs[j], [&, i, j] {
-                           results[i][j] = runWithMemSystem(
-                               *apps[i], procs[j], cache, cfg,
-                               eng.sim);
+                           results[i][j] = runCharacterizations(
+                               *apps[i], procs[j],
+                               {experimentFor(cache, eng.sim)}, cfg,
+                               eng.sim)[0];
                        });
         }
     }

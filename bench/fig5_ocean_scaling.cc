@@ -49,9 +49,10 @@ main(int argc, char** argv)
                    double(grids[i]) * double(grids[i]), [&, i] {
                        AppConfig cfg;
                        cfg.n = grids[i];
-                       results[i] = runWithMemSystem(*ocean, procs,
-                                                     cache, cfg,
-                                                     eng.sim);
+                       results[i] = runCharacterizations(
+                           *ocean, procs,
+                           {experimentFor(cache, eng.sim)}, cfg,
+                           eng.sim)[0];
                    });
     }
     runner.run();

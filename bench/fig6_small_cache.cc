@@ -18,7 +18,7 @@
  * bench.
  *
  * Usage: fig6_small_cache [--scale 1.0] [--maxprocs 32] [--cachekb 8]
- *                         [--csv] [--jobs N] [--replicas MODE]
+ *                         [--csv] [--jobs N] [--replicas off|on]
  */
 #include <cstdio>
 #include <vector>

@@ -18,7 +18,7 @@
  *
  * Usage: fig7_miss_classification [--procs 32] [--scale 1.0]
  *                                 [--app <name>] [--csv]
- *                                 [--jobs N] [--replicas MODE]
+ *                                 [--jobs N] [--replicas off|on]
  */
 #include <cstdio>
 #include <vector>

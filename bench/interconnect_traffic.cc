@@ -28,7 +28,7 @@
  *
  * Usage: interconnect_traffic [--procs 16] [--scale 0.5] [--quick]
  *                             [--app <name>] [--csv] [--jobs N]
- *                             [--replicas MODE]
+ *                             [--replicas off|on]
  */
 #include <cstdio>
 #include <vector>

@@ -127,19 +127,6 @@ sweepStep(sim::RefSink& sink, std::uint64_t& x)
     sink.access(r);
 }
 
-/** CacheSweep is not itself a RefSink; adapt it for sweepStep. */
-struct SerialSweepSink final : sim::RefSink
-{
-    explicit SerialSweepSink(sim::CacheSweep& s) : sweep(s) {}
-    void
-    access(const sim::AccessRec& r) override
-    {
-        sweep.access(r.proc, r.addr, r.size, r.type);
-    }
-    void resetStats() override { sweep.resetStats(); }
-    sim::CacheSweep& sweep;
-};
-
 } // namespace
 
 /** Serial online sweep: all 34 configurations updated per reference. */
@@ -149,16 +136,15 @@ BM_SweepAccess(benchmark::State& state)
     sim::SweepConfig sc;
     sc.nprocs = 4;
     sim::CacheSweep sweep(sc);
-    SerialSweepSink sink(sweep);
     std::uint64_t x = 12345;
     for (auto _ : state)
-        sweepStep(sink, x);
+        sweepStep(sweep, x);
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SweepAccess);
 
-/** Capture/replay pipeline at a given worker count (0 = hardware
- *  concurrency); cost includes capture, annotation, and replay. */
+/** Capture/replay pipeline at a given worker count; cost includes
+ *  capture, annotation, and replay. */
 static void
 BM_SweepBatched(benchmark::State& state)
 {
@@ -172,7 +158,7 @@ BM_SweepBatched(benchmark::State& state)
     ps.flush();
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SweepBatched)->Arg(1)->Arg(2)->Arg(0)->UseRealTime();
+BENCHMARK(BM_SweepBatched)->Arg(2)->Arg(4)->UseRealTime();
 
 /** Broadcast replay throughput: the sweepStep reference mix fanned
  *  out to N MemSystem replicas on consumer threads (N > 0) or
@@ -212,7 +198,7 @@ deliveryLoop(benchmark::State& state, rt::Delivery d)
         sim::MachineConfig mc;
         mc.nprocs = procs;
         sim::MemSystem mem(mc);
-        env.attachMemSystem(&mem);
+        env.attachSink(&mem);
         env.run([&](rt::ProcCtx& ctx) {
             Addr base = 0x100000 + Addr(ctx.id()) * 65536;
             for (int i = 0; i < refsPerProc; ++i)

@@ -21,6 +21,7 @@
 
 #include "harness/cli.h"
 #include "harness/runner.h"
+#include "harness/workingset.h"
 
 using namespace splash;
 using namespace splash::harness;
@@ -38,14 +39,15 @@ profileAt(App& app, int procs, double scale, const SimOpts& simOpts)
 {
     sim::SweepConfig sc;
     sc.nprocs = procs;
-    sim::CacheSweep sweep(sc);
     AppConfig cfg;
     cfg.scale = scale;
-    runWithSweep(app, procs, sweep, cfg, simOpts);
+    SimOpts exact = simOpts;  // the table reads the exact engine
+    exact.sweep = sim::SweepMode::Exact;
+    const WorkingSetRun run = runWorkingSets(app, procs, sc, cfg, exact);
     Profile p;
     p.sizes = sc.sizes;
     for (auto s : sc.sizes)
-        p.mr.push_back(sweep.missRate(s, 4));
+        p.mr.push_back(run.exact->missRate(s, 4));
     return p;
 }
 

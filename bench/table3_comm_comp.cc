@@ -41,7 +41,8 @@ ratioAt(App& app, int procs, double scale, const SimOpts& simOpts)
     sim::CacheConfig cache;  // 1 MB: capacity effects minimized
     AppConfig cfg;
     cfg.scale = scale;
-    RunStats r = runWithMemSystem(app, procs, cache, cfg, simOpts);
+    RunStats r = runCharacterizations(
+        app, procs, {experimentFor(cache, simOpts)}, cfg, simOpts)[0];
     double den = trafficDenominator(app, r.exec);
     Ratio out;
     if (den > 0) {

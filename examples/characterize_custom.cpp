@@ -100,7 +100,7 @@ main()
         sim::SweepConfig sc;
         sc.nprocs = procs;
         sim::CacheSweep sweep(sc);
-        env.attachSweep(&sweep);
+        env.attachSink(&sweep);
         histogramKernel(env, bins, nvalues, true);
         std::printf("histogram kernel: miss rate vs cache size "
                     "(4-way)\n");
@@ -116,7 +116,7 @@ main()
         sim::MachineConfig mc;
         mc.nprocs = procs;
         sim::MemSystem mem(mc, &env.heap());
-        env.attachMemSystem(&mem);
+        env.attachSink(&mem);
         histogramKernel(env, bins, nvalues, padded);
         auto m = mem.total();
         std::printf("\n%s counters:\n", padded ? "padded" : "packed");

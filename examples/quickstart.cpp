@@ -31,7 +31,7 @@ main()
     sim::MachineConfig mc;
     mc.nprocs = procs;
     sim::MemSystem mem(mc, &env.heap());
-    env.attachMemSystem(&mem);
+    env.attachSink(&mem);
 
     // 3. The application: a 4K-point FFT.
     apps::fft::Config cfg;

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Measure the memory-path speedup and write BENCH_memsys.json.
 
-Three measurements:
+Two measurements:
 
  1. Reference cost: the BM_MemSysHit / BM_MemSysMiss / BM_SweepAccess /
     BM_SweepBatched / BM_Delivery_* / BM_Broadcast microbenchmarks from
@@ -11,13 +11,10 @@ Three measurements:
     every registered coherence protocol, so the table-driven dispatch
     can be compared across the zoo (BM_MemSysHit/Miss themselves are
     the MESI instances).
- 2. End-to-end characterization: wall clock of a full splash2run
-    (FFT, 32 processors) under direct versus batched delivery, best
-    of N.
- 3. End-to-end working-set sweep: wall clock of the Figure 3 sweep
+ 2. End-to-end working-set sweep: wall clock of the Figure 3 sweep
     (FFT, 32 processors, 34 configurations + Mattson stacks) with the
-    classic serial online sweep + direct delivery versus the batched
-    capture/replay pipeline across all host cores, best of N.  This is
+    serial sweep (--replicas off) versus the capture/replay pool
+    --replicas on sizes from the host's cores, best of N.  This is
     the headline number: the sweep dominates Figure 3 / Table 2
     turnaround.
 
@@ -46,23 +43,13 @@ def main():
     micro = benchlib.run_micro(
         args.build, "MemSys|Sweep|Delivery|Broadcast", "ref")
 
-    run_exe = os.path.join(args.build, "src", "splash2run")
-    run_args = [run_exe, "--app", "fft", "--procs", "32",
-                "--n", str(args.n)]
-    char_direct = benchlib.time_cmd(
-        run_args + ["--delivery", "direct"], args.reps)
-    char_batched = benchlib.time_cmd(
-        run_args + ["--delivery", "batched"], args.reps)
-
     fig3_exe = os.path.join(args.build, "bench", "fig3_working_sets")
     fig3_args = [fig3_exe, "--app", "fft", "--procs", "32",
                  "--n", str(args.n), "--csv"]
     sweep_serial = benchlib.time_cmd(
-        fig3_args + ["--delivery", "direct", "--sweep-threads", "1"],
-        args.reps)
+        fig3_args + ["--replicas", "off"], args.reps)
     sweep_parallel = benchlib.time_cmd(
-        fig3_args + ["--delivery", "batched", "--sweep-threads", "0"],
-        args.reps)
+        fig3_args + ["--replicas", "on"], args.reps)
 
     report = {
         "description": "Memory-path cost: silent-hit fast path (per "
@@ -70,23 +57,15 @@ def main():
                        "parallel working-set sweep",
         "host_cpus": os.cpu_count(),
         "reference_cost": micro,
-        "end_to_end_characterization": {
-            "workload": " ".join(run_args[1:]),
-            "reps": args.reps,
-            "direct_seconds": char_direct,
-            "batched_seconds": char_batched,
-            "speedup": char_direct / char_batched,
-        },
         "end_to_end_fig3_sweep": {
             "workload": " ".join(fig3_args[1:]),
             "reps": args.reps,
-            "serial_direct_seconds": sweep_serial,
-            "parallel_batched_seconds": sweep_parallel,
+            "replicas_off_seconds": sweep_serial,
+            "replicas_on_seconds": sweep_parallel,
             "speedup": sweep_serial / sweep_parallel,
         },
     }
     benchlib.write_report("BENCH_memsys.json", report)
-    print(json.dumps(report["end_to_end_characterization"], indent=2))
     print(json.dumps(report["end_to_end_fig3_sweep"], indent=2))
     if report["end_to_end_fig3_sweep"]["speedup"] < 2 \
             and (os.cpu_count() or 1) >= 4:

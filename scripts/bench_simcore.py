@@ -1,16 +1,14 @@
 #!/usr/bin/env python3
 """Measure the execution-core speedup and write BENCH_simcore.json.
 
-Two measurements, both comparing the fiber backend against the
-thread-per-processor baseline (--backend thread):
+Context-switch cost of the fiber backend against the
+thread-per-processor baseline: the BM_SchedulerPingPong_* /
+BM_SchedulerYield_* microbenchmarks from bench/micro_simthroughput
+(each reports switches per second of wall time; ns/switch = 1e9 /
+that).  The thread backend is no longer selectable on the command
+line, so there is no end-to-end comparison.
 
- 1. Context-switch cost: the BM_SchedulerPingPong_* / BM_SchedulerYield_*
-    microbenchmarks from bench/micro_simthroughput (each reports
-    switches per second of wall time; ns/switch = 1e9 / that).
- 2. End-to-end: wall clock of a full splash2run characterization
-    (FFT, 64K points, 32 processors) under each backend, best of N.
-
-Usage: scripts/bench_simcore.py [--build build] [--reps 3]
+Usage: scripts/bench_simcore.py [--build build]
 Writes BENCH_simcore.json in the repository root.
 """
 
@@ -25,7 +23,6 @@ import benchlib
 def main():
     ap = argparse.ArgumentParser()
     ap.add_argument("--build", default="build")
-    ap.add_argument("--reps", type=int, default=3)
     args = ap.parse_args()
 
     os.chdir(benchlib.repo_root())
@@ -37,14 +34,6 @@ def main():
         t = micro[base + "_Thread"]["ns_per_switch"]
         return t / f
 
-    exe = os.path.join(args.build, "src", "splash2run")
-    e2e_args = ["--app", "fft", "--procs", "32", "--n", "16",
-                "--quantum", "10"]
-    fiber_s = benchlib.time_cmd(
-        [exe] + e2e_args + ["--backend", "fiber"], args.reps)
-    thread_s = benchlib.time_cmd(
-        [exe] + e2e_args + ["--backend", "thread"], args.reps)
-
     report = {
         "description": "Execution-core cost: fiber backend vs "
                        "thread-per-processor baseline",
@@ -53,17 +42,9 @@ def main():
             "block_unblock": ratio("BM_SchedulerPingPong"),
             "yield": ratio("BM_SchedulerYield"),
         },
-        "end_to_end": {
-            "workload": " ".join(e2e_args),
-            "reps": args.reps,
-            "fiber_seconds": fiber_s,
-            "thread_seconds": thread_s,
-            "speedup": thread_s / fiber_s,
-        },
     }
     benchlib.write_report("BENCH_simcore.json", report)
     print(json.dumps(report["switch_speedup"], indent=2))
-    print(json.dumps(report["end_to_end"], indent=2))
     if min(report["switch_speedup"].values()) < 10:
         print("WARNING: switch speedup below 10x", file=sys.stderr)
         return 1

@@ -2,7 +2,7 @@
 """Time the full figure/table suite through the characterization
 engine: serial oracle (--jobs 1 --replicas off, one dedicated
 execution per configuration) versus the parallel runner + broadcast
-replay (--jobs N --replicas auto), verifying byte-identical output,
+replay (--jobs N --replicas on), verifying byte-identical output,
 and write BENCH_suite.json.
 
 This is the tentpole acceptance measurement: on a multi-core host the
@@ -90,7 +90,7 @@ def main():
                 base + ["--jobs", "1", "--replicas", "off"],
                 args.reps, capture_to=s_out)
             parallel_s = benchlib.time_cmd(
-                base + ["--jobs", str(args.jobs)],
+                base + ["--jobs", str(args.jobs), "--replicas", "on"],
                 args.reps, capture_to=p_out)
             record_s = benchlib.time_cmd(
                 base + ["--jobs", str(args.jobs), "--record", store], 1)

@@ -5,18 +5,18 @@
  *
  *   --jobs N          host threads for independent experiments
  *                     (N >= 1; default 1 = serial)
- *   --replicas MODE   broadcast replay of multi-configuration runs:
- *                     off | inline | threads | auto (default auto)
- *   --backend KIND    interleaver execution mechanism: fiber | thread
+ *   --replicas off|on host threads within one job (default on):
+ *                     off keeps the job on one thread -- one pass per
+ *                     configuration, serial sweep, inline profiler;
+ *                     on broadcasts one pass to every configuration
+ *                     and sizes the replica threads and the sweep
+ *                     pool from the host's cores
  *   --quantum N       instrumentation events per scheduling slice
- *   --delivery SHAPE  reference delivery: batched | direct
  *   --sweep MODE      working-set sweep engine: exact | model | both
  *                     (default exact).  model predicts the Figure-3
  *                     curves from a reuse-distance profile instead of
  *                     simulating 34 tag arrays; both runs the two and
  *                     reports model-vs-exact error
- *   --sweep-threads N working-set sweep replay pool (exact sweep
- *                     only; rejected with --sweep model)
  *   --check N         coherence invariant checker sampling period: a
  *                     full directory/cache cross-validation every N
  *                     slow-path transactions (0 = off, the default)
@@ -113,15 +113,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.quantum = static_cast<std::uint64_t>(quantum);
-    long sweepThreads = opt.getI("sweep-threads", 0);
-    if (sweepThreads < 0) {
-        std::fprintf(stderr,
-                     "--sweep-threads must be >= 0 (got %ld; 0 = "
-                     "hardware concurrency)\n",
-                     sweepThreads);
-        return false;
-    }
-    out->sim.sweepThreads = static_cast<int>(sweepThreads);
     std::string sweepMode = opt.getS("sweep", "exact");
     out->sweepRequested = opt.has("sweep");
     if (!sim::parseSweepMode(sweepMode, &out->sim.sweep)) {
@@ -130,16 +121,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
                      sweepMode.c_str());
         return false;
     }
-    if (out->sim.sweep == sim::SweepMode::Model &&
-        opt.has("sweep-threads")) {
-        // The replay pool parallelizes the exact engine's tag arrays;
-        // a model-only sweep has none, so an explicit thread count is
-        // a contradiction rather than a silent no-op.
-        return conflictingFlags("--sweep-threads", "--sweep model",
-                                "the replay pool parallelizes the "
-                                "exact engine's tag arrays and a "
-                                "model-only sweep has none");
-    }
     long check = opt.getI("check", 0);
     if (check < 0) {
         std::fprintf(stderr,
@@ -147,25 +128,9 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.checkPeriod = static_cast<std::uint64_t>(check);
-    std::string backend = opt.getS("backend", "fiber");
-    if (!rt::parseBackendKind(backend, &out->sim.backend)) {
-        std::fprintf(stderr,
-                     "unknown --backend '%s' (fiber or thread)\n",
-                     backend.c_str());
-        return false;
-    }
-    std::string delivery = opt.getS("delivery", "batched");
-    if (!rt::parseDelivery(delivery, &out->sim.delivery)) {
-        std::fprintf(stderr,
-                     "unknown --delivery '%s' (batched or direct)\n",
-                     delivery.c_str());
-        return false;
-    }
-    std::string replicas = opt.getS("replicas", "auto");
+    std::string replicas = opt.getS("replicas", "on");
     if (!parseReplicas(replicas, &out->sim.replicas)) {
-        std::fprintf(stderr,
-                     "unknown --replicas '%s' (off, inline, threads, "
-                     "or auto)\n",
+        std::fprintf(stderr, "unknown --replicas '%s' (off or on)\n",
                      replicas.c_str());
         return false;
     }
@@ -284,6 +249,16 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                 "the working-set sweep models cache "
                                 "capacity only and has no "
                                 "interconnect");
+    // The coherence checker audits MemSystem state; runs without one
+    // would ignore it.
+    if (eng.sim.checkPeriod != 0 && eng.sweepRequested)
+        return conflictingFlags("--check", "--sweep",
+                                "the working-set sweep has no "
+                                "directory or protocol state to check");
+    if (eng.sim.checkPeriod != 0 && opt.has("nomem"))
+        return conflictingFlags("--check", "--nomem",
+                                "a PRAM run has no memory system to "
+                                "check");
     // A named fault kind targets one organization's state; injecting
     // it under the other interconnect could only ever SKIP, so the
     // mismatch is rejected at parse time ('all' filters by

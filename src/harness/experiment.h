@@ -1,14 +1,22 @@
 /**
  * @file
- * Experiment drivers shared by the characterization benches: run a
- * program under a given machine configuration and collect execution
- * and memory-system statistics.
+ * The run pipeline shared by splash2run and the characterization
+ * benches.  One pass feeds a program's reference stream from its
+ * source -- live execution in an rt::Env, or a --replay trace -- into
+ * a sink set, the simulators that consume the stream (runPass).  The
+ * drivers below (and runWorkingSets, harness/workingset.h) only build
+ * sink sets and read their statistics.
  */
 #ifndef SPLASH2_HARNESS_EXPERIMENT_H
 #define SPLASH2_HARNESS_EXPERIMENT_H
 
+#include <algorithm>
+#include <cmath>
+#include <functional>
 #include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "base/log.h"
 #include "harness/app.h"
@@ -35,47 +43,41 @@ struct RunStats
     sim::RaceOutcome race;
 };
 
-/** How multi-configuration characterizations execute (bit-identical
- *  results in every mode):
+/** How many host threads one job's simulators use (--replicas).
+ *  Results are byte-identical either way.
  *
- *  - Off: one dedicated execution per configuration, each with its
- *    own Env (the historical serial path; differential oracle).
- *  - Inline: one execution broadcast to all configurations, replicas
- *    replayed on the producer thread (saves the redundant executions
- *    on single-core hosts).
- *  - Threaded: one execution broadcast to all configurations, one
- *    consumer thread per replica with bounded back-pressure.
- *  - Auto: Threaded when the host has more than one core, else
- *    Inline. */
-enum class Replicas : std::uint8_t { Off, Inline, Threaded, Auto };
-
-inline const char*
-replicasName(Replicas r)
-{
-    switch (r) {
-    case Replicas::Off: return "off";
-    case Replicas::Inline: return "inline";
-    case Replicas::Threaded: return "threads";
-    default: return "auto";
-    }
-}
+ *  - Off: one host thread.  A multi-configuration characterization
+ *    makes one pass per configuration, the exact sweep runs serially
+ *    and the reuse-distance profiler inline.  The serial
+ *    differential oracle.
+ *  - On: a multi-configuration characterization makes ONE pass and
+ *    broadcasts it to every configuration (BroadcastReplay).  On a
+ *    multi-core host the replicas get consumer threads, the exact
+ *    sweep replays across a ParallelSweep pool, and the profiler gets
+ *    a consumer thread; on one core all of it runs inline. */
+enum class Replicas : std::uint8_t { Off, On };
 
 inline bool
 parseReplicas(const std::string& s, Replicas* out)
 {
     if (s == "off") *out = Replicas::Off;
-    else if (s == "inline") *out = Replicas::Inline;
-    else if (s == "threads") *out = Replicas::Threaded;
-    else if (s == "auto" || s == "on") *out = Replicas::Auto;
+    else if (s == "on") *out = Replicas::On;
     else return false;
     return true;
 }
 
-/** Simulation-substrate knobs shared by the drivers below; the
- *  defaults match EnvConfig (fiber backend, quantum 250, batched
- *  delivery).  All of them change simulation speed, never results --
- *  except `protocol`, which selects the simulated coherence protocol
- *  and therefore the machine being measured. */
+/** Host threads Replicas::On spreads one job's simulators over: the
+ *  host's cores, at most 16 (1 on a single-core host). */
+inline int
+replicaThreads()
+{
+    const unsigned hc = std::thread::hardware_concurrency();
+    return hc > 1 ? static_cast<int>(std::min(hc, 16u)) : 1;
+}
+
+/** Run-wide simulation knobs shared by the pipeline below.  The
+ *  quantum and --replicas change simulation speed, never results;
+ *  `protocol` and `interconnect` select the machine being measured. */
 struct SimOpts
 {
     std::uint64_t quantum = 250;
@@ -86,19 +88,12 @@ struct SimOpts
      *  or a snoopy broadcast bus (sim/bus.h).  Like `protocol`, this
      *  selects the machine being measured. */
     sim::Interconnect interconnect = sim::Interconnect::Directory;
-    rt::BackendKind backend = rt::BackendKind::Fiber;
-    /** Reference delivery shape (bit-identical either way). */
-    rt::Delivery delivery = rt::Delivery::Batched;
-    /** Host threads replaying the working-set sweep: 1 = classic
-     *  serial online sweep, 0 = hardware concurrency, N>1 = worker
-     *  pool of that size.  Results are identical for any value. */
-    int sweepThreads = 1;
     /** Working-set sweep engine (--sweep): the exact Mattson +
      *  tag-array simulation, the reuse-distance analytical model, or
      *  both side by side (sim/reusedist.h). */
     sim::SweepMode sweep = sim::SweepMode::Exact;
-    /** Broadcast-replay mode for multi-configuration experiments. */
-    Replicas replicas = Replicas::Auto;
+    /** Host threads for one job's simulators (--replicas). */
+    Replicas replicas = Replicas::On;
     /** Coherence invariant checker: run the full sweep every N
      *  slow-path transactions (0 = off).  Observation only -- results
      *  are identical with any value; violations abort. */
@@ -135,9 +130,8 @@ raceConfigFor(sim::RaceGranularity gran, int nprocs, int lineSize)
 }
 
 // ----------------------------------------------------------------------
-// Trace-store glue (sim/tracestore.h): identity of a recording, the
-// execution-profile <-> ProcStats conversions, and the record/replay
-// entry points shared by every driver below.
+// Trace-store glue (sim/tracestore.h): identity of a recording and the
+// execution-profile <-> ProcStats conversions.
 
 /** Identity a trace is recorded under: everything the reference
  *  stream of (app, P) depends on.  The quantum is pinned because
@@ -202,42 +196,135 @@ statsFromProfile(const sim::ExecProfile& e)
     return r;
 }
 
-/** Recorder for this run, or null when recording is off or a
- *  finalized trace for this identity already exists (record once). */
-inline std::unique_ptr<sim::TraceWriter>
-makeRecorder(const App& app, int nprocs, const AppConfig& cfg,
-             const SimOpts& simOpts)
-{
-    if (simOpts.record.empty())
-        return nullptr;
-    const sim::TraceMeta m = traceMetaFor(app, nprocs, cfg, simOpts);
-    if (sim::tracestore::haveTrace(simOpts.record, m))
-        return nullptr;
-    return std::make_unique<sim::TraceWriter>(
-        sim::tracestore::pathFor(simOpts.record, m), m);
-}
-
-/** Finalize a recording with the run's execution profile. */
+/** Reject a problem size no program can build -- a non-finite or
+ *  non-positive scale, or a negative n, iters or aux -- before
+ *  anything runs. */
 inline void
-finalizeRecording(sim::TraceWriter& rec, const RunStats& r)
+checkProblem(const AppConfig& cfg)
 {
-    std::string err;
-    if (!rec.finalize(execProfileFrom(r.perProc, r.elapsed, r.valid),
-                      &err))
-        fatal(err);
+    if (!std::isfinite(cfg.scale) || cfg.scale <= 0)
+        fatal("--scale must be a positive finite number (got " +
+              std::to_string(cfg.scale) + ")");
+    if (cfg.n < 0 || cfg.iters < 0 || cfg.aux < 0)
+        fatal("--n, --iters and --aux must be >= 0 (got " +
+              std::to_string(cfg.n) + ", " + std::to_string(cfg.iters) +
+              ", " + std::to_string(cfg.aux) + ")");
 }
 
-/** Open (and identity-check) the trace this run replays from. */
-inline std::unique_ptr<sim::TraceReader>
-openReplay(const App& app, int nprocs, const AppConfig& cfg,
-           const SimOpts& simOpts)
+/** One replayed stream fanned out to several sinks in order (the
+ *  trace reader takes a single sink). */
+class TeeRefSink final : public sim::RefSink
 {
+  public:
+    explicit TeeRefSink(std::vector<sim::RefSink*> sinks)
+        : sinks_(std::move(sinks))
+    {
+    }
+    void
+    access(const sim::AccessRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->access(r);
+    }
+    void
+    sync(const sim::SyncRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->sync(r);
+    }
+    void
+    place(const sim::PlaceRec& r) override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->place(r);
+    }
+    void
+    resetStats() override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->resetStats();
+    }
+    void
+    streamBarrier() override
+    {
+        for (sim::RefSink* s : sinks_)
+            s->streamBarrier();
+    }
+
+  private:
+    std::vector<sim::RefSink*> sinks_;
+};
+
+/** Builds a pass's sink set -- the simulators that consume its
+ *  reference stream -- once the source's home resolver is known (the
+ *  live heap, or the replayed trace's placement).  The builder owns
+ *  the sinks; they must outlive the pass, and after it only their
+ *  statistics may be read: the home resolver dies with the source. */
+using SinkSetBuilder =
+    std::function<std::vector<sim::RefSink*>(const sim::HomeResolver*)>;
+
+/** The run pipeline: one pass of @p app's reference stream from its
+ *  source into the sink set @p build returns.  The source is live
+ *  execution in an rt::Env, or -- with --replay -- the recorded trace,
+ *  in which case nothing executes and the execution counters come
+ *  from the trace footer.  A live pass is recorded when --record is
+ *  set.  Every sink is quiesced (streamBarrier) before this returns
+ *  the execution half of the RunStats. */
+inline RunStats
+runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
+        const SinkSetBuilder& build)
+{
+    checkProblem(cfg);
+    const sim::TraceMeta meta = traceMetaFor(app, nprocs, cfg, so);
     std::string err;
-    auto rd = sim::tracestore::openFor(
-        simOpts.replay, traceMetaFor(app, nprocs, cfg, simOpts), &err);
-    if (rd == nullptr)
+    if (!so.replay.empty()) {
+        auto rd = sim::tracestore::openFor(so.replay, meta, &err);
+        if (rd == nullptr)
+            fatal(err);
+        const std::vector<sim::RefSink*> sinks = build(rd->placement());
+        if (!sinks.empty()) {
+            TeeRefSink tee(sinks);
+            if (!rd->replay(sinks.size() == 1 ? sinks[0] : &tee, &err))
+                fatal(err);
+            tee.streamBarrier();
+        }
+        return statsFromProfile(rd->exec());
+    }
+    rt::Env env({rt::Mode::Sim, nprocs, so.quantum});
+    const std::vector<sim::RefSink*> sinks = build(&env.heap());
+    for (sim::RefSink* s : sinks)
+        env.attachSink(s);
+    // Record once: skip an identity the store already holds.
+    std::unique_ptr<sim::TraceWriter> rec;
+    if (!so.record.empty() && !sim::tracestore::haveTrace(so.record, meta)) {
+        rec = std::make_unique<sim::TraceWriter>(
+            sim::tracestore::pathFor(so.record, meta), meta);
+        env.attachSink(rec.get());
+    }
+    RunStats out;
+    out.valid = app.run(env, cfg).valid;
+    for (sim::RefSink* s : sinks)
+        s->streamBarrier();
+    for (int p = 0; p < nprocs; ++p) {
+        out.perProc.push_back(env.stats(p));
+        out.exec += env.stats(p);
+    }
+    out.elapsed = env.elapsed();
+    if (rec && !rec->finalize(
+                   execProfileFrom(out.perProc, out.elapsed, out.valid),
+                   &err))
         fatal(err);
-    return rd;
+    return out;
+}
+
+/** Attach @p race's verdict to @p r (no-op when null). */
+inline void
+noteRace(RunStats* r, const sim::RaceChecker* race)
+{
+    if (race == nullptr)
+        return;
+    r->raceChecked = true;
+    r->race = race->outcome();
 }
 
 /** Run @p app on @p nprocs with no memory system attached (PRAM-only;
@@ -254,40 +341,14 @@ runPram(App& app, int nprocs, const AppConfig& cfg,
             raceConfigFor(sim.race, nprocs, 64));
         race = owned.get();
     }
-    if (!sim.replay.empty()) {
-        auto rd = openReplay(app, nprocs, cfg, sim);
-        if (race != nullptr) {
-            std::string err;
-            if (!rd->replay(race, &err))
-                fatal(err);
-        }
-        RunStats out = statsFromProfile(rd->exec());
-        if (race != nullptr) {
-            out.raceChecked = true;
-            out.race = race->outcome();
-        }
-        return out;
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, sim.quantum, sim.backend,
-                 sim.delivery});
-    if (race != nullptr)
-        env.attachSink(race);
-    auto rec = makeRecorder(app, nprocs, cfg, sim);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-    }
-    out.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, out);
-    if (race != nullptr) {
-        out.raceChecked = true;
-        out.race = race->outcome();
-    }
+    RunStats out = runPass(app, nprocs, cfg, sim,
+                           [&](const sim::HomeResolver*) {
+                               std::vector<sim::RefSink*> s;
+                               if (race != nullptr)
+                                   s.push_back(race);
+                               return s;
+                           });
+    noteRace(&out, race);
     return out;
 }
 
@@ -308,15 +369,31 @@ struct MemExperiment
     sim::Interconnect interconnect = sim::Interconnect::Directory;
 };
 
-/** Characterize @p app on @p nprocs under every configuration in
- *  @p exps from ONE reference stream.
- *
- *  The PRAM reference stream of a given (app, P) does not depend on
- *  the memory system, so with broadcast replay enabled (the default)
- *  the application executes once and a BroadcastReplay feeds one
- *  MemSystem replica per experiment; with Replicas::Off each
- *  experiment re-executes serially in its own Env.  Statistics are
- *  bit-identical across all modes (tests/sim/replay_test.cc). */
+/** The single operating point the run-wide flags select: @p cache
+ *  under SimOpts' protocol and interconnect. */
+inline MemExperiment
+experimentFor(const sim::CacheConfig& cache, const SimOpts& so)
+{
+    MemExperiment e;
+    e.cache = cache;
+    e.protocol = so.protocol;
+    e.interconnect = so.interconnect;
+    return e;
+}
+
+/** The simulated machine of experiment @p e on @p nprocs. */
+inline sim::MachineConfig
+machineFor(const MemExperiment& e, int nprocs)
+{
+    sim::MachineConfig mc;
+    mc.nprocs = nprocs;
+    mc.cache = e.cache;
+    mc.replacementHints = e.hints;
+    mc.protocol = e.protocol;
+    mc.interconnect = e.interconnect;
+    return mc;
+}
+
 /** Broadcast replica set for @p exps: one MemSystem replica per
  *  experiment (placed ones resolve homes through @p homes), then --
  *  when race detection is on -- race replicas appended after the
@@ -334,11 +411,7 @@ broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
     specs.reserve(exps.size());
     for (const MemExperiment& e : exps) {
         sim::ReplicaSpec s;
-        s.machine.nprocs = nprocs;
-        s.machine.cache = e.cache;
-        s.machine.replacementHints = e.hints;
-        s.machine.protocol = e.protocol;
-        s.machine.interconnect = e.interconnect;
+        s.machine = machineFor(e, nprocs);
         s.homes = e.placed ? homes : nullptr;
         s.checkPeriod = simOpts.checkPeriod;
         specs.push_back(s);
@@ -371,247 +444,75 @@ broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
     return specs;
 }
 
+/** @p r with its memory-system half read from @p mem. */
+inline RunStats
+withMem(RunStats r, const sim::MemSystem& mem)
+{
+    for (int p = 0; p < mem.config().nprocs; ++p)
+        r.memPerProc.push_back(mem.procStats(p));
+    r.mem = mem.total();
+    return r;
+}
+
+/** Characterize @p app on @p nprocs under every configuration in
+ *  @p exps.
+ *
+ *  The PRAM reference stream of a given (app, P) does not depend on
+ *  the memory system.  With Replicas::On and several experiments, one
+ *  pass feeds a BroadcastReplay with one MemSystem replica per
+ *  experiment; otherwise each experiment gets its own pass feeding
+ *  its MemSystem directly.  Statistics are bit-identical either way
+ *  (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
                      const std::vector<MemExperiment>& exps,
                      const AppConfig& cfg, const SimOpts& simOpts = {})
 {
+    const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
     std::vector<RunStats> out;
-    Replicas mode = simOpts.replicas;
-    if (mode == Replicas::Auto)
-        mode = std::thread::hardware_concurrency() > 1
-                   ? Replicas::Threaded
-                   : Replicas::Inline;
-    if (!simOpts.replay.empty()) {
-        // Replay from disk: the recorded stream feeds the broadcast
-        // replicas directly -- zero fiber execution, execution
-        // counters from the trace footer, statistics byte-identical
-        // to any live mode (broadcast == serial is proven by
-        // tests/sim/replay_test.cc; disk == live by
-        // tests/sim/tracestore_test.cc).
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
+    if (simOpts.replicas == Replicas::On && exps.size() > 1) {
+        std::unique_ptr<sim::BroadcastReplay> cast;
         std::vector<int> raceReplicaOfExp;
-        std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
-            exps, nprocs, simOpts, rd->placement(), &raceReplicaOfExp);
-        sim::BroadcastReplay replay(specs, mode == Replicas::Threaded);
-        std::string err;
-        if (!rd->replay(&replay, &err))
-            fatal(err);
-        replay.flush();
-        const RunStats base = statsFromProfile(rd->exec());
+        const RunStats base = runPass(
+            app, nprocs, cfg, simOpts,
+            [&](const sim::HomeResolver* homes) {
+                cast = std::make_unique<sim::BroadcastReplay>(
+                    broadcastSpecs(exps, nprocs, simOpts, homes,
+                                   &raceReplicaOfExp),
+                    replicaThreads() > 1);
+                return std::vector<sim::RefSink*>{cast.get()};
+            });
         for (std::size_t i = 0; i < exps.size(); ++i) {
-            const int ri = static_cast<int>(i);
-            RunStats r = base;
-            for (int p = 0; p < nprocs; ++p)
-                r.memPerProc.push_back(replay.replica(ri).procStats(p));
-            r.mem = replay.replica(ri).total();
-            if (raceReplicaOfExp[i] >= 0) {
-                r.raceChecked = true;
-                r.race =
-                    replay.raceReplica(raceReplicaOfExp[i]).outcome();
-            }
+            RunStats r =
+                withMem(base, cast->replica(static_cast<int>(i)));
+            if (raceOn)
+                noteRace(&r, &cast->raceReplica(raceReplicaOfExp[i]));
             out.push_back(std::move(r));
         }
         return out;
     }
-    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-    if (mode == Replicas::Off || exps.size() <= 1) {
-        for (const MemExperiment& e : exps) {
-            rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                         simOpts.backend, simOpts.delivery});
-            sim::MachineConfig mc;
-            mc.nprocs = nprocs;
-            mc.cache = e.cache;
-            mc.replacementHints = e.hints;
-            mc.protocol = e.protocol;
-            mc.interconnect = e.interconnect;
-            sim::MemSystem mem(mc, e.placed ? &env.heap() : nullptr);
-            mem.setCheckPeriod(simOpts.checkPeriod);
-            env.attachMemSystem(&mem);
-            std::unique_ptr<sim::RaceChecker> race;
-            if (simOpts.race != sim::RaceGranularity::Off) {
-                race = std::make_unique<sim::RaceChecker>(raceConfigFor(
-                    simOpts.race, nprocs, e.cache.lineSize));
-                env.attachSink(race.get());
-            }
-            if (rec)  // record rides the first serial execution
-                env.attachSink(rec.get());
-            RunStats r;
-            r.valid = app.run(env, cfg).valid;
-            for (int p = 0; p < nprocs; ++p) {
-                r.perProc.push_back(env.stats(p));
-                r.exec += env.stats(p);
-                r.memPerProc.push_back(mem.procStats(p));
-            }
-            r.mem = mem.total();
-            r.elapsed = env.elapsed();
-            if (rec) {
-                finalizeRecording(*rec, r);
-                rec.reset();
-            }
-            if (race) {
-                r.raceChecked = true;
-                r.race = race->outcome();
-            }
-            out.push_back(std::move(r));
-        }
-        return out;
-    }
-
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
-    std::vector<int> raceReplicaOfExp;
-    std::vector<sim::ReplicaSpec> specs = broadcastSpecs(
-        exps, nprocs, simOpts, &env.heap(), &raceReplicaOfExp);
-    sim::BroadcastReplay replay(specs, mode == Replicas::Threaded);
-    env.attachSink(&replay);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats base;
-    base.valid = app.run(env, cfg).valid;
-    replay.flush();
-    for (int p = 0; p < nprocs; ++p) {
-        base.perProc.push_back(env.stats(p));
-        base.exec += env.stats(p);
-    }
-    base.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, base);
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        const int ri = static_cast<int>(i);
-        RunStats r = base;
-        for (int p = 0; p < nprocs; ++p)
-            r.memPerProc.push_back(replay.replica(ri).procStats(p));
-        r.mem = replay.replica(ri).total();
-        if (raceReplicaOfExp[i] >= 0) {
-            r.raceChecked = true;
-            r.race =
-                replay.raceReplica(raceReplicaOfExp[i]).outcome();
-        }
+    for (const MemExperiment& e : exps) {
+        std::unique_ptr<sim::MemSystem> mem;
+        std::unique_ptr<sim::RaceChecker> race;
+        RunStats r = runPass(
+            app, nprocs, cfg, simOpts,
+            [&](const sim::HomeResolver* homes) {
+                mem = std::make_unique<sim::MemSystem>(
+                    machineFor(e, nprocs), e.placed ? homes : nullptr);
+                mem->setCheckPeriod(simOpts.checkPeriod);
+                std::vector<sim::RefSink*> s{mem.get()};
+                if (raceOn) {
+                    race = std::make_unique<sim::RaceChecker>(
+                        raceConfigFor(simOpts.race, nprocs,
+                                      e.cache.lineSize));
+                    s.push_back(race.get());
+                }
+                return s;
+            });
+        r = withMem(std::move(r), *mem);
+        noteRace(&r, race.get());
         out.push_back(std::move(r));
     }
-    return out;
-}
-
-/** Run @p app under the full directory-coherent memory system
- *  (simOpts.protocol selects the protocol; default MESI). */
-inline RunStats
-runWithMemSystem(App& app, int nprocs, const sim::CacheConfig& cache,
-                 const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    if (!simOpts.replay.empty() || !simOpts.record.empty()) {
-        // One operating point of the general driver (identical
-        // statistics; tests/sim/replay_test.cc), which owns the
-        // record-once / replay-from-disk logic.
-        MemExperiment e;
-        e.cache = cache;
-        e.protocol = simOpts.protocol;
-        e.interconnect = simOpts.interconnect;
-        return runCharacterizations(app, nprocs, {e}, cfg,
-                                    simOpts)[0];
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
-    sim::MachineConfig mc;
-    mc.nprocs = nprocs;
-    mc.cache = cache;
-    mc.protocol = simOpts.protocol;
-    mc.interconnect = simOpts.interconnect;
-    sim::MemSystem mem(mc, &env.heap());
-    mem.setCheckPeriod(simOpts.checkPeriod);
-    env.attachMemSystem(&mem);
-    std::unique_ptr<sim::RaceChecker> race;
-    if (simOpts.race != sim::RaceGranularity::Off) {
-        race = std::make_unique<sim::RaceChecker>(
-            raceConfigFor(simOpts.race, nprocs, cache.lineSize));
-        env.attachSink(race.get());
-    }
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-        out.memPerProc.push_back(mem.procStats(p));
-    }
-    out.mem = mem.total();
-    out.elapsed = env.elapsed();
-    if (race) {
-        out.raceChecked = true;
-        out.race = race->outcome();
-    }
-    return out;
-}
-
-/** Run @p app feeding the multi-configuration cache sweep; the caller
- *  owns the sweep so it can query arbitrary operating points.  With
- *  simOpts.sweepThreads != 1 the sweep is driven through a
- *  ParallelSweep capture/replay pipeline (bit-identical results); the
- *  sweep is fully up to date when this returns. */
-/** RefSink shim driving a serial CacheSweep from a replayed stream
- *  (the sweep is not itself a RefSink; ParallelSweep is). */
-class SweepRefSink final : public sim::RefSink
-{
-  public:
-    explicit SweepRefSink(sim::CacheSweep& s) : sweep_(s) {}
-    void
-    access(const sim::AccessRec& r) override
-    {
-        sweep_.access(r.proc, r.addr, r.size, r.type);
-    }
-    void resetStats() override { sweep_.resetStats(); }
-
-  private:
-    sim::CacheSweep& sweep_;
-};
-
-inline RunStats
-runWithSweep(App& app, int nprocs, sim::CacheSweep& sweep,
-             const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    if (!simOpts.replay.empty()) {
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::unique_ptr<sim::ParallelSweep> ps;
-        std::unique_ptr<SweepRefSink> serial;
-        sim::RefSink* sink;
-        if (simOpts.sweepThreads != 1) {
-            ps = std::make_unique<sim::ParallelSweep>(
-                sweep, simOpts.sweepThreads);
-            sink = ps.get();
-        } else {
-            serial = std::make_unique<SweepRefSink>(sweep);
-            sink = serial.get();
-        }
-        std::string err;
-        if (!rd->replay(sink, &err))
-            fatal(err);
-        if (ps)
-            ps->flush();
-        return statsFromProfile(rd->exec());
-    }
-    rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                 simOpts.backend, simOpts.delivery});
-    std::unique_ptr<sim::ParallelSweep> ps;
-    if (simOpts.sweepThreads != 1) {
-        ps = std::make_unique<sim::ParallelSweep>(sweep,
-                                                  simOpts.sweepThreads);
-        env.attachSink(ps.get());
-    } else {
-        env.attachSweep(&sweep);
-    }
-    auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-    if (rec)
-        env.attachSink(rec.get());
-    RunStats out;
-    out.valid = app.run(env, cfg).valid;
-    if (ps)
-        ps->flush();
-    for (int p = 0; p < nprocs; ++p) {
-        out.perProc.push_back(env.stats(p));
-        out.exec += env.stats(p);
-    }
-    out.elapsed = env.elapsed();
-    if (rec)
-        finalizeRecording(*rec, out);
     return out;
 }
 

@@ -4,9 +4,10 @@
  * splash2run's --sweep mode: run one application and produce the
  * exact multi-configuration cache sweep (sim/sweep.h), the
  * reuse-distance analytical model (sim/reusedist.h), or both, under
- * every execution substrate the other drivers support -- live fiber
- * execution, trace replay from disk, and (for the model) loading a
- * recorded ".rdp" profile sidecar with no execution or replay at all.
+ * both sources of the run pipeline (harness/experiment.h runPass) --
+ * live execution and trace replay from disk -- or (for the model)
+ * from a recorded ".rdp" profile sidecar with no execution or replay
+ * at all.
  *
  * Sidecar life cycle mirrors the trace store's record-once rule: a
  * live or replayed model pass saves its profile next to the trace
@@ -26,50 +27,6 @@
 #include "sim/reusedist.h"
 
 namespace splash::harness {
-
-/** One replayed stream fanned out to several sinks in order (the
- *  trace reader takes a single sink). */
-class TeeRefSink final : public sim::RefSink
-{
-  public:
-    explicit TeeRefSink(std::vector<sim::RefSink*> sinks)
-        : sinks_(std::move(sinks))
-    {
-    }
-    void
-    access(const sim::AccessRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->access(r);
-    }
-    void
-    sync(const sim::SyncRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->sync(r);
-    }
-    void
-    place(const sim::PlaceRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->place(r);
-    }
-    void
-    resetStats() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->resetStats();
-    }
-    void
-    streamBarrier() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->streamBarrier();
-    }
-
-  private:
-    std::vector<sim::RefSink*> sinks_;
-};
 
 /** Results of one working-set sweep of one application. */
 struct WorkingSetRun
@@ -96,8 +53,8 @@ wsMissRate(const WorkingSetRun& run, std::uint64_t size, int assoc,
 }
 
 /** Run @p app once and produce the sweep(s) requested by
- *  @p simOpts.sweep over @p sc's operating points.  @p sc.nprocs must
- *  equal @p nprocs. */
+ *  @p simOpts.sweep over @p sc's operating points, plus the race
+ *  verdict when --race is on.  @p sc.nprocs must equal @p nprocs. */
 inline WorkingSetRun
 runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
                const AppConfig& cfg, const SimOpts& simOpts = {})
@@ -106,12 +63,14 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
            "sweep config and run disagree on the processor count");
     const bool needExact = simOpts.sweep != sim::SweepMode::Model;
     const bool needModel = simOpts.sweep != sim::SweepMode::Exact;
+    const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
     const sim::TraceMeta meta = traceMetaFor(app, nprocs, cfg, simOpts);
 
     WorkingSetRun out;
     // Fastest path: a model-bearing sweep with a saved sidecar in the
-    // replay store skips straight to post-processing.
-    if (needModel && !simOpts.replay.empty()) {
+    // replay store skips straight to post-processing -- unless the
+    // race detector needs the stream itself.
+    if (needModel && !raceOn && !simOpts.replay.empty()) {
         std::string err;
         sim::ReuseDistProfile pr;
         if (sim::ReuseDistProfile::load(
@@ -131,88 +90,46 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
     if (needExact)
         out.exact = std::make_unique<sim::CacheSweep>(sc);
 
+    // Replicas::On on a multi-core host: the exact sweep replays across
+    // a worker pool and the profiler runs as a broadcast replica on its
+    // own consumer thread, overlapping the pool.
+    const int threads =
+        simOpts.replicas == Replicas::On ? replicaThreads() : 1;
+    std::unique_ptr<sim::ParallelSweep> pool;
     std::unique_ptr<sim::ReuseDistProfiler> prof;
     std::unique_ptr<sim::BroadcastReplay> rdcast;
-    if (!simOpts.replay.empty()) {
-        // Replay the recorded stream into every needed sink at once.
-        auto rd = openReplay(app, nprocs, cfg, simOpts);
-        std::unique_ptr<sim::ParallelSweep> ps;
-        std::unique_ptr<SweepRefSink> serial;
-        std::vector<sim::RefSink*> sinks;
-        if (needExact) {
-            if (simOpts.sweepThreads != 1) {
-                ps = std::make_unique<sim::ParallelSweep>(
-                    *out.exact, simOpts.sweepThreads);
-                sinks.push_back(ps.get());
-            } else {
-                serial = std::make_unique<SweepRefSink>(*out.exact);
-                sinks.push_back(serial.get());
+    std::unique_ptr<sim::RaceChecker> race;
+    out.stats = runPass(
+        app, nprocs, cfg, simOpts, [&](const sim::HomeResolver*) {
+            std::vector<sim::RefSink*> sinks;
+            if (needExact && threads > 1) {
+                pool = std::make_unique<sim::ParallelSweep>(*out.exact,
+                                                            threads);
+                sinks.push_back(pool.get());
+            } else if (needExact) {
+                sinks.push_back(out.exact.get());
             }
-        }
-        if (profileLive) {
-            prof = std::make_unique<sim::ReuseDistProfiler>(
-                sc.nprocs, sc.lineSize);
-            sinks.push_back(prof.get());
-        }
-        TeeRefSink tee(std::move(sinks));
-        std::string err;
-        if (!rd->replay(&tee, &err))
-            fatal(err);
-        if (ps)
-            ps->flush();
-        out.stats = statsFromProfile(rd->exec());
-    } else {
-        rt::Env env({rt::Mode::Sim, nprocs, simOpts.quantum,
-                     simOpts.backend, simOpts.delivery});
-        std::unique_ptr<sim::ParallelSweep> ps;
-        if (needExact) {
-            if (simOpts.sweepThreads != 1) {
-                ps = std::make_unique<sim::ParallelSweep>(
-                    *out.exact, simOpts.sweepThreads);
-                env.attachSink(ps.get());
-            } else {
-                env.attachSweep(out.exact.get());
-            }
-        }
-        if (profileLive) {
-            Replicas rmode = simOpts.replicas;
-            if (rmode == Replicas::Auto)
-                rmode = std::thread::hardware_concurrency() > 1
-                            ? Replicas::Threaded
-                            : Replicas::Inline;
-            if (rmode == Replicas::Threaded) {
-                // The profiler is the broadcast engine's third
-                // replica kind: its consumer thread overlaps the
-                // exact sweep's worker pool.
+            if (profileLive && threads > 1) {
                 sim::ReplicaSpec spec;
                 spec.machine.nprocs = sc.nprocs;
                 spec.machine.cache.lineSize = sc.lineSize;
                 spec.rdProfile = true;
                 rdcast = std::make_unique<sim::BroadcastReplay>(
                     std::vector<sim::ReplicaSpec>{spec}, true);
-                env.attachSink(rdcast.get());
-            } else {
+                sinks.push_back(rdcast.get());
+            } else if (profileLive) {
                 prof = std::make_unique<sim::ReuseDistProfiler>(
                     sc.nprocs, sc.lineSize);
-                env.attachSink(prof.get());
+                sinks.push_back(prof.get());
             }
-        }
-        auto rec = makeRecorder(app, nprocs, cfg, simOpts);
-        if (rec)
-            env.attachSink(rec.get());
-        out.stats.valid = app.run(env, cfg).valid;
-        if (ps)
-            ps->flush();
-        if (rdcast)
-            rdcast->flush();
-        for (int p = 0; p < nprocs; ++p) {
-            out.stats.perProc.push_back(env.stats(p));
-            out.stats.exec += env.stats(p);
-        }
-        out.stats.elapsed = env.elapsed();
-        if (rec)
-            finalizeRecording(*rec, out.stats);
-    }
+            if (raceOn) {
+                race = std::make_unique<sim::RaceChecker>(
+                    raceConfigFor(simOpts.race, nprocs, sc.lineSize));
+                sinks.push_back(race.get());
+            }
+            return sinks;
+        });
+    noteRace(&out.stats, race.get());
 
     if (profileLive) {
         out.model =

@@ -4,8 +4,6 @@
 #include <thread>
 
 #include "base/log.h"
-#include "sim/memsys.h"
-#include "sim/sweep.h"
 
 namespace splash::rt {
 
@@ -45,33 +43,9 @@ ProcCtx::nprocs() const
     return env_->nprocs();
 }
 
-const char*
-deliveryName(Delivery d)
-{
-    return d == Delivery::Batched ? "batched" : "direct";
-}
-
-bool
-parseDelivery(const std::string& s, Delivery* out)
-{
-    if (s == "batched") {
-        *out = Delivery::Batched;
-        return true;
-    }
-    if (s == "direct") {
-        *out = Delivery::Direct;
-        return true;
-    }
-    return false;
-}
-
 void
 Env::deliver(const sim::AccessRec& r)
 {
-    if (mem_)
-        mem_->access(r.proc, r.addr, r.size, r.type);
-    if (sweep_)
-        sweep_->access(r.proc, r.addr, r.size, r.type);
     for (sim::RefSink* s : sinks_)
         s->access(r);
 }
@@ -87,20 +61,8 @@ Env::drainRefs()
     // Per-sink, not per-record: sinks share no state, so only each
     // sink's own delivery order matters, and that equals execution
     // order either way.
-    if (mem_) {
-        for (std::size_t i = 0; i < n; ++i)
-            mem_->access(recs[i].proc, recs[i].addr, recs[i].size,
-                         recs[i].type);
-    }
-    if (sweep_) {
-        for (std::size_t i = 0; i < n; ++i)
-            sweep_->access(recs[i].proc, recs[i].addr, recs[i].size,
-                           recs[i].type);
-    }
-    for (sim::RefSink* s : sinks_) {
-        for (std::size_t i = 0; i < n; ++i)
-            s->access(recs[i]);
-    }
+    for (sim::RefSink* s : sinks_)
+        s->accessBatch(recs, n);
 }
 
 void
@@ -122,16 +84,26 @@ Env::syncEvent(ProcId p, std::uint32_t obj, sim::SyncOp op,
         s->sync(r);
 }
 
-Env::Env(const EnvConfig& cfg)
-    : cfg_(cfg), heap_(cfg.nprocs), stats_(cfg.nprocs)
+namespace {
+/** @p cfg once its processor count is known to be in range: the
+ *  members sized from it are built only after this check. */
+const EnvConfig&
+validated(const EnvConfig& cfg)
 {
-    if (cfg_.nprocs < 1 || cfg_.nprocs > kMaxProcs)
+    if (cfg.nprocs < 1 || cfg.nprocs > kMaxProcs)
         fatal("processor count must be in [1, " +
               std::to_string(kMaxProcs) +
               "]: per-processor sharer and vector-clock state lives "
               "in " +
               std::to_string(kMaxProcs) + "-bit masks (got " +
-              std::to_string(cfg_.nprocs) + ")");
+              std::to_string(cfg.nprocs) + ")");
+    return cfg;
+}
+} // namespace
+
+Env::Env(const EnvConfig& cfg)
+    : cfg_(validated(cfg)), heap_(cfg.nprocs), stats_(cfg.nprocs)
+{
     if (cfg_.mode == Mode::Sim) {
         sched_ = std::make_unique<Scheduler>(cfg_.nprocs, cfg_.quantum,
                                              cfg_.backend);
@@ -217,10 +189,6 @@ Env::startMeasurement()
         stats_[p].startTime = lt;
         stats_[p].finishTime = lt;
     }
-    if (mem_)
-        mem_->resetStats();
-    if (sweep_)
-        sweep_->resetStats();
     for (sim::RefSink* s : sinks_)
         s->resetStats();
 }

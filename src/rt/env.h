@@ -9,8 +9,8 @@
  *    control. Used by the examples and correctness tests.
  *  - Mode::Sim -- the deterministic cooperative Scheduler interleaves
  *    processors by logical (PRAM) time, and every shared-memory
- *    reference is routed to the attached memory-system sinks
- *    (MemSystem and/or CacheSweep).  This is the Tango-Lite role.
+ *    reference is routed to the attached sinks (sim/trace.h RefSink:
+ *    MemSystem, CacheSweep, ...).  This is the Tango-Lite role.
  *    The execution mechanism (stackful fibers on one host thread, or
  *    one parked host thread per processor) is chosen by
  *    EnvConfig::backend; the interleaving is identical either way.
@@ -40,11 +40,6 @@
 #include "rt/shared_heap.h"
 #include "sim/trace.h"
 
-namespace splash::sim {
-class MemSystem;
-class CacheSweep;
-} // namespace splash::sim
-
 namespace splash::rt {
 
 enum class Mode { Native, Sim };
@@ -58,11 +53,11 @@ enum class Mode { Native, Sim };
  *    a time and the ring is drained before control transfers, so the
  *    delivered order equals the execution order and all statistics are
  *    bit-identical to Direct -- only the call pattern changes.
+ *
+ *  Batched is the shape every run uses; Direct stays as the
+ *  differential oracle of the delivery tests.
  */
 enum class Delivery : std::uint8_t { Direct, Batched };
-
-const char* deliveryName(Delivery d);
-bool parseDelivery(const std::string& s, Delivery* out);
 
 /** Per-processor execution statistics (Table 1 / Figure 2 inputs). */
 struct ProcStats
@@ -115,7 +110,8 @@ struct EnvConfig
     std::uint64_t quantum = 250;
     /** Execution mechanism for the sim-mode interleaver: fibers on one
      *  host thread (default, fast) or one parked host thread per
-     *  processor (the historical baton; differential oracle). */
+     *  processor (the historical baton; differential oracle of the
+     *  backend tests). */
     BackendKind backend = BackendKind::Fiber;
     /** Reference delivery shape (batched by default; bit-identical). */
     Delivery delivery = Delivery::Batched;
@@ -182,14 +178,10 @@ class Env
      *  called multiple times; logical clocks persist across calls. */
     void run(const std::function<void(ProcCtx&)>& body);
 
-    /** Attach/detach reference sinks (sim mode only). */
-    void attachMemSystem(sim::MemSystem* m) { mem_ = m; }
-    void attachSweep(sim::CacheSweep* s) { sweep_ = s; }
-    /** Attach an additional generic sink (e.g. ParallelSweep, Trace).
-     *  Sinks are delivered to after MemSystem and CacheSweep. */
+    /** Attach a reference sink (sim mode only).  Each sink sees the
+     *  whole stream in execution order; sinks are fed in attach
+     *  order. */
     void attachSink(sim::RefSink* s) { sinks_.push_back(s); }
-
-    Delivery delivery() const { return cfg_.delivery; }
 
     /** Deliver any batched records still in the ring.  Called
      *  automatically at every scheduling boundary and after run();
@@ -201,12 +193,11 @@ class Env
      *  construction order, and deterministic run to run. */
     std::uint32_t registerSyncObj() { return nextSyncId_++; }
 
-    /** Forward one synchronization edge to the attached generic sinks
-     *  at its exact stream position (sim mode; no-op otherwise).
-     *  Pending batched references are drained first, so a sink's
-     *  sync() call lands between the same two access() calls as it
-     *  would under direct delivery.  MemSystem/CacheSweep never see
-     *  sync records -- their reference stream is unchanged. */
+    /** Forward one synchronization edge to the attached sinks at its
+     *  exact stream position (sim mode; no-op otherwise).  Pending
+     *  batched references are drained first, so a sink's sync() call
+     *  lands between the same two access() calls as it would under
+     *  direct delivery. */
     void syncEvent(ProcId p, std::uint32_t obj, sim::SyncOp op,
                    sim::SyncPrim prim);
 
@@ -230,8 +221,6 @@ class Env
 
     SharedHeap& heap() { return heap_; }
     Scheduler* scheduler() { return sched_.get(); }
-    sim::MemSystem* memSystem() { return mem_; }
-    sim::CacheSweep* sweep() { return sweep_; }
 
     /** Context of the processor the scheduler is currently running;
      *  null outside a sim-mode team episode. Used by cur(). */
@@ -256,8 +245,6 @@ class Env
     std::vector<ProcStats> stats_;
     /** Team contexts of the episode in progress (sim mode only). */
     ProcCtx* episodeCtxs_ = nullptr;
-    sim::MemSystem* mem_ = nullptr;
-    sim::CacheSweep* sweep_ = nullptr;
     std::vector<sim::RefSink*> sinks_;
     /** Batched-delivery record ring; ringN_ is the fill level.  One
      *  ring serves all processors: only the running processor appends,

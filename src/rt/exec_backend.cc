@@ -187,20 +187,6 @@ backendName(BackendKind kind)
     return "?";
 }
 
-bool
-parseBackendKind(const std::string& s, BackendKind* out)
-{
-    if (s == "fiber") {
-        *out = BackendKind::Fiber;
-        return true;
-    }
-    if (s == "thread") {
-        *out = BackendKind::Thread;
-        return true;
-    }
-    return false;
-}
-
 std::unique_ptr<ExecutionBackend>
 makeExecutionBackend(BackendKind kind)
 {

@@ -49,10 +49,6 @@ enum class BackendKind { Fiber, Thread };
 /** Human-readable backend name ("fiber" / "thread"). */
 const char* backendName(BackendKind kind);
 
-/** Parse a backend name; returns false (and leaves @p out untouched)
- *  if @p s names no backend. */
-bool parseBackendKind(const std::string& s, BackendKind* out);
-
 class ExecutionBackend
 {
   public:

@@ -7,14 +7,24 @@
 
 namespace splash::sim {
 
+namespace {
+/** @p cfg once it is known to be valid: the members sized from it are
+ *  built only after this check. */
+const MachineConfig&
+validated(const MachineConfig& cfg)
+{
+    cfg.validate();
+    return cfg;
+}
+} // namespace
+
 MemSystem::MemSystem(const MachineConfig& cfg, const HomeResolver* homes)
-    : cfg_(cfg), proto_(protocol(cfg.protocol)),
+    : cfg_(validated(cfg)), proto_(protocol(cfg.protocol)),
       bus_{cfg.cache.lineSize, cfg.busWidthBytes},
       writeSilent_(proto_.silentHit[static_cast<int>(AccessType::Write)]),
       homes_(homes), defaultHomes_(cfg.nprocs, cfg.cache.lineSize),
       classifier_(cfg.nprocs, cfg.cache.lineSize), stats_(cfg.nprocs)
 {
-    cfg_.validate();
     caches_.reserve(cfg_.nprocs);
     for (int p = 0; p < cfg_.nprocs; ++p)
         caches_.emplace_back(cfg_.cache, proto_);

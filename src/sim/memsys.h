@@ -52,13 +52,17 @@
 #include "sim/config.h"
 #include "sim/directory.h"
 #include "sim/stats.h"
+#include "sim/trace.h"
 
 namespace splash::sim {
 
 class CoherenceChecker;  // sim/check.h
 class FaultInjector;     // sim/faultinject.h
 
-class MemSystem
+/** A RefSink: attach it to an rt::Env or feed it a replayed trace.
+ *  Sync edges and placement records are ignored -- homes come from
+ *  the HomeResolver given at construction. */
+class MemSystem final : public RefSink
 {
   public:
     /** @param homes maps lines to home nodes; if null, lines are
@@ -108,6 +112,20 @@ class MemSystem
         accessMulti(p, addr, size, type);
     }
 
+    void
+    access(const AccessRec& r) override
+    {
+        access(r.proc, r.addr, r.size, r.type);
+    }
+
+    void
+    accessBatch(const AccessRec* recs, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            access(recs[i].proc, recs[i].addr, recs[i].size,
+                   recs[i].type);
+    }
+
     const MachineConfig& config() const { return cfg_; }
 
     const MemStats& procStats(ProcId p) const { return stats_[p]; }
@@ -117,7 +135,7 @@ class MemSystem
 
     /** Zero all statistics while preserving cache, directory, and
      *  classification state (for measuring past cold start). */
-    void resetStats();
+    void resetStats() override;
 
     // --- introspection for tests -------------------------------------
     LineState lineState(ProcId p, Addr addr) const;

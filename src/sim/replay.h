@@ -127,8 +127,6 @@ class BroadcastReplay final : public RefSink
      *  first for exact stats. */
     MemSystem& replica(int i) { return *mems_[i]; }
     const MemSystem& replica(int i) const { return *mems_[i]; }
-    /** True if replica @p i is a race checker. */
-    bool isRaceReplica(int i) const { return race_[i] != nullptr; }
     /** Replica @p i's race checker (spec'd race != Off). */
     RaceChecker& raceReplica(int i) { return *race_[i]; }
     const RaceChecker& raceReplica(int i) const { return *race_[i]; }
@@ -137,7 +135,6 @@ class BroadcastReplay final : public RefSink
     /** Replica @p i's reuse-distance profiler (spec'd rdProfile). */
     ReuseDistProfiler& rdReplica(int i) { return *rd_[i]; }
     const ReuseDistProfiler& rdReplica(int i) const { return *rd_[i]; }
-    int threads() const { return static_cast<int>(consumers_.size()); }
 
   private:
     /** A sync edge between record [pos-1] and record [pos] of its

@@ -305,19 +305,8 @@ ParallelSweep::ParallelSweep(CacheSweep& sweep, int threads,
     const int nprocs = sweep_.cfg_.nprocs;
     const int ncfg = static_cast<int>(sweep_.cfg_.sizes.size() *
                                       sweep_.cfg_.assocs.size());
-    if (threads == 0) {
-        unsigned hc = std::thread::hardware_concurrency();
-        threads = hc ? static_cast<int>(std::min(hc, 16u)) : 1;
-    }
-    ensure(threads >= 1, "thread count must be positive");
+    ensure(threads >= 2, "a sweep pool needs at least two threads");
     threads = std::min(threads, ncfg + nprocs);
-
-    // Inline replay owns every column.
-    inline_.stackMine.assign(nprocs, 1);
-    for (int c = 0; c < ncfg; ++c)
-        inline_.cfgCols.push_back(c);
-    if (threads <= 1)
-        return;
 
     // Greedy longest-processing-time assignment of columns to workers.
     // A configuration column does work on every record; a stack column
@@ -353,15 +342,13 @@ ParallelSweep::ParallelSweep(CacheSweep& sweep, int threads,
 ParallelSweep::~ParallelSweep()
 {
     flush();
-    if (!workers_.empty()) {
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            stop_ = true;
-        }
-        cvWork_.notify_all();
-        for (auto& w : workers_)
-            w.th.join();
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
     }
+    cvWork_.notify_all();
+    for (auto& w : workers_)
+        w.th.join();
 }
 
 void
@@ -442,17 +429,13 @@ ParallelSweep::flush()
 {
     if (buf_.empty())
         return;
-    if (workers_.empty()) {
-        replayChunk(inline_, buf_.data(), buf_.size());
-    } else {
-        std::unique_lock<std::mutex> lk(mu_);
-        batch_ = buf_.data();
-        batchN_ = buf_.size();
-        pending_ = static_cast<int>(workers_.size());
-        ++gen_;
-        cvWork_.notify_all();
-        cvDone_.wait(lk, [&] { return pending_ == 0; });
-    }
+    std::unique_lock<std::mutex> lk(mu_);
+    batch_ = buf_.data();
+    batchN_ = buf_.size();
+    pending_ = static_cast<int>(workers_.size());
+    ++gen_;
+    cvWork_.notify_all();
+    cvDone_.wait(lk, [&] { return pending_ == 0; });
     buf_.clear();
 }
 

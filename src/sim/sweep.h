@@ -32,7 +32,8 @@
  * be replayed independently.  References are buffered into chunks and
  * replayed across a worker pool, each worker owning a disjoint set of
  * configurations/stacks -- results are bit-identical to the serial
- * sweep for any worker count.
+ * sweep for any worker count.  Both are RefSinks; the serial
+ * CacheSweep is the one-thread engine.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
@@ -148,13 +149,27 @@ class StackDistance
     std::uint64_t now_ = 0;
 };
 
-class CacheSweep
+class CacheSweep final : public RefSink
 {
   public:
     explicit CacheSweep(const SweepConfig& cfg);
 
     /** Issue one reference from processor @p p. */
     void access(ProcId p, Addr addr, int size, AccessType type);
+
+    void
+    access(const AccessRec& r) override
+    {
+        access(r.proc, r.addr, r.size, r.type);
+    }
+
+    void
+    accessBatch(const AccessRec* recs, std::size_t n) override
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            access(recs[i].proc, recs[i].addr, recs[i].size,
+                   recs[i].type);
+    }
 
     const SweepConfig& config() const { return cfg_; }
 
@@ -171,7 +186,7 @@ class CacheSweep
 
     /** Zero miss/access counters while keeping cache contents (for
      *  measuring past cold start). */
-    void resetStats();
+    void resetStats() override;
 
   private:
     friend class ParallelSweep;
@@ -243,9 +258,10 @@ class CacheSweep
  *  (version 0).
  *
  *  Feed it via access() (it is a RefSink, so it can be attached to an
- *  Env with attachSink); call flush() -- or destroy it, or
- *  resetStats() -- before querying the underlying sweep.  Results are
- *  bit-identical to the serial CacheSweep for any thread count.
+ *  Env with attachSink); call flush() or streamBarrier() -- or destroy
+ *  it, or resetStats() -- before querying the underlying sweep.
+ *  Results are bit-identical to the serial CacheSweep for any thread
+ *  count.
  *
  *  While a ParallelSweep is attached, drive the underlying sweep only
  *  through it: direct CacheSweep::access calls would reorder the
@@ -253,8 +269,9 @@ class CacheSweep
 class ParallelSweep final : public RefSink
 {
   public:
-    /** @param threads worker threads; 0 = hardware concurrency, 1 =
-     *  replay inline on the feeding thread (no pool). */
+    /** @param threads worker threads (>= 2; a serial sweep is the
+     *  CacheSweep itself), capped at one per configuration column and
+     *  stack profiler. */
     explicit ParallelSweep(CacheSweep& sweep, int threads,
                            std::size_t chunkRecords = std::size_t(1)
                                                       << 16);
@@ -265,12 +282,10 @@ class ParallelSweep final : public RefSink
 
     void access(const AccessRec& r) override;
     void resetStats() override;
+    void streamBarrier() override { flush(); }
 
     /** Replay all buffered records; the sweep is up to date after. */
     void flush();
-
-    /** Worker threads in the pool (0 when replaying inline). */
-    int threads() const { return static_cast<int>(workers_.size()); }
 
   private:
     /** One captured line reference, annotated at capture time with the
@@ -301,10 +316,6 @@ class ParallelSweep final : public RefSink
     CacheSweep& sweep_;
     std::size_t chunkRecords_;
     std::vector<Rec> buf_;
-
-    /** Inline-replay state (threads == 1): reuses Worker bookkeeping
-     *  with every column owned. */
-    Worker inline_;
 
     std::vector<Worker> workers_;
     std::mutex mu_;

@@ -18,16 +18,17 @@
  * pending references before forwarding one, which preserves order
  * without widening the hot record ring.
  *
- * RefSink is the consumer interface for components beyond the two
- * built-in sinks (MemSystem, CacheSweep) -- e.g. the parallel sweep
- * replayer, the broadcast replay, the race detector, or a trace
- * capture buffer.
+ * RefSink is the one consumer interface: every simulator that reads
+ * the stream -- MemSystem, CacheSweep and its parallel replayer, the
+ * broadcast replay, the reuse-distance profiler, the race detector,
+ * the trace recorder -- is a RefSink, fed the same way by a live
+ * rt::Env or by a trace replay (harness/experiment.h runPass).
  */
 #ifndef SPLASH2_SIM_TRACE_H
 #define SPLASH2_SIM_TRACE_H
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "base/types.h"
 
@@ -89,7 +90,7 @@ struct PlaceRec
     ProcId home = 0;          ///< owning node
 };
 
-/** Consumer of a reference stream (beyond the built-in sinks). */
+/** Consumer of a reference stream. */
 class RefSink
 {
   public:
@@ -100,6 +101,17 @@ class RefSink
      *  flag; consumers that only care about (proc, addr, size, type)
      *  read just those fields. */
     virtual void access(const AccessRec& r) = 0;
+
+    /** Deliver @p n consecutive references; the batched ring drain
+     *  makes one such call per sink.  Default: access() each in
+     *  order.  Sinks with an inlined per-reference path override it
+     *  so their hot loop makes no virtual call per reference. */
+    virtual void
+    accessBatch(const AccessRec* recs, std::size_t n)
+    {
+        for (std::size_t i = 0; i < n; ++i)
+            access(recs[i]);
+    }
 
     /** Deliver one synchronization edge at its stream position.
      *  Default: ignore (most sinks only consume references). */
@@ -118,70 +130,9 @@ class RefSink
     /** Quiesce: finish processing every reference delivered so far.
      *  Fired before stream-ordered events outside the reference
      *  stream itself (e.g. a placement change) so buffering sinks see
-     *  them at the right position.  No-op for synchronous sinks. */
+     *  them at the right position, and once when the stream ends.
+     *  No-op for synchronous sinks. */
     virtual void streamBarrier() {}
-};
-
-/** In-memory reference trace, stored in fixed-size chunks so capture
- *  never reallocates a giant contiguous buffer.  Synchronization
- *  edges are kept alongside, tagged with their stream position. */
-class Trace final : public RefSink
-{
-  public:
-    static constexpr std::size_t kChunkRecords = std::size_t(1) << 16;
-
-    /** A sync edge pinned at the reference-stream position it was
-     *  observed at: it happened after record [pos-1] and before
-     *  record [pos]. */
-    struct SyncAt
-    {
-        std::uint64_t pos = 0;
-        SyncRec rec;
-    };
-
-    void
-    access(const AccessRec& r) override
-    {
-        if (chunks_.empty() || chunks_.back().size() == kChunkRecords) {
-            chunks_.emplace_back();
-            chunks_.back().reserve(kChunkRecords);
-        }
-        chunks_.back().push_back(r);
-    }
-
-    void sync(const SyncRec& r) override { syncs_.push_back({size(), r}); }
-
-    std::uint64_t
-    size() const
-    {
-        std::uint64_t n = 0;
-        for (const auto& c : chunks_)
-            n += c.size();
-        return n;
-    }
-
-    const std::vector<SyncAt>& syncs() const { return syncs_; }
-
-    /** Visit every record in capture order. */
-    template <typename F>
-    void
-    forEach(F&& f) const
-    {
-        for (const auto& c : chunks_)
-            for (const AccessRec& r : c)
-                f(r);
-    }
-
-    void
-    resetStats() override
-    {
-        chunks_.clear();
-        syncs_.clear();
-    }
-
-  private:
-    std::vector<std::vector<AccessRec>> chunks_;
-    std::vector<SyncAt> syncs_;
 };
 
 } // namespace splash::sim

@@ -11,8 +11,7 @@
  *              [--line 64] [--nohints 1] [--nomem 1] [--seed 1234]
  *              [--protocol msi|mesi|moesi|dragon]
  *              [--interconnect directory|bus]
- *              [--backend fiber|thread] [--quantum 250]
- *              [--delivery batched|direct] [--jobs N]
+ *              [--quantum 250] [--jobs N] [--replicas off|on]
  *              [--race off|word|line] [--csv FILE]
  *              [--sweep exact|model|both]
  *              [--record DIR | --replay DIR]
@@ -49,15 +48,11 @@
  * answers from its tag array (same protocol descriptors, no sharer
  * vectors, bus occupancy accounted instead of packet bytes).  Those
  * two are the engine flags that change results: they change the
- * machine.  --backend selects the
- * interleaver's execution mechanism (stackful fibers on one host
- * thread, or one parked host thread per simulated processor);
- * --quantum sets the instrumentation events per scheduling slice;
- * --delivery selects how references reach the simulator (ring batches
- * drained at switch boundaries, or a call per reference); --jobs
- * schedules independent programs across host cores.  Those change
+ * machine.  --quantum sets the instrumentation events per scheduling
+ * slice; --jobs schedules independent programs across host cores;
+ * --replicas off keeps each program on one host thread.  Those change
  * simulation speed only -- output bytes are bit-identical across
- * backends, quanta, delivery shapes, and job counts.
+ * quanta, job counts, and replica modes.
  */
 #include <algorithm>
 #include <cstdio>
@@ -100,10 +95,9 @@ report(const App& app, const RunStats& r, bool with_mem,
                     hints ? " + replacement hints" : "");
     else
         std::printf("machine: PRAM (perfect memory)\n");
-    std::printf("interleaver: %s backend, quantum %llu, %s delivery\n",
-                rt::backendName(simOpts.backend),
-                static_cast<unsigned long long>(simOpts.quantum),
-                rt::deliveryName(simOpts.delivery));
+    std::printf("interleaver: fiber backend, quantum %llu, batched "
+                "delivery\n",
+                static_cast<unsigned long long>(simOpts.quantum));
 
     std::printf("\n-- execution --\n");
     std::printf("valid: %s\n", r.valid ? "yes" : "NO");
@@ -192,11 +186,6 @@ report(const App& app, const RunStats& r, bool with_mem,
                     "%.4f bytes per %s\n",
                     r.mem.trueSharedData / den,
                     app.isFloatingPoint() ? "FLOP" : "instr");
-    }
-
-    if (r.raceChecked) {
-        std::printf("\n-- race detection --\n");
-        std::fputs(sim::raceSummary(r.race).c_str(), stdout);
     }
 }
 
@@ -451,16 +440,11 @@ runInjection(App& app, int procs, const sim::CacheConfig& cache,
     int missed = 0;
     for (sim::FaultKind k : todo) {
         // Fresh simulator state per fault: injections must not compound.
-        rt::Env env({rt::Mode::Sim, procs, simOpts.quantum,
-                     simOpts.backend, simOpts.delivery});
-        sim::MachineConfig mc;
-        mc.nprocs = procs;
-        mc.cache = cache;
-        mc.replacementHints = hints;
-        mc.protocol = simOpts.protocol;
-        mc.interconnect = simOpts.interconnect;
-        sim::MemSystem mem(mc, &env.heap());
-        env.attachMemSystem(&mem);
+        rt::Env env({rt::Mode::Sim, procs, simOpts.quantum});
+        MemExperiment e = experimentFor(cache, simOpts);
+        e.hints = hints;
+        sim::MemSystem mem(machineFor(e, procs), &env.heap());
+        env.attachSink(&mem);
         if (!app.run(env, cfg).valid) {
             std::fprintf(stderr, "%s: run failed validation\n",
                          app.name().c_str());
@@ -548,17 +532,14 @@ main(int argc, char** argv)
             "             organization of the simulated machine\n"
             "             (default directory CC-NUMA; bus snoops the\n"
             "             tag arrays and accounts bus occupancy)\n"
-            "         --backend fiber|thread  execution mechanism of\n"
-            "             the interleaver (default fiber; results are\n"
-            "             identical, fibers are much faster)\n"
             "         --quantum N  instrumentation events per\n"
             "             scheduling slice (default 250)\n"
-            "         --delivery batched|direct  reference delivery\n"
-            "             shape (default batched; results identical,\n"
-            "             batching is faster)\n"
             "         --jobs N  host threads running independent\n"
             "             programs (--app all; N >= 1, default 1;\n"
             "             output bytes identical for every value)\n"
+            "         --replicas off|on  host threads within one\n"
+            "             program (default on: sized from the host's\n"
+            "             cores; off: one thread; output identical)\n"
             "         --check N  coherence invariant checker: full\n"
             "             directory/cache cross-validation every N\n"
             "             slow-path transactions (default 0 = off;\n"
@@ -598,6 +579,7 @@ main(int argc, char** argv)
     cfg.iters = opt.getI("iters", 0);
     cfg.aux = opt.getI("aux", 0);
     cfg.seed = static_cast<unsigned>(opt.getI("seed", 1234));
+    checkProblem(cfg);
 
     bool with_mem = !opt.has("nomem");
     bool hints = !opt.has("nohints");
@@ -636,44 +618,25 @@ main(int argc, char** argv)
         return rc;
     }
 
-    if (eng.sweepRequested) {
-        // Working-set sweep mode: the Figure-3 engine instead of the
-        // single-point memory-system characterization.  The line size
-        // is the one cache parameter the sweep honors; --cachekb and
-        // --assoc are the grid's axes and are ignored.
-        std::vector<WorkingSetRun> runs(apps.size());
-        Runner runner(eng.jobs);
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
-                sim::SweepConfig sc;
-                sc.nprocs = procs;
-                sc.lineSize = cache.lineSize;
-                runs[i] =
-                    runWorkingSets(*apps[i], procs, sc, cfg, eng.sim);
-            });
-        }
-        runner.run();
-        bool all_valid = true;
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            if (i)
-                std::printf("\n================\n\n");
-            reportSweep(*apps[i], runs[i], eng.sim.sweep, procs,
-                        cache.lineSize, cfg);
-            all_valid = all_valid && runs[i].stats.valid;
-        }
-        return all_valid ? 0 : 1;
-    }
-
+    // With --sweep: the Figure-3 working-set engine instead of the
+    // single-point memory-system characterization.  The line size is
+    // the one cache parameter the sweep honors; --cachekb and --assoc
+    // are the grid's axes and are ignored.
+    std::vector<WorkingSetRun> sweeps(apps.size());
     std::vector<RunStats> results(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
-            if (with_mem) {
-                MemExperiment e;
-                e.cache = cache;
+            if (eng.sweepRequested) {
+                sim::SweepConfig sc;
+                sc.nprocs = procs;
+                sc.lineSize = cache.lineSize;
+                sweeps[i] =
+                    runWorkingSets(*apps[i], procs, sc, cfg, eng.sim);
+                results[i] = sweeps[i].stats;
+            } else if (with_mem) {
+                MemExperiment e = experimentFor(cache, eng.sim);
                 e.hints = hints;
-                e.protocol = eng.sim.protocol;
-                e.interconnect = eng.sim.interconnect;
                 results[i] = runCharacterizations(*apps[i], procs, {e},
                                                   cfg, eng.sim)[0];
             } else {
@@ -686,18 +649,27 @@ main(int argc, char** argv)
     bool all_valid = true;
     bool word_races = false;
     for (std::size_t i = 0; i < apps.size(); ++i) {
+        const RunStats& r = results[i];
         if (i)
             std::printf("\n================\n\n");
-        report(*apps[i], results[i], with_mem, cache, hints, procs,
-               cfg, eng.sim);
-        all_valid = all_valid && results[i].valid;
+        if (eng.sweepRequested)
+            reportSweep(*apps[i], sweeps[i], eng.sim.sweep, procs,
+                        cache.lineSize, cfg);
+        else
+            report(*apps[i], r, with_mem, cache, hints, procs, cfg,
+                   eng.sim);
+        if (r.raceChecked) {
+            std::printf("\n-- race detection --\n");
+            std::fputs(sim::raceSummary(r.race).c_str(), stdout);
+        }
+        all_valid = all_valid && r.valid;
         // Word-granularity conflicts are true data races: fail the
         // run (CI leans on this).  Line-granularity conflicts are the
         // false-sharing census -- informational by design.
-        if (results[i].raceChecked &&
-            results[i].race.gran == sim::RaceGranularity::Word &&
-            !results[i].race.clean())
-            word_races = true;
+        word_races = word_races ||
+                     (r.raceChecked &&
+                      r.race.gran == sim::RaceGranularity::Word &&
+                      !r.race.clean());
     }
 
     if (opt.has("csv")) {

@@ -57,25 +57,22 @@ TEST(EngineOpts, DefaultsParse)
     ASSERT_TRUE(parse({}, &eng));
     EXPECT_EQ(eng.jobs, 1);
     EXPECT_EQ(eng.sim.quantum, 250u);
-    EXPECT_EQ(eng.sim.sweepThreads, 0);
+    EXPECT_EQ(eng.sim.replicas, Replicas::On);
     EXPECT_EQ(eng.sim.checkPeriod, 0u);
 }
 
 TEST(EngineOpts, ValidValuesLand)
 {
     EngineOpts eng;
-    ASSERT_TRUE(parse({"--jobs", "4", "--quantum", "100", "--backend",
-                       "thread", "--delivery", "direct", "--replicas",
-                       "inline", "--sweep-threads", "2", "--check",
-                       "512"},
+    ASSERT_TRUE(parse({"--jobs", "4", "--quantum", "100", "--replicas",
+                       "off", "--check", "512"},
                       &eng));
     EXPECT_EQ(eng.jobs, 4);
     EXPECT_EQ(eng.sim.quantum, 100u);
-    EXPECT_EQ(eng.sim.backend, splash::rt::BackendKind::Thread);
-    EXPECT_EQ(eng.sim.delivery, splash::rt::Delivery::Direct);
-    EXPECT_EQ(eng.sim.replicas, Replicas::Inline);
-    EXPECT_EQ(eng.sim.sweepThreads, 2);
+    EXPECT_EQ(eng.sim.replicas, Replicas::Off);
     EXPECT_EQ(eng.sim.checkPeriod, 512u);
+    ASSERT_TRUE(parse({"--replicas", "on"}, &eng));
+    EXPECT_EQ(eng.sim.replicas, Replicas::On);
 }
 
 TEST(EngineOpts, RejectsBadJobCounts)
@@ -92,21 +89,30 @@ TEST(EngineOpts, RejectsBadQuanta)
     EXPECT_FALSE(parse({"--quantum", "-250"}, &eng));
 }
 
-TEST(EngineOpts, RejectsNegativeSweepThreadsAndCheck)
+TEST(EngineOpts, RejectsNegativeCheck)
 {
     EngineOpts eng;
-    EXPECT_FALSE(parse({"--sweep-threads", "-1"}, &eng));
     EXPECT_FALSE(parse({"--check", "-1"}, &eng));
-    // 0 stays meaningful for both (hardware concurrency / off).
-    EXPECT_TRUE(parse({"--sweep-threads", "0", "--check", "0"}, &eng));
+    // 0 stays meaningful (off).
+    EXPECT_TRUE(parse({"--check", "0"}, &eng));
 }
 
-TEST(EngineOpts, RejectsUnknownModes)
+// --replicas takes exactly off and on; the retired mode names are
+// usage errors (splash2run exits 2), not silent aliases.
+TEST(EngineOpts, ReplicasAcceptsExactlyOffAndOn)
 {
     EngineOpts eng;
+    for (const char* retired : {"inline", "threads", "auto"}) {
+        ::testing::internal::CaptureStderr();
+        EXPECT_FALSE(parse({"--replicas", retired}, &eng)) << retired;
+        EXPECT_NE(::testing::internal::GetCapturedStderr().find(
+                      "unknown --replicas"),
+                  std::string::npos);
+    }
     EXPECT_FALSE(parse({"--replicas", "sometimes"}, &eng));
-    EXPECT_FALSE(parse({"--backend", "coroutine"}, &eng));
-    EXPECT_FALSE(parse({"--delivery", "postal"}, &eng));
+    EXPECT_FALSE(parse({"--replicas", "On"}, &eng));
+    EXPECT_TRUE(parse({"--replicas", "off"}, &eng));
+    EXPECT_TRUE(parse({"--replicas", "on"}, &eng));
 }
 
 TEST(EngineOpts, ProtocolNamesLand)
@@ -184,25 +190,6 @@ TEST(EngineOpts, RejectsUnknownSweepModes)
     EXPECT_FALSE(parse({"--sweep", "Model"}, &eng));
     EXPECT_FALSE(parse({"--sweep", "exactmodel"}, &eng));
     EXPECT_FALSE(parse({"--sweep", ""}, &eng));
-}
-
-TEST(EngineOpts, RejectsSweepThreadsWithModelOnlySweep)
-{
-    // --sweep-threads sizes the exact engine's replay pool; with
-    // --sweep model there is no exact engine, so an explicit value is
-    // a contradiction, not a silent no-op.
-    EngineOpts eng;
-    EXPECT_FALSE(
-        parse({"--sweep", "model", "--sweep-threads", "4"}, &eng));
-    EXPECT_FALSE(
-        parse({"--sweep-threads", "0", "--sweep", "model"}, &eng));
-    // The exact engine rides along in Both mode, so the pool knob is
-    // meaningful there -- and with the default (exact) engine.
-    EXPECT_TRUE(
-        parse({"--sweep", "both", "--sweep-threads", "4"}, &eng));
-    EXPECT_TRUE(
-        parse({"--sweep", "exact", "--sweep-threads", "4"}, &eng));
-    EXPECT_TRUE(parse({"--sweep", "model"}, &eng));
 }
 
 TEST(EngineOpts, RecordAndReplayLand)
@@ -296,6 +283,10 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
     // The working-set sweep models cache capacity only.
     EXPECT_FALSE(parseAndCheck({"--interconnect", "bus", "--sweep",
                                 "exact"}));
+    // The coherence checker needs a memory system to audit.
+    EXPECT_FALSE(parseAndCheck({"--check", "100", "--sweep", "exact"}));
+    EXPECT_FALSE(parseAndCheck({"--sweep", "model", "--check", "1"}));
+    EXPECT_FALSE(parseAndCheck({"--check", "100", "--nomem"}));
     // A named fault kind must target the configured interconnect.
     EXPECT_FALSE(parseAndCheck({"--inject", "dropped-inval",
                                 "--interconnect", "bus"}));
@@ -312,11 +303,14 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
                                "word"}));
     EXPECT_TRUE(parseAndCheck({"--interconnect", "directory",
                                "--sweep", "exact"}));
+    EXPECT_TRUE(parseAndCheck({"--check", "100"}));
+    EXPECT_TRUE(parseAndCheck({"--check", "0", "--sweep", "exact"}));
+    EXPECT_TRUE(parseAndCheck({"--sweep", "both", "--race", "word"}));
 }
 
-// All contradictory combinations -- including the two rejected inside
-// parseEngineOpts itself -- share one diagnostic shape, so scripts
-// can grep a single prefix.
+// All contradictory combinations -- including --record with --replay,
+// rejected inside parseEngineOpts itself -- share one diagnostic
+// shape, so scripts can grep a single prefix.
 TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
 {
     const std::string dir = ::testing::TempDir();
@@ -325,7 +319,8 @@ TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
         {"--race-inject", "all", "--sweep", "exact"},
         {"--interconnect", "bus", "--sweep", "both"},
         {"--inject", "ghost-exclusive"},
-        {"--sweep", "model", "--sweep-threads", "4"},
+        {"--check", "100", "--sweep", "exact"},
+        {"--check", "100", "--nomem"},
         {"--record", dir + "cli_conflict_store", "--replay", dir},
     };
     for (const auto& combo : combos) {

@@ -1,0 +1,118 @@
+// Differential test of the run pipeline across all of its axes: every
+// source (live execution, live with --record, --replay of that
+// recording), both --replicas modes, and every kind of sink set (one
+// MemSystem fed directly, six line sizes through a broadcast, the
+// exact plus model working-set sweep, the word-granularity race
+// detector) must produce the statistics of the serial live oracle.
+#include <gtest/gtest.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <string>
+#include <vector>
+
+#include "../rt/run_compare.h"
+#include "harness/workingset.h"
+#include "sim/grid.h"
+
+using namespace splash;
+using namespace splash::harness;
+using splash::testing::expectSameRun;
+
+namespace {
+
+constexpr int kProcs = 8;
+
+/** What every sink set of one pipeline configuration produced. */
+struct Outputs
+{
+    std::vector<RunStats> one;  ///< one MemSystem
+    std::vector<RunStats> six;  ///< six line sizes
+    WorkingSetRun sweep;        ///< exact + model sweep
+    RunStats race;              ///< word-granularity race detector
+};
+
+Outputs
+runAll(App& app, const AppConfig& cfg, SimOpts so)
+{
+    std::vector<MemExperiment> six(6);
+    for (std::size_t i = 0; i < six.size(); ++i)
+        six[i].cache.lineSize = 8 << i;
+    Outputs out;
+    out.one = runCharacterizations(app, kProcs, {MemExperiment{}}, cfg, so);
+    out.six = runCharacterizations(app, kProcs, six, cfg, so);
+    sim::SweepConfig sc;
+    sc.nprocs = kProcs;
+    so.sweep = sim::SweepMode::Both;
+    out.sweep = runWorkingSets(app, kProcs, sc, cfg, so);
+    so.race = sim::RaceGranularity::Word;
+    out.race = runPram(app, kProcs, cfg, so);
+    return out;
+}
+
+void
+expectSameOutputs(const Outputs& want, const Outputs& got)
+{
+    for (std::size_t i = 0; i < want.one.size(); ++i)
+        expectSameRun(want.one[i], got.one.at(i));
+    for (std::size_t i = 0; i < want.six.size(); ++i)
+        expectSameRun(want.six[i], got.six.at(i));
+    expectSameRun(want.sweep.stats, got.sweep.stats);
+    EXPECT_EQ(want.sweep.exact->accesses(), got.sweep.exact->accesses());
+    for (std::uint64_t size : sim::fig3Sizes())
+        for (int assoc : sim::fig3ReportAssocs())
+            for (bool model : {false, true})
+                EXPECT_EQ(wsMissRate(want.sweep, size, assoc, model),
+                          wsMissRate(got.sweep, size, assoc, model))
+                    << size << "B " << assoc << "-way model " << model;
+    expectSameRun(want.race, got.race);
+    ASSERT_TRUE(got.race.raceChecked);
+    const sim::RaceOutcome& a = want.race.race;
+    const sim::RaceOutcome& b = got.race.race;
+    EXPECT_EQ(a.races, b.races);
+    EXPECT_EQ(a.granulesTracked, b.granulesTracked);
+    EXPECT_EQ(a.census.barrierArrivals, b.census.barrierArrivals);
+    EXPECT_EQ(a.census.lockAcquires, b.census.lockAcquires);
+    EXPECT_EQ(a.census.flagWaits, b.census.flagWaits);
+}
+
+class PipelineDifferential : public ::testing::TestWithParam<const char*>
+{};
+
+} // namespace
+
+TEST_P(PipelineDifferential, EverySourceReplicaModeAndSinkSetAgrees)
+{
+    App* app = findApp(GetParam());
+    ASSERT_NE(app, nullptr);
+    AppConfig cfg;
+    cfg.scale = 0.1;
+    const std::string store = ::testing::TempDir() + "pipeline_" +
+                              GetParam() + "_" + std::to_string(::getpid());
+    ASSERT_EQ(::mkdir(store.c_str(), 0777), 0) << store;
+
+    SimOpts oracle;
+    oracle.replicas = Replicas::Off;
+    const Outputs want = runAll(*app, cfg, oracle);
+    ASSERT_TRUE(want.one.at(0).valid);
+    ASSERT_TRUE(want.race.race.clean());
+
+    for (Replicas replicas : {Replicas::Off, Replicas::On}) {
+        // Live, then live while recording, then replay of the record.
+        for (int source = 0; source < 3; ++source) {
+            SCOPED_TRACE(std::string("replicas ") +
+                         (replicas == Replicas::On ? "on" : "off") +
+                         " source " + std::to_string(source));
+            SimOpts so;
+            so.replicas = replicas;
+            if (source == 1)
+                so.record = store;
+            if (source == 2)
+                so.replay = store;
+            expectSameOutputs(want, runAll(*app, cfg, so));
+        }
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, PipelineDifferential,
+                         ::testing::Values("fft", "ocean"));

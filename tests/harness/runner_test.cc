@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "harness/experiment.h"
 #include "harness/runner.h"
 
@@ -75,7 +76,8 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     sim::CacheConfig cache;
     cache.size = 64 << 10;
 
-    RunStats alone = runWithMemSystem(*app, 4, cache, cfg);
+    const std::vector<MemExperiment> exps = {experimentFor(cache, {})};
+    RunStats alone = runCharacterizations(*app, 4, exps, cfg)[0];
 
     const int kCopies = 4;
     std::vector<RunStats> together(kCopies);
@@ -83,20 +85,10 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     for (int i = 0; i < kCopies; ++i)
         r.add("copy", 1.0, [&, i] {
             together[std::size_t(i)] =
-                runWithMemSystem(*app, 4, cache, cfg);
+                runCharacterizations(*app, 4, exps, cfg)[0];
         });
     r.run();
 
-    for (const RunStats& got : together) {
-        EXPECT_EQ(alone.elapsed, got.elapsed);
-        EXPECT_EQ(alone.exec.reads, got.exec.reads);
-        EXPECT_EQ(alone.exec.writes, got.exec.writes);
-        EXPECT_EQ(alone.mem.accesses(), got.mem.accesses());
-        EXPECT_EQ(alone.mem.totalMisses(), got.mem.totalMisses());
-        for (int m = 0; m < sim::kNumMissTypes; ++m)
-            EXPECT_EQ(alone.mem.misses[m], got.mem.misses[m]);
-        EXPECT_EQ(alone.mem.totalTraffic(), got.mem.totalTraffic());
-        EXPECT_EQ(alone.mem.localData, got.mem.localData);
-        EXPECT_EQ(alone.mem.trueSharedData, got.mem.trueSharedData);
-    }
+    for (const RunStats& got : together)
+        splash::testing::expectSameRun(alone, got);
 }

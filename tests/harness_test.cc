@@ -2,7 +2,9 @@
 // several processor counts, with and without the memory system.
 #include <gtest/gtest.h>
 
-#include "harness/experiment.h"
+#include <limits>
+
+#include "harness/workingset.h"
 #include "harness/report.h"
 
 using namespace splash;
@@ -46,7 +48,9 @@ TEST(Harness, EveryProgramValidUnderMemSystem)
     sim::CacheConfig cache;
     cache.size = 64 << 10;  // small cache: exercises replacements
     for (App* app : suite()) {
-        RunStats r = runWithMemSystem(*app, 4, cache, cfg);
+        RunStats r =
+            runCharacterizations(*app, 4, {experimentFor(cache, {})},
+                                 cfg)[0];
         EXPECT_TRUE(r.valid) << app->name();
         EXPECT_GT(r.mem.accesses(), 0u) << app->name();
         // Traffic sanity: every component non-negative and total
@@ -64,14 +68,40 @@ TEST(Harness, SweepAndMemSystemSeeSameAccessCounts)
     cfg.scale = 0.1;
     App* fft = findApp("FFT");
     sim::CacheConfig cache;
-    RunStats a = runWithMemSystem(*fft, 4, cache, cfg);
+    RunStats a = runCharacterizations(
+        *fft, 4, {experimentFor(cache, {})}, cfg)[0];
     sim::SweepConfig sc;
     sc.nprocs = 4;
-    sim::CacheSweep sweep(sc);
-    RunStats b = runWithSweep(*fft, 4, sweep, cfg);
+    RunStats b = runWorkingSets(*fft, 4, sc, cfg).stats;
     // Same deterministic program: identical shared-reference streams.
     EXPECT_EQ(a.exec.reads, b.exec.reads);
     EXPECT_EQ(a.exec.writes, b.exec.writes);
+}
+
+// Problem sizes no program can build are refused with a diagnostic at
+// the pipeline entry, before anything executes: log2 of a zero or
+// negative scale, or the square root of a negative one, would
+// otherwise reach the programs' size formulas.
+TEST(HarnessDeathTest, OutOfRangeProblemSizesAreRejected)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    App* fft = findApp("FFT");
+    ASSERT_NE(fft, nullptr);
+    for (double scale : {0.0, -1.0, std::numeric_limits<double>::quiet_NaN(),
+                         std::numeric_limits<double>::infinity()}) {
+        AppConfig cfg;
+        cfg.scale = scale;
+        EXPECT_EXIT(runPram(*fft, 2, cfg), ::testing::ExitedWithCode(1),
+                    "--scale must be a positive finite number")
+            << scale;
+    }
+    for (long AppConfig::*knob :
+         {&AppConfig::n, &AppConfig::iters, &AppConfig::aux}) {
+        AppConfig cfg;
+        cfg.*knob = -2;
+        EXPECT_EXIT(runPram(*fft, 2, cfg), ::testing::ExitedWithCode(1),
+                    "--n, --iters and --aux must be >= 0");
+    }
 }
 
 TEST(Harness, ScaleChangesProblemSize)

@@ -20,21 +20,10 @@
 using namespace splash;
 using namespace splash::rt;
 using namespace splash::harness;
+using splash::testing::characterize;
 using splash::testing::expectSameRun;
 
 namespace {
-
-/** Full characterization of one app run under @p kind: small problem,
- *  8 processors, default 1 MB caches. */
-RunStats
-characterize(const std::string& name, BackendKind kind, long n,
-             std::uint64_t quantum = 250)
-{
-    SimOpts sim;
-    sim.quantum = quantum;
-    sim.backend = kind;
-    return splash::testing::characterize(name, n, sim);
-}
 
 /** Scheduler-level event trace: the exact sequence of (proc, clock)
  *  control transfers under a mix of yields, blocks and unblocks. */
@@ -74,8 +63,8 @@ TEST(BackendDifferential, SchedulerTraceIdenticalAcrossBackends)
 TEST(BackendDifferential, FftStatsIdenticalAcrossBackends)
 {
     // log2n = 12 -> 4096 points on 8 processors.
-    auto fiber = characterize("fft", BackendKind::Fiber, 12);
-    auto thread = characterize("fft", BackendKind::Thread, 12);
+    auto fiber = characterize("fft", 12, BackendKind::Fiber);
+    auto thread = characterize("fft", 12, BackendKind::Thread);
     ASSERT_TRUE(fiber.valid);
     expectSameRun(fiber, thread);
 }
@@ -83,8 +72,8 @@ TEST(BackendDifferential, FftStatsIdenticalAcrossBackends)
 TEST(BackendDifferential, LuStatsIdenticalAcrossBackends)
 {
     // 128x128 matrix on 8 processors.
-    auto fiber = characterize("lu", BackendKind::Fiber, 128);
-    auto thread = characterize("lu", BackendKind::Thread, 128);
+    auto fiber = characterize("lu", 128, BackendKind::Fiber);
+    auto thread = characterize("lu", 128, BackendKind::Thread);
     ASSERT_TRUE(fiber.valid);
     expectSameRun(fiber, thread);
 }
@@ -93,22 +82,24 @@ TEST(BackendDifferential, QuantumOneStressIdenticalAcrossBackends)
 {
     // Quantum 1 maximizes context switches -- the harshest test of the
     // backend handoff path.
-    auto fiber = characterize("fft", BackendKind::Fiber, 10, 1);
-    auto thread = characterize("fft", BackendKind::Thread, 10, 1);
+    auto fiber =
+        characterize("fft", 10, BackendKind::Fiber, Delivery::Batched, 1);
+    auto thread =
+        characterize("fft", 10, BackendKind::Thread, Delivery::Batched, 1);
     expectSameRun(fiber, thread);
 }
 
 TEST(Determinism, RepeatedFiberRunsAreBitIdentical)
 {
-    auto a = characterize("fft", BackendKind::Fiber, 12);
-    auto b = characterize("fft", BackendKind::Fiber, 12);
+    auto a = characterize("fft", 12, BackendKind::Fiber);
+    auto b = characterize("fft", 12, BackendKind::Fiber);
     expectSameRun(a, b);
 }
 
 TEST(Determinism, RepeatedThreadRunsAreBitIdentical)
 {
-    auto a = characterize("fft", BackendKind::Thread, 12);
-    auto b = characterize("fft", BackendKind::Thread, 12);
+    auto a = characterize("fft", 12, BackendKind::Thread);
+    auto b = characterize("fft", 12, BackendKind::Thread);
     expectSameRun(a, b);
 }
 
@@ -137,14 +128,8 @@ TEST(Backend, PingPongBlockUnblockCompletes)
     }
 }
 
-TEST(Backend, NamesRoundTrip)
+TEST(Backend, Names)
 {
-    BackendKind k = BackendKind::Thread;
-    EXPECT_TRUE(parseBackendKind("fiber", &k));
-    EXPECT_EQ(k, BackendKind::Fiber);
-    EXPECT_TRUE(parseBackendKind("thread", &k));
-    EXPECT_EQ(k, BackendKind::Thread);
-    EXPECT_FALSE(parseBackendKind("pthread", &k));
     EXPECT_STREQ(backendName(BackendKind::Fiber), "fiber");
     EXPECT_STREQ(backendName(BackendKind::Thread), "thread");
 }

@@ -10,6 +10,7 @@
 // sweep replay pipeline that rides on batched delivery.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 
 #include "harness/app.h"
@@ -18,27 +19,17 @@
 
 using namespace splash;
 using namespace splash::harness;
+using namespace splash::rt;
 using splash::testing::characterize;
 using splash::testing::expectSameRun;
 
 namespace {
 
-SimOpts
-withDelivery(rt::Delivery d, std::uint64_t quantum = 250)
-{
-    SimOpts sim;
-    sim.quantum = quantum;
-    sim.delivery = d;
-    return sim;
-}
-
 void
 expectDeliveryIdentical(const std::string& app, long n)
 {
-    auto direct =
-        characterize(app, n, withDelivery(rt::Delivery::Direct));
-    auto batched =
-        characterize(app, n, withDelivery(rt::Delivery::Batched));
+    auto direct = characterize(app, n, BackendKind::Fiber, Delivery::Direct);
+    auto batched = characterize(app, n, BackendKind::Fiber);
     ASSERT_TRUE(direct.valid) << app;
     expectSameRun(direct, batched);
 }
@@ -68,32 +59,21 @@ TEST(DeliveryDifferential, QuantumOneStressIdentical)
     // Quantum 1 forces a drain after every instrumentation event --
     // the ring never holds more than one record, the harshest test of
     // the drain-at-switch protocol.
-    auto direct =
-        characterize("fft", 10, withDelivery(rt::Delivery::Direct, 1));
-    auto batched =
-        characterize("fft", 10, withDelivery(rt::Delivery::Batched, 1));
+    auto direct = characterize("fft", 10, BackendKind::Fiber,
+                               Delivery::Direct, 1);
+    auto batched = characterize("fft", 10, BackendKind::Fiber,
+                                Delivery::Batched, 1);
     expectSameRun(direct, batched);
-}
-
-TEST(DeliveryDifferential, NamesRoundTrip)
-{
-    rt::Delivery d = rt::Delivery::Direct;
-    EXPECT_TRUE(rt::parseDelivery("batched", &d));
-    EXPECT_EQ(d, rt::Delivery::Batched);
-    EXPECT_TRUE(rt::parseDelivery("direct", &d));
-    EXPECT_EQ(d, rt::Delivery::Direct);
-    EXPECT_FALSE(rt::parseDelivery("eager", &d));
-    EXPECT_STREQ(rt::deliveryName(rt::Delivery::Batched), "batched");
-    EXPECT_STREQ(rt::deliveryName(rt::Delivery::Direct), "direct");
 }
 
 namespace {
 
 /** Run the working-set sweep for @p app at 8 processors under the
- *  given delivery shape and sweep worker count. */
+ *  given delivery shape: serially (@p poolThreads == 1) or through a
+ *  ParallelSweep pool of that many workers. */
 sim::CacheSweep
 sweepRun(const std::string& name, long n, rt::Delivery delivery,
-         int sweepThreads)
+         int poolThreads)
 {
     App* app = findApp(name);
     EXPECT_NE(app, nullptr) << name;
@@ -102,10 +82,17 @@ sweepRun(const std::string& name, long n, rt::Delivery delivery,
     sim::SweepConfig sc;
     sc.nprocs = 8;
     sim::CacheSweep sweep(sc);
-    SimOpts simOpts;
-    simOpts.delivery = delivery;
-    simOpts.sweepThreads = sweepThreads;
-    runWithSweep(*app, 8, sweep, cfg, simOpts);
+    rt::Env env({rt::Mode::Sim, sc.nprocs, 250, rt::BackendKind::Fiber,
+                 delivery});
+    std::unique_ptr<sim::ParallelSweep> pool;
+    if (poolThreads > 1) {
+        pool = std::make_unique<sim::ParallelSweep>(sweep, poolThreads);
+        env.attachSink(pool.get());
+    } else {
+        env.attachSink(&sweep);
+    }
+    app->run(env, cfg);
+    pool.reset();  // flushes
     return sweep;
 }
 

@@ -1,30 +1,82 @@
 // Shared helpers for differential tests that prove two simulation
 // mechanisms (execution backends, reference-delivery shapes, sweep
-// replay modes) produce bit-identical characterizations.
+// replay modes, broadcast replica threading) produce bit-identical
+// characterizations.
 #ifndef SPLASH2_TESTS_RT_RUN_COMPARE_H
 #define SPLASH2_TESTS_RT_RUN_COMPARE_H
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "harness/app.h"
 #include "harness/experiment.h"
 
 namespace splash::testing {
 
-/** Full characterization of one app under @p simOpts: 8 processors,
- *  default 1 MB caches, problem size @p n. */
+/** Full characterization of one app in an Env with the given
+ *  execution backend, delivery shape and quantum: 8 processors,
+ *  default 1 MB caches, problem size @p n.  Backend and delivery are
+ *  differential oracles that live only inside rt::Env, so the Env is
+ *  built here rather than by the run pipeline. */
 inline harness::RunStats
 characterize(const std::string& name, long n,
-             const harness::SimOpts& simOpts)
+             rt::BackendKind backend = rt::BackendKind::Fiber,
+             rt::Delivery delivery = rt::Delivery::Batched,
+             std::uint64_t quantum = 250)
 {
     harness::App* app = harness::findApp(name);
     EXPECT_NE(app, nullptr) << name;
     harness::AppConfig cfg;
     cfg.n = n;
-    sim::CacheConfig cache;
-    return harness::runWithMemSystem(*app, 8, cache, cfg, simOpts);
+    const int procs = 8;
+    rt::Env env({rt::Mode::Sim, procs, quantum, backend, delivery});
+    sim::MachineConfig mc;
+    mc.nprocs = procs;
+    sim::MemSystem mem(mc, &env.heap());
+    env.attachSink(&mem);
+    harness::RunStats r;
+    r.valid = app->run(env, cfg).valid;
+    for (int p = 0; p < procs; ++p) {
+        r.perProc.push_back(env.stats(p));
+        r.exec += env.stats(p);
+    }
+    r.elapsed = env.elapsed();
+    return harness::withMem(std::move(r), mem);
+}
+
+/** @p exps characterized from one pass through a BroadcastReplay
+ *  whose replicas replay inline on the producer thread.  That is what
+ *  --replicas on picks on a one-core host; building it here keeps it
+ *  covered on multi-core hosts too. */
+inline std::vector<harness::RunStats>
+inlineBroadcast(harness::App& app, int procs,
+                const std::vector<harness::MemExperiment>& exps,
+                const harness::AppConfig& cfg,
+                const harness::SimOpts& simOpts)
+{
+    std::unique_ptr<sim::BroadcastReplay> cast;
+    std::vector<int> raceOf;
+    const harness::RunStats base = harness::runPass(
+        app, procs, cfg, simOpts, [&](const sim::HomeResolver* homes) {
+            cast = std::make_unique<sim::BroadcastReplay>(
+                harness::broadcastSpecs(exps, procs, simOpts, homes,
+                                        &raceOf),
+                /*threaded=*/false);
+            return std::vector<sim::RefSink*>{cast.get()};
+        });
+    std::vector<harness::RunStats> out;
+    out.reserve(exps.size());
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+        harness::RunStats r =
+            harness::withMem(base, cast->replica(static_cast<int>(i)));
+        if (raceOf[i] >= 0)
+            harness::noteRace(&r, &cast->raceReplica(raceOf[i]));
+        out.push_back(std::move(r));
+    }
+    return out;
 }
 
 inline void

@@ -247,6 +247,20 @@ TEST(EnvEdge, NestedRunOnSameEnvPanics)
         "already running");
 }
 
+// The processor count is checked before any member is sized from it:
+// an out-of-range count gets the diagnostic, never a std::length_error
+// from a vector sized -2 (splash2run --procs -2 used to abort).
+TEST(EnvEdge, OutOfRangeProcessorCountIsRejectedBeforeAllocation)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    for (Mode mode : {Mode::Sim, Mode::Native})
+        for (int nprocs : {-2, 0, kMaxProcs + 1})
+            EXPECT_EXIT({ Env env({mode, nprocs}); },
+                        ::testing::ExitedWithCode(1),
+                        "processor count must be in")
+                << nprocs;
+}
+
 class QuantumSweep : public ::testing::TestWithParam<int>
 {};
 

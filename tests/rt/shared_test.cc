@@ -126,7 +126,7 @@ TEST(SharedArray, FieldAccessReferencesOnlyMemberBytes)
     sim::MachineConfig mc;
     mc.nprocs = 2;
     sim::MemSystem mem(mc, &env.heap());
-    env.attachMemSystem(&mem);
+    env.attachSink(&mem);
 
     SharedArray<Body> bodies(env, 8);
     env.run([&](ProcCtx& c) {

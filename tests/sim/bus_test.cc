@@ -317,6 +317,17 @@ TEST(BusDeathTest, SixtyFiveProcessorMachineIsRejected)
     mc.nprocs = 0;
     EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
                 "processor count");
+    // Validation runs before any member is sized from the config: a
+    // negative count or a zero line must get the diagnostic, not a
+    // crash inside a member's constructor.
+    mc.nprocs = -2;
+    EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
+                "processor count");
+    mc.nprocs = 4;
+    mc.cache.lineSize = 0;
+    EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
+                "line size");
+    mc.cache.lineSize = 64;
     // The boundary itself is legal.
     mc.nprocs = kMaxProcs;
     mc.interconnect = Interconnect::Bus;

@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "harness/experiment.h"
 #include "sim/check.h"
 #include "sim/faultinject.h"
@@ -250,26 +251,14 @@ TEST(CoherenceChecker, CheckerDoesNotPerturbCharacterization)
     sim::CacheConfig cache;
 
     SimOpts off;
-    RunStats plain = runWithMemSystem(*app, procs, cache, cfg, off);
+    RunStats plain = runCharacterizations(
+        *app, procs, {experimentFor(cache, off)}, cfg, off)[0];
 
     SimOpts checked;
     checked.checkPeriod = 1;  // full sweep every slow-path transaction
-    RunStats audited = runWithMemSystem(*app, procs, cache, cfg, checked);
+    RunStats audited = runCharacterizations(
+        *app, procs, {experimentFor(cache, checked)}, cfg, checked)[0];
 
     EXPECT_TRUE(plain.valid);
-    EXPECT_TRUE(audited.valid);
-    EXPECT_EQ(plain.elapsed, audited.elapsed);
-    EXPECT_EQ(plain.mem.reads, audited.mem.reads);
-    EXPECT_EQ(plain.mem.writes, audited.mem.writes);
-    for (int m = 0; m < kNumMissTypes; ++m)
-        EXPECT_EQ(plain.mem.misses[m], audited.mem.misses[m]);
-    EXPECT_EQ(plain.mem.upgrades, audited.mem.upgrades);
-    EXPECT_EQ(plain.mem.remoteSharedData, audited.mem.remoteSharedData);
-    EXPECT_EQ(plain.mem.remoteColdData, audited.mem.remoteColdData);
-    EXPECT_EQ(plain.mem.remoteCapacityData,
-              audited.mem.remoteCapacityData);
-    EXPECT_EQ(plain.mem.remoteWriteback, audited.mem.remoteWriteback);
-    EXPECT_EQ(plain.mem.remoteOverhead, audited.mem.remoteOverhead);
-    EXPECT_EQ(plain.mem.localData, audited.mem.localData);
-    EXPECT_EQ(plain.mem.trueSharedData, audited.mem.trueSharedData);
+    splash::testing::expectSameRun(plain, audited);
 }

@@ -19,6 +19,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "../rt/run_compare.h"
 #include "harness/app.h"
 #include "harness/experiment.h"
 #include "sim/racecheck.h"
@@ -537,10 +538,12 @@ TEST(RaceCheckApps, CharacterizationStatsUnchangedByRaceChecking)
     CacheConfig cache;
 
     SimOpts off;
-    RunStats a = runWithMemSystem(*app, procs, cache, smallCfg(), off);
+    RunStats a = runCharacterizations(
+        *app, procs, {experimentFor(cache, off)}, smallCfg(), off)[0];
     SimOpts word;
     word.race = RaceGranularity::Word;
-    RunStats b = runWithMemSystem(*app, procs, cache, smallCfg(), word);
+    RunStats b = runCharacterizations(
+        *app, procs, {experimentFor(cache, word)}, smallCfg(), word)[0];
 
     ASSERT_TRUE(a.valid);
     ASSERT_TRUE(b.valid);
@@ -605,15 +608,12 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
         auto serial =
             runCharacterizations(*app, procs, exps, smallCfg(), off);
 
-        SimOpts inl = off;
-        inl.replicas = Replicas::Inline;
-        auto inlined =
-            runCharacterizations(*app, procs, exps, smallCfg(), inl);
-
-        SimOpts thr = off;
-        thr.replicas = Replicas::Threaded;
+        SimOpts on = off;
+        on.replicas = Replicas::On;
+        auto inlined = splash::testing::inlineBroadcast(
+            *app, procs, exps, smallCfg(), on);
         auto threaded =
-            runCharacterizations(*app, procs, exps, smallCfg(), thr);
+            runCharacterizations(*app, procs, exps, smallCfg(), on);
 
         ASSERT_EQ(serial.size(), 2u);
         ASSERT_EQ(inlined.size(), 2u);
@@ -627,8 +627,8 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
                                                          : "line/inline");
             expectSameOutcome(serial[i].race, threaded[i].race,
                               g == RaceGranularity::Word
-                                  ? "word/threads"
-                                  : "line/threads");
+                                  ? "word/on"
+                                  : "line/on");
             EXPECT_EQ(0, std::memcmp(&serial[i].mem, &inlined[i].mem,
                                      sizeof(MemStats)));
             EXPECT_EQ(0, std::memcmp(&serial[i].mem, &threaded[i].mem,

@@ -203,7 +203,7 @@ fuzzMemRun(std::uint64_t seed, rt::Delivery delivery,
     mc.cache.size = 1u << 22;
     mc.cache.assoc = 0;
     memHold = std::make_unique<MemSystem>(mc);
-    env.attachMemSystem(memHold.get());
+    env.attachSink(memHold.get());
     env.run([&](rt::ProcCtx& ctx) {
         std::uint64_t x = seed * 1000003ull + std::uint64_t(ctx.id());
         for (int i = 0; i < 6000; ++i) {
@@ -293,7 +293,7 @@ TEST_P(ReferenceFuzz, ParallelSweepStatExact)
         serial.access(procs[i], steps[i].addr, 8,
                       steps[i].write ? AccessType::Write
                                      : AccessType::Read);
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {2, 3, 4}) {
         CacheSweep sweep(sc);
         {
             ParallelSweep ps(sweep, threads, /*chunkRecords=*/512);

@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "harness/experiment.h"
 #include "sim/memsys.h"
 #include "sim/replay.h"
@@ -315,7 +316,7 @@ TEST(BroadcastReplay, AbortStreamQuiescesAndCleanRunStillMatches)
 // placement calls, and measurement resets) characterized under several
 // configurations must produce bit-identical statistics whether each
 // configuration re-executes (Off) or all share one broadcast execution
-// (Inline and Threaded).
+// (On, and an inline broadcast built directly).
 
 TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
 {
@@ -336,23 +337,18 @@ TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
     auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
     ASSERT_EQ(oracle.size(), exps.size());
 
-    for (Replicas mode : {Replicas::Inline, Replicas::Threaded}) {
-        SimOpts simOpts;
-        simOpts.replicas = mode;
-        auto got = runCharacterizations(*app, procs, exps, cfg, simOpts);
+    SimOpts on;
+    on.replicas = Replicas::On;
+    for (bool inlined : {true, false}) {
+        auto got = inlined
+                       ? splash::testing::inlineBroadcast(*app, procs,
+                                                          exps, cfg, on)
+                       : runCharacterizations(*app, procs, exps, cfg, on);
         ASSERT_EQ(got.size(), exps.size());
         for (std::size_t i = 0; i < exps.size(); ++i) {
-            expectSameStats(oracle[i].mem, got[i].mem,
-                            "experiment " + std::to_string(i) +
-                                " mode " + replicasName(mode));
-            EXPECT_EQ(oracle[i].elapsed, got[i].elapsed);
-            ASSERT_EQ(oracle[i].memPerProc.size(),
-                      got[i].memPerProc.size());
-            for (std::size_t p = 0; p < oracle[i].memPerProc.size(); ++p)
-                expectSameStats(oracle[i].memPerProc[p],
-                                got[i].memPerProc[p],
-                                "experiment " + std::to_string(i) +
-                                    " proc " + std::to_string(p));
+            SCOPED_TRACE("experiment " + std::to_string(i) +
+                         (inlined ? " inline" : " on"));
+            splash::testing::expectSameRun(oracle[i], got[i]);
         }
     }
 }
@@ -376,9 +372,9 @@ TEST(BroadcastReplay, PlacementHeavyAppMatchesDedicatedRuns)
     off.replicas = Replicas::Off;
     auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
 
-    SimOpts threaded;
-    threaded.replicas = Replicas::Threaded;
-    auto got = runCharacterizations(*app, procs, exps, cfg, threaded);
+    SimOpts on;
+    on.replicas = Replicas::On;
+    auto got = runCharacterizations(*app, procs, exps, cfg, on);
     ASSERT_EQ(got.size(), oracle.size());
     for (std::size_t i = 0; i < oracle.size(); ++i)
         expectSameStats(oracle[i].mem, got[i].mem,
@@ -441,7 +437,7 @@ TEST(BroadcastRegression, ReproducesCommittedFig7FftRows)
         exps.push_back(e);
     }
     SimOpts simOpts;
-    simOpts.replicas = Replicas::Threaded;
+    simOpts.replicas = Replicas::On;
     auto got = runCharacterizations(*app, procs, exps, cfg, simOpts);
     ASSERT_EQ(got.size(), exps.size());
 
@@ -475,7 +471,8 @@ TEST(BroadcastRegression, ReproducesCommittedFig4FftRow)
     AppConfig cfg;  // default scale (as committed)
     const int procs = 32;
     sim::CacheConfig cache;  // 1 MB 4-way 64 B, the Figure 4 machine
-    RunStats r = runWithMemSystem(*app, procs, cache, cfg);
+    RunStats r = runCharacterizations(
+        *app, procs, {experimentFor(cache, {})}, cfg)[0];
 
     auto it = committed.find({"FFT", std::to_string(procs)});
     ASSERT_NE(it, committed.end());

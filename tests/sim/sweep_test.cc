@@ -13,7 +13,7 @@
 #include <tuple>
 #include <vector>
 
-#include "harness/experiment.h"
+#include "harness/workingset.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
 
@@ -241,7 +241,7 @@ TEST(ParallelSweep, MatchesSerialForAnyWorkerCount)
     for (const auto& acc : stream)
         serial.access(acc.p, acc.a, 8, acc.t);
 
-    for (int threads : {1, 2, 4}) {
+    for (int threads : {2, 3, 4}) {
         CacheSweep sw(sc);
         {
             // Tiny chunks force many flush barriers mid-stream.
@@ -307,7 +307,8 @@ TEST(ParallelSweep, LineSpanningAccessCountsOncePerLine)
 }
 
 // ----------------------------------------------------------------------
-// Regression against the committed Figure 3 curves: the parallel sweep
+// Regression against the committed Figure 3 curves: the sweep engine
+// --replicas on selects (the ParallelSweep pool on a multi-core host)
 // at the default configuration must reproduce results/fig3.csv.
 
 #ifdef SPLASH2_SOURCE_DIR
@@ -338,13 +339,14 @@ TEST(SweepRegression, ParallelSweepReproducesCommittedFig3Fft)
     ASSERT_NE(app, nullptr);
     AppConfig cfg;  // default scale 1.0, default problem size
     SweepConfig sc; // default: 32 procs, 64 B lines
-    CacheSweep sweep(sc);
     SimOpts simOpts;
-    simOpts.sweepThreads = 3;  // exercise the worker pool
-    runWithSweep(*app, sc.nprocs, sweep, cfg, simOpts);
+    simOpts.replicas = Replicas::On;
+    const WorkingSetRun run =
+        runWorkingSets(*app, sc.nprocs, sc, cfg, simOpts);
 
     for (const auto& [point, mr] : committed)
-        EXPECT_NEAR(sweep.missRate(point.first, point.second), mr, 5e-7)
+        EXPECT_NEAR(run.exact->missRate(point.first, point.second), mr,
+                    5e-7)
             << point.first << "B " << point.second << "-way";
 }
 #endif

@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "harness/experiment.h"
 #include "rt/shared_heap.h"
 #include "sim/tracestore.h"
@@ -716,32 +717,7 @@ TEST(TraceStore, RecordThenReplayCharacterizationIsIdentical)
 
     ASSERT_EQ(got.size(), recorded.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].valid, recorded[i].valid);
-        EXPECT_EQ(got[i].elapsed, recorded[i].elapsed);
-        EXPECT_EQ(got[i].exec.reads, recorded[i].exec.reads);
-        EXPECT_EQ(got[i].exec.writes, recorded[i].exec.writes);
-        EXPECT_EQ(got[i].exec.flops, recorded[i].exec.flops);
-        EXPECT_EQ(got[i].exec.barrierWait, recorded[i].exec.barrierWait);
-        ASSERT_EQ(got[i].perProc.size(), recorded[i].perProc.size());
-        for (std::size_t p = 0; p < got[i].perProc.size(); ++p) {
-            EXPECT_EQ(got[i].perProc[p].lockWait,
-                      recorded[i].perProc[p].lockWait);
-            EXPECT_EQ(got[i].perProc[p].startTime,
-                      recorded[i].perProc[p].startTime);
-            EXPECT_EQ(got[i].perProc[p].finishTime,
-                      recorded[i].perProc[p].finishTime);
-        }
-        EXPECT_EQ(got[i].mem.reads, recorded[i].mem.reads);
-        EXPECT_EQ(got[i].mem.writes, recorded[i].mem.writes);
-        for (int mt = 0; mt < sim::kNumMissTypes; ++mt)
-            EXPECT_EQ(got[i].mem.misses[mt], recorded[i].mem.misses[mt])
-                << "exp " << i << " miss type " << mt;
-        EXPECT_EQ(got[i].mem.upgrades, recorded[i].mem.upgrades);
-        EXPECT_EQ(got[i].mem.remoteSharedData,
-                  recorded[i].mem.remoteSharedData);
-        EXPECT_EQ(got[i].mem.remoteWriteback,
-                  recorded[i].mem.remoteWriteback);
-        EXPECT_EQ(got[i].mem.localData, recorded[i].mem.localData);
+        splash::testing::expectSameRun(recorded[i], got[i]);
         ASSERT_TRUE(got[i].raceChecked);
         EXPECT_EQ(got[i].race.clean(), recorded[i].race.clean());
         EXPECT_EQ(got[i].race.census.barrierArrivals,

@@ -30,7 +30,7 @@ TEST(Smoke, SimTeamRunsWithMemSystem)
     sim::MachineConfig mc;
     mc.nprocs = 4;
     sim::MemSystem mem(mc, &env.heap());
-    env.attachMemSystem(&mem);
+    env.attachSink(&mem);
 
     rt::SharedArray<double> a(env, 1024);
     rt::Barrier bar(env);
