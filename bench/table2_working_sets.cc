@@ -47,7 +47,7 @@ profileAt(App& app, int procs, double scale, const SimOpts& simOpts)
     Profile p;
     p.sizes = sc.sizes;
     for (auto s : sc.sizes)
-        p.mr.push_back(run.exact->missRate(s, 4));
+        p.mr.push_back(run.exact.missRate(s, 4));
     return p;
 }
 

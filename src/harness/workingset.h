@@ -32,8 +32,10 @@ namespace splash::harness {
 struct WorkingSetRun
 {
     RunStats stats;
-    /** The exact engine's sweep (sweep mode != Model). */
-    std::unique_ptr<sim::CacheSweep> exact;
+    /** The exact engine's counters (sweep mode != Model; otherwise
+     *  empty, and a miss query is fatal).  The sweep itself, tag
+     *  arrays and stacks, is freed when the run ends. */
+    sim::SweepResult exact;
     /** The analytical profile (sweep mode != Exact). */
     sim::ReuseDistProfile model;
     bool haveModel = false;
@@ -49,7 +51,7 @@ wsMissRate(const WorkingSetRun& run, std::uint64_t size, int assoc,
            bool useModel)
 {
     return useModel ? run.model.missRate(size, assoc)
-                    : run.exact->missRate(size, assoc);
+                    : run.exact.missRate(size, assoc);
 }
 
 /** Run @p app once and produce the sweep(s) requested by
@@ -87,12 +89,17 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         }
     }
     const bool profileLive = needModel && !out.haveModel;
+    // Under --sweep both the exact sweep's Mattson stacks fill the
+    // profile; a profiler of its own runs only for --sweep model.
+    const bool profilerLive = profileLive && !needExact;
+    std::unique_ptr<sim::CacheSweep> sweep;
     if (needExact)
-        out.exact = std::make_unique<sim::CacheSweep>(sc);
+        sweep = std::make_unique<sim::CacheSweep>(
+            sc, profileLive ? &out.model : nullptr);
 
     // Replicas::On on a multi-core host: the exact sweep replays across
     // a worker pool and the profiler runs as a broadcast replica on its
-    // own consumer thread, overlapping the pool.
+    // own consumer thread.
     const int threads =
         simOpts.replicas == Replicas::On ? replicaThreads() : 1;
     std::unique_ptr<sim::ParallelSweep> pool;
@@ -103,13 +110,13 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         app, nprocs, cfg, simOpts, [&](const sim::HomeResolver*) {
             std::vector<sim::RefSink*> sinks;
             if (needExact && threads > 1) {
-                pool = std::make_unique<sim::ParallelSweep>(*out.exact,
+                pool = std::make_unique<sim::ParallelSweep>(*sweep,
                                                             threads);
                 sinks.push_back(pool.get());
             } else if (needExact) {
-                sinks.push_back(out.exact.get());
+                sinks.push_back(sweep.get());
             }
-            if (profileLive && threads > 1) {
+            if (profilerLive && threads > 1) {
                 sim::ReplicaSpec spec;
                 spec.machine.nprocs = sc.nprocs;
                 spec.machine.cache.lineSize = sc.lineSize;
@@ -117,7 +124,7 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
                 rdcast = std::make_unique<sim::BroadcastReplay>(
                     std::vector<sim::ReplicaSpec>{spec}, true);
                 sinks.push_back(rdcast.get());
-            } else if (profileLive) {
+            } else if (profilerLive) {
                 prof = std::make_unique<sim::ReuseDistProfiler>(
                     sc.nprocs, sc.lineSize);
                 sinks.push_back(prof.get());
@@ -130,10 +137,18 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
             return sinks;
         });
     noteRace(&out.stats, race.get());
+    if (sweep) {
+        // Keep the counters, free the tag arrays and stacks (about
+        // 50 MB per program at 32 processors) before the next run.
+        pool.reset();
+        out.exact = sweep->result();
+        sweep.reset();
+    }
 
     if (profileLive) {
-        out.model =
-            (rdcast ? rdcast->rdReplica(0) : *prof).profile();
+        if (profilerLive)
+            out.model =
+                (rdcast ? rdcast->rdReplica(0) : *prof).profile();
         out.model.exec = execProfileFrom(
             out.stats.perProc, out.stats.elapsed, out.stats.valid);
         out.haveModel = true;

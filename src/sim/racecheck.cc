@@ -105,13 +105,6 @@ acquireFaultKind(SyncPrim prim)
     return RaceFault::DropLockAcquire;
 }
 
-inline std::size_t
-hashGranule(Addr key)
-{
-    std::uint64_t h = std::uint64_t(key) * 0x9E3779B97F4A7C15ull;
-    return static_cast<std::size_t>(h ^ (h >> 29));
-}
-
 } // namespace
 
 /** Shadow state of one granule.  `w` is the last-write epoch.  Reads
@@ -125,12 +118,6 @@ struct RaceChecker::VarState
     std::int32_t rvc = -1;
     Tick wLt = 0;  ///< ltime of the last write (reporting)
     Tick rLt = 0;  ///< ltime of the epoch read (reporting)
-};
-
-struct RaceChecker::Slot
-{
-    Addr key = 0;  ///< granule index + 1; 0 = empty
-    VarState v;
 };
 
 /** Per-processor read clocks of a read-shared granule, with the
@@ -165,49 +152,9 @@ RaceChecker::RaceChecker(const RaceConfig& cfg) : cfg_(cfg)
     procVC_.assign(std::size_t(cfg_.nprocs) * cfg_.nprocs, 0);
     for (int p = 0; p < cfg_.nprocs; ++p)
         procVC_[std::size_t(p) * cfg_.nprocs + p] = 1;
-    slots_.resize(std::size_t(1) << 12);
 }
 
 RaceChecker::~RaceChecker() = default;
-
-// --------------------------------------------------------------------
-// Shadow table
-// --------------------------------------------------------------------
-
-void
-RaceChecker::grow()
-{
-    std::vector<Slot> old;
-    old.swap(slots_);
-    slots_.resize(old.size() * 2);
-    const std::size_t mask = slots_.size() - 1;
-    for (const Slot& s : old) {
-        if (s.key == 0)
-            continue;
-        std::size_t i = hashGranule(s.key) & mask;
-        while (slots_[i].key != 0)
-            i = (i + 1) & mask;
-        slots_[i] = s;
-    }
-}
-
-RaceChecker::VarState&
-RaceChecker::shadow(Addr granule)
-{
-    if ((used_ + 1) * 10 >= slots_.size() * 7)
-        grow();
-    const Addr key = granule + 1;
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = hashGranule(key) & mask;
-    while (slots_[i].key != 0) {
-        if (slots_[i].key == key)
-            return slots_[i].v;
-        i = (i + 1) & mask;
-    }
-    slots_[i].key = key;
-    ++used_;
-    return slots_[i].v;
-}
 
 std::vector<std::uint32_t>&
 RaceChecker::objClock(std::uint32_t obj)
@@ -259,7 +206,7 @@ RaceChecker::report(Addr g, const RaceAccess& prev, const AccessRec& cur)
 void
 RaceChecker::checkGranule(Addr g, const AccessRec& rec)
 {
-    VarState& v = shadow(g);
+    VarState& v = shadow_[g];
     const int t = rec.proc;
     const int n = cfg_.nprocs;
     const std::uint32_t* C = &procVC_[std::size_t(t) * n];
@@ -457,7 +404,7 @@ RaceChecker::outcome() const
     o.races = pairKeys_.size();
     o.racyGranules = racyGranules_.size();
     o.dynamicRaces = dynamicRaces_;
-    o.granulesTracked = used_;
+    o.granulesTracked = shadow_.size();
     o.census = census_;
     o.reports = reports_;
     return o;

@@ -64,6 +64,7 @@
 #include <vector>
 
 #include "base/types.h"
+#include "sim/linetable.h"
 #include "sim/trace.h"
 
 namespace splash::sim {
@@ -220,13 +221,9 @@ class RaceChecker final : public RefSink
     struct VarState;
     struct ReadVC;
 
-    VarState& shadow(Addr granule);
     std::vector<std::uint32_t>& objClock(std::uint32_t obj);
     void checkGranule(Addr g, const AccessRec& r);
     void report(Addr g, const RaceAccess& prev, const AccessRec& cur);
-    int promoteReads(std::uint64_t epoch, Tick ltime);
-    void releaseReadVC(VarState& v);
-    void grow();
 
     RaceConfig cfg_;
     int shift_ = 2;        ///< log2(granule bytes)
@@ -237,10 +234,8 @@ class RaceChecker final : public RefSink
     /** Per-sync-object clocks L_m, grown on first use. */
     std::vector<std::vector<std::uint32_t>> objVC_;
 
-    /** Open-addressing shadow table keyed by granule index + 1. */
-    struct Slot;
-    std::vector<Slot> slots_;
-    std::size_t used_ = 0;
+    /** Shadow state keyed by granule index. */
+    LineTable<VarState> shadow_;
 
     /** Read vector-clock pool (read-shared granules only); shadow
      *  slots reference entries by index, freed ones are recycled. */

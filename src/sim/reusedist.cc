@@ -63,6 +63,32 @@ ReuseDistProfile::operator==(const ReuseDistProfile& o) const
            procs == o.procs;
 }
 
+void
+ReuseDistProfile::record(ProcId p, std::uint64_t distance)
+{
+    Row& row = procs[p];
+    ++row.accesses;
+    if (distance == StackDistance::kCold) {
+        ++row.cold;
+    } else if (distance == StackDistance::kStale) {
+        ++row.stale;
+    } else {
+        const int i = rdbucket::bucketOf(distance + 1);
+        ++row.count[i];
+        row.sumDist[i] += distance;
+    }
+}
+
+void
+ReuseDistProfile::clearCounts()
+{
+    for (Row& r : procs) {
+        r.accesses = r.cold = r.stale = 0;
+        std::fill(r.count.begin(), r.count.end(), 0);
+        std::fill(r.sumDist.begin(), r.sumDist.end(), 0);
+    }
+}
+
 std::uint64_t
 ReuseDistProfile::accesses() const
 {
@@ -431,7 +457,8 @@ profilePathFor(const std::string& dirOrFile, const TraceMeta& m)
 // ReuseDistProfiler
 
 ReuseDistProfiler::ReuseDistProfiler(int nprocs, int lineSize)
-    : lineShift_(log2i(lineSize)), stacks_(nprocs), rows_(nprocs)
+    : lineShift_(log2i(lineSize)), stacks_(nprocs),
+      profile_(nprocs, lineSize)
 {
     if (!isPow2(lineSize))
         fatal("profiler line size must be a power of two");
@@ -451,41 +478,22 @@ ReuseDistProfiler::access(const AccessRec& r)
 void
 ReuseDistProfiler::touchLine(ProcId p, Addr lineAddr, bool isWrite)
 {
-    ReuseDistProfile::Row& row = rows_[p];
-    ++row.accesses;
     std::uint64_t oldVer, newVer;
     coh_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
-    const std::uint64_t d =
-        stacks_[p].touch(lineAddr, oldVer, newVer, isWrite);
-    if (d == StackDistance::kCold) {
-        ++row.cold;
-    } else if (d == StackDistance::kStale) {
-        ++row.stale;
-    } else {
-        const int i = rdbucket::bucketOf(d + 1);
-        ++row.count[i];
-        row.sumDist[i] += d;
-    }
+    profile_.record(p,
+                    stacks_[p].touch(lineAddr, oldVer, newVer, isWrite));
 }
 
 void
 ReuseDistProfiler::resetStats()
 {
-    for (ReuseDistProfile::Row& r : rows_) {
-        r.accesses = r.cold = r.stale = 0;
-        std::fill(r.count.begin(), r.count.end(), 0);
-        std::fill(r.sumDist.begin(), r.sumDist.end(), 0);
-    }
+    profile_.clearCounts();
 }
 
 ReuseDistProfile
 ReuseDistProfiler::profile() const
 {
-    ReuseDistProfile pr;
-    pr.nprocs = static_cast<int>(rows_.size());
-    pr.lineSize = 1 << lineShift_;
-    pr.procs = rows_;
-    return pr;
+    return profile_;
 }
 
 } // namespace splash::sim

@@ -117,6 +117,13 @@ struct ReuseDistProfile
         bool operator==(const Row& o) const;
     };
 
+    ReuseDistProfile() = default;
+    /** An all-zero profile of @p procCount rows at @p line bytes. */
+    ReuseDistProfile(int procCount, int line)
+        : nprocs(procCount), lineSize(line), procs(procCount)
+    {
+    }
+
     int nprocs = 0;
     int lineSize = 64;
     std::vector<Row> procs;
@@ -124,6 +131,12 @@ struct ReuseDistProfile
      *  a sidecar can report execution statistics without opening the
      *  trace. */
     ExecProfile exec;
+
+    /** Count one line reference of processor @p p whose
+     *  StackDistance::touch outcome was @p distance. */
+    void record(ProcId p, std::uint64_t distance);
+    /** Zero every row's counters (a measurement boundary). */
+    void clearCounts();
 
     std::uint64_t accesses() const;
     /** Total misses at every capacity (cold + invalidated). */
@@ -177,6 +190,9 @@ std::string profilePathFor(const std::string& dirOrFile,
  *  reuse-distance histograms over the line-grain reference stream,
  *  with cross-processor invalidations modeled by the exact sweep's
  *  own VersionCoherence (so coherence misses are counted, not lost).
+ *  It walks its own Mattson stacks, so it serves runs without an exact
+ *  sweep; a CacheSweep given a profile fills it from the stacks it
+ *  already walks.
  */
 class ReuseDistProfiler final : public RefSink
 {
@@ -193,8 +209,8 @@ class ReuseDistProfiler final : public RefSink
      *  it in before saving a sidecar). */
     ReuseDistProfile profile() const;
 
-    int nprocs() const { return static_cast<int>(rows_.size()); }
-    int lineSize() const { return 1 << lineShift_; }
+    int nprocs() const { return profile_.nprocs; }
+    int lineSize() const { return profile_.lineSize; }
 
   private:
     void touchLine(ProcId p, Addr lineAddr, bool isWrite);
@@ -202,7 +218,7 @@ class ReuseDistProfiler final : public RefSink
     int lineShift_;
     VersionCoherence coh_;
     std::vector<StackDistance> stacks_;
-    std::vector<ReuseDistProfile::Row> rows_;
+    ReuseDistProfile profile_;
 };
 
 } // namespace splash::sim

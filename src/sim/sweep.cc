@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "base/log.h"
+#include "sim/reusedist.h"
 
 namespace splash::sim {
 
@@ -13,9 +14,10 @@ namespace {
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
 } // namespace
 
-CacheSweep::CacheSweep(const SweepConfig& cfg)
+CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile)
     : cfg_(cfg), lineShift_(log2i(cfg.lineSize)),
-      arrays_(cfg.nprocs), stacks_(cfg.nprocs), accesses_(cfg.nprocs, 0)
+      arrays_(cfg.nprocs), stacks_(cfg.nprocs), accesses_(cfg.nprocs, 0),
+      profile_(profile)
 {
     if (!isPow2(cfg_.lineSize))
         fatal("sweep line size must be a power of two");
@@ -39,6 +41,8 @@ CacheSweep::CacheSweep(const SweepConfig& cfg)
         }
         stacks_[p].init(max_lines);
     }
+    if (profile_)
+        *profile_ = ReuseDistProfile(cfg_.nprocs, cfg_.lineSize);
 }
 
 StackDistance::StackDistance()
@@ -70,10 +74,11 @@ StackDistance::compact()
     // sized to ~4x the live set so timestamps have headroom before the
     // next compaction.  Relative order is preserved, so every stack
     // distance computed afterwards is unchanged.
-    std::vector<std::pair<std::uint64_t, Addr>> live;
+    std::vector<std::pair<std::uint64_t, LineInfo*>> live;
     live.reserve(lines_.size());
-    for (const auto& [addr, info] : lines_)
-        live.emplace_back(info.lastTime, addr);
+    lines_.forEach([&](Addr, LineInfo& info) {
+        live.emplace_back(info.lastTime, &info);
+    });
     std::sort(live.begin(), live.end());
     std::uint64_t want = kTimeCapMin;
     while (want < 4 * (live.size() + 1))
@@ -81,9 +86,9 @@ StackDistance::compact()
     timeCap_ = want;
     bit_.assign(timeCap_ + 1, 0);
     std::uint64_t t = 0;
-    for (auto& [time, addr] : live) {
+    for (auto& [time, info] : live) {
         (void)time;
-        lines_[addr].lastTime = ++t;
+        info->lastTime = ++t;
         bitAdd(t, 1);
     }
     now_ = t;
@@ -96,13 +101,12 @@ StackDistance::touch(Addr line, std::uint64_t oldVer,
     if (now_ + 1 > timeCap_)
         compact();
     ++now_;
-    auto it = lines_.find(line);
-    if (it == lines_.end()) {
+    LineInfo& info = lines_[line];
+    if (info.lastTime == 0) {
         bitAdd(now_, 1);
-        lines_[line] = {now_, isWrite ? newVer : oldVer};
+        info = {now_, isWrite ? newVer : oldVer};
         return kCold;
     }
-    LineInfo& info = it->second;
     std::uint64_t out;
     if (info.version != oldVer) {
         // Coherence-invalidated at every capacity.
@@ -126,7 +130,7 @@ CacheSweep::StackProfiler::init(std::uint64_t max_lines)
     hist.assign(max_lines + 2, 0);
 }
 
-void
+std::uint64_t
 CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
                                  std::uint64_t newVer, bool isWrite)
 {
@@ -135,6 +139,16 @@ CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
         ++coldOrStale;
     else
         ++hist[std::min(d + 1, maxLines + 1)];
+    return d;
+}
+
+void
+CacheSweep::touchStack(ProcId p, Addr line, std::uint64_t oldVer,
+                       std::uint64_t newVer, bool isWrite)
+{
+    const std::uint64_t d = stacks_[p].touch(line, oldVer, newVer, isWrite);
+    if (profile_)
+        profile_->record(p, d);
 }
 
 void
@@ -162,45 +176,30 @@ CacheSweep::applyTagArray(TagArray& ta, Addr lineAddr,
                           std::uint64_t newVer, bool isWrite,
                           StaleFn&& stale)
 {
-    std::uint64_t set = lineId & ta.setMask;
-    TagEntry* base = &ta.entries[set * ta.ways];
-    TagEntry* found = nullptr;
-    for (int w = 0; w < ta.ways; ++w) {
-        TagEntry& e = base[w];
-        if (e.valid && e.tag == lineAddr) {
-            found = &e;
-            break;
+    TagEntry* set = &ta.entries[(lineId & ta.setMask) * ta.ways];
+    const int ways = ta.ways;
+    int w = 0;
+    while (w < ways && set[w].tag != lineAddr)
+        ++w;
+    const TagEntry e{lineAddr, isWrite ? newVer : oldVer};
+    if (w == ways || set[w].version != oldVer) {
+        ++ta.misses;
+        if (w == ways) {
+            // Victim: the first free way -- never filled, or holding a
+            // copy coherence has invalidated, as the eager-invalidation
+            // MemSystem would have -- else the LRU (last) way.  A stale
+            // copy never hits again, so which free way takes the fill
+            // cannot change any later hit or miss.
+            w = 0;
+            while (w < ways - 1 && set[w].tag != kNoTag &&
+                   !stale(set[w].tag, set[w].version))
+                ++w;
         }
     }
-    if (found && found->version == oldVer) {
-        found->lastUse = ++ta.useClock;
-        if (isWrite)
-            found->version = newVer;
-        return;
-    }
-    ++ta.misses;
-    TagEntry* slot = found;
-    if (!slot) {
-        // Victim preference mirrors the eager-invalidation MemSystem:
-        // an empty way first, then a way whose line has been
-        // invalidated by coherence (stale version), then LRU.
-        TagEntry* lru = base;
-        for (int w = 0; w < ta.ways && !slot; ++w) {
-            TagEntry& e = base[w];
-            if (!e.valid)
-                slot = &e;
-            else if (stale(e.tag, e.version))
-                slot = &e;
-            if (e.valid && e.lastUse < lru->lastUse)
-                lru = &e;
-        }
-        if (!slot)
-            slot = lru;
-    }
-    slot->valid = true;
-    slot->tag = lineAddr;
-    slot->version = isWrite ? newVer : oldVer;
-    slot->lastUse = ++ta.useClock;
+    // Hit or fill: move the way to the front.
+    for (; w > 0; --w)
+        set[w] = set[w - 1];
+    set[0] = e;
 }
 
 void
@@ -229,7 +228,7 @@ CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
         applyTagArray(ta, lineAddr, line_id, old_ver, new_ver, is_write,
                       stale);
 
-    stacks_[p].touch(lineAddr, old_ver, new_ver, is_write);
+    touchStack(p, lineAddr, old_ver, new_ver, is_write);
 }
 
 void
@@ -243,6 +242,8 @@ CacheSweep::resetStats()
         std::fill(st.hist.begin(), st.hist.end(), 0);
         st.coldOrStale = 0;
     }
+    if (profile_)
+        profile_->clearCounts();
 }
 
 std::uint64_t
@@ -290,6 +291,43 @@ CacheSweep::missRate(std::uint64_t size, int assoc) const
 {
     std::uint64_t a = accesses();
     return a ? double(misses(size, assoc)) / double(a) : 0.0;
+}
+
+SweepResult
+CacheSweep::result() const
+{
+    SweepResult r;
+    r.cfg_ = cfg_;
+    r.accesses_ = accesses();
+    for (std::uint64_t size : cfg_.sizes) {
+        for (int assoc : cfg_.assocs)
+            r.misses_.push_back(misses(size, assoc));
+        r.misses_.push_back(misses(size, kFullyAssoc));
+    }
+    return r;
+}
+
+std::uint64_t
+SweepResult::misses(std::uint64_t size, int assoc) const
+{
+    const std::size_t cols = cfg_.assocs.size() + 1;
+    for (std::size_t s = 0; s < cfg_.sizes.size(); ++s) {
+        if (cfg_.sizes[s] != size)
+            continue;
+        if (assoc == kFullyAssoc)
+            return misses_[s * cols + cols - 1];
+        for (std::size_t a = 0; a < cfg_.assocs.size(); ++a)
+            if (cfg_.assocs[a] == assoc)
+                return misses_[s * cols + a];
+    }
+    fatal("requested sweep operating point was not simulated");
+}
+
+double
+SweepResult::missRate(std::uint64_t size, int assoc) const
+{
+    const std::uint64_t m = misses(size, assoc);
+    return accesses_ ? double(m) / double(accesses_) : 0.0;
 }
 
 // ---------------------------------------------------------------------
@@ -379,8 +417,8 @@ void
 ParallelSweep::replayChunk(Worker& w, const Rec* recs, std::size_t n)
 {
     auto stale = [&w](Addr tag, std::uint64_t ver) {
-        auto it = w.verMap.find(tag);
-        return (it == w.verMap.end() ? 0u : it->second) != ver;
+        const std::uint64_t* v = w.verMap.find(tag);
+        return (v ? *v : 0) != ver;
     };
     const int shift = sweep_.lineShift_;
     for (std::size_t i = 0; i < n; ++i) {
@@ -394,8 +432,8 @@ ParallelSweep::replayChunk(Worker& w, const Rec* recs, std::size_t n)
             CacheSweep::applyTagArray(cols[c], r.line, lineId, r.oldVer,
                                       r.newVer, isWrite, stale);
         if (w.stackMine[r.proc])
-            sweep_.stacks_[r.proc].touch(r.line, r.oldVer, r.newVer,
-                                         isWrite);
+            sweep_.touchStack(r.proc, r.line, r.oldVer, r.newVer,
+                              isWrite);
     }
 }
 

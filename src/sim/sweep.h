@@ -9,7 +9,9 @@
  * all of them simultaneously in a single pass over the reference
  * stream:
  *
- *  - Each finite-associativity configuration keeps only a tag array.
+ *  - Each finite-associativity configuration keeps only a tag array
+ *    of 16-byte {tag, version} ways, each set most recently used
+ *    first.
  *  - Coherence is modeled with lazy version stamps: a per-line global
  *    version is bumped whenever a write must invalidate other copies
  *    (writer changed, or somebody else read since the last write).  A
@@ -20,7 +22,8 @@
  *    with a Mattson stack-distance profile (Fenwick-tree
  *    implementation with periodic timestamp compaction; the tree's
  *    capacity adapts to the live line count so it stays cache
- *    resident).
+ *    resident).  The same stacks can fill a reuse-distance profile
+ *    (sim/reusedist.h), so `--sweep both` walks them only once.
  *
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
@@ -42,14 +45,16 @@
 #include <cstdint>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "base/types.h"
 #include "sim/grid.h"
+#include "sim/linetable.h"
 #include "sim/trace.h"
 
 namespace splash::sim {
+
+struct ReuseDistProfile;
 
 /** Parameters of a sweep; the defaults are the Figure-3 grid
  *  (sim/grid.h). */
@@ -84,8 +89,8 @@ class VersionCoherence
     std::uint64_t
     version(Addr lineAddr) const
     {
-        auto it = map_.find(lineAddr);
-        return it == map_.end() ? 0 : it->second.version;
+        const Line* c = map_.find(lineAddr);
+        return c ? c->version : 0;
     }
 
     /** True when a copy of @p lineAddr stored at @p ver has been
@@ -103,7 +108,7 @@ class VersionCoherence
         ProcId lastWriter = -1;
         bool readSince = false;
     };
-    std::unordered_map<Addr, Line> map_;
+    LineTable<Line> map_;
 };
 
 /** Mattson LRU stack-distance core for one processor's line stream
@@ -143,16 +148,47 @@ class StackDistance
     std::uint64_t bitSum(std::uint64_t i) const;
     void compact();
 
-    std::unordered_map<Addr, LineInfo> lines_;
+    /** lastTime 0 marks a line this stack has not seen. */
+    LineTable<LineInfo> lines_;
     std::vector<std::uint32_t> bit_;  // Fenwick tree over timestamps
     std::uint64_t timeCap_ = 0;       // current tree capacity
     std::uint64_t now_ = 0;
 };
 
+/** What a finished sweep measured: references and misses at every
+ *  simulated operating point, without the tag arrays and stacks that
+ *  produced them (CacheSweep::result). */
+class SweepResult
+{
+  public:
+    std::uint64_t accesses() const { return accesses_; }
+
+    /** Aggregate misses at a simulated operating point (@p assoc 0 =
+     *  fully associative); fatal for a point the sweep did not run. */
+    std::uint64_t misses(std::uint64_t size, int assoc) const;
+
+    /** Aggregate miss rate at a simulated operating point. */
+    double missRate(std::uint64_t size, int assoc) const;
+
+  private:
+    friend class CacheSweep;
+
+    SweepConfig cfg_;
+    std::uint64_t accesses_ = 0;
+    /** Per size, the misses at each of cfg_.assocs, then fully
+     *  associative. */
+    std::vector<std::uint64_t> misses_;
+};
+
 class CacheSweep final : public RefSink
 {
   public:
-    explicit CacheSweep(const SweepConfig& cfg);
+    /** @param profile when set, the sweep's Mattson stacks also fill
+     *  this reuse-distance profile (sized here, zeroed by resetStats),
+     *  so a model needs no stack walk of its own.  The caller owns it;
+     *  it must outlive the sweep. */
+    explicit CacheSweep(const SweepConfig& cfg,
+                        ReuseDistProfile* profile = nullptr);
 
     /** Issue one reference from processor @p p. */
     void access(ProcId p, Addr addr, int size, AccessType type);
@@ -184,6 +220,9 @@ class CacheSweep final : public RefSink
     /** Aggregate misses at the given operating point. */
     std::uint64_t misses(std::uint64_t size, int assoc) const;
 
+    /** The counters at every operating point of the grid. */
+    SweepResult result() const;
+
     /** Zero miss/access counters while keeping cache contents (for
      *  measuring past cold start). */
     void resetStats() override;
@@ -191,22 +230,23 @@ class CacheSweep final : public RefSink
   private:
     friend class ParallelSweep;
 
-    /** Version stamps and LRU clocks are 64-bit: they advance with the
+    /** Tag of a way that has never been filled (no line address). */
+    static constexpr Addr kNoTag = ~Addr{0};
+
+    /** One way.  Version stamps are 64-bit: they advance with the
      *  reference count, which exceeds 2^32 at large problem scales. */
     struct TagEntry
     {
-        Addr tag = 0;
+        Addr tag = kNoTag;
         std::uint64_t version = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
-    /** One finite-associativity tag array. */
+    /** One finite-associativity tag array.  Each set keeps its ways
+     *  most recently used first, so the last way is the LRU one. */
     struct TagArray
     {
         int ways = 0;
         std::uint64_t setMask = 0;
-        std::uint64_t useClock = 0;
         std::vector<TagEntry> entries;
         std::uint64_t misses = 0;
     };
@@ -221,8 +261,9 @@ class CacheSweep final : public RefSink
         std::uint64_t maxLines = 0;
 
         void init(std::uint64_t max_lines);
-        void touch(Addr line, std::uint64_t oldVer, std::uint64_t newVer,
-                   bool isWrite);
+        /** Returns StackDistance::touch's outcome. */
+        std::uint64_t touch(Addr line, std::uint64_t oldVer,
+                            std::uint64_t newVer, bool isWrite);
     };
 
     /** Replay one annotated line reference into one tag array.
@@ -236,6 +277,11 @@ class CacheSweep final : public RefSink
 
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
 
+    /** Replay one annotated line reference into @p p's stack profile
+     *  and the reuse-distance profile being filled, if any. */
+    void touchStack(ProcId p, Addr line, std::uint64_t oldVer,
+                    std::uint64_t newVer, bool isWrite);
+
     SweepConfig cfg_;
     int lineShift_;
     VersionCoherence coh_;
@@ -243,6 +289,7 @@ class CacheSweep final : public RefSink
     std::vector<std::vector<TagArray>> arrays_;
     std::vector<StackProfiler> stacks_;
     std::vector<std::uint64_t> accesses_;
+    ReuseDistProfile* profile_;
 };
 
 /** Captures the reference stream into annotated chunks and replays
@@ -305,7 +352,7 @@ class ParallelSweep final : public RefSink
         std::vector<char> stackMine;   ///< [proc] -> owns that stack
         /** Line versions as of the record being replayed (sparse:
          *  only ever-bumped lines appear; absent means version 0). */
-        std::unordered_map<Addr, std::uint64_t> verMap;
+        LineTable<std::uint64_t> verMap;
         std::thread th;
     };
 

@@ -205,7 +205,8 @@ lzDecompress(const std::uint8_t* in, std::size_t n, std::uint8_t* out,
         if (litLen > static_cast<std::size_t>(end - p) ||
             litLen > outN - o)
             return false;
-        std::memcpy(out + o, p, litLen);
+        if (litLen)  // an empty output may have a null buffer
+            std::memcpy(out + o, p, litLen);
         p += litLen;
         o += litLen;
         if (p == end)

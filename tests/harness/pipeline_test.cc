@@ -58,7 +58,7 @@ expectSameOutputs(const Outputs& want, const Outputs& got)
     for (std::size_t i = 0; i < want.six.size(); ++i)
         expectSameRun(want.six[i], got.six.at(i));
     expectSameRun(want.sweep.stats, got.sweep.stats);
-    EXPECT_EQ(want.sweep.exact->accesses(), got.sweep.exact->accesses());
+    EXPECT_EQ(want.sweep.exact.accesses(), got.sweep.exact.accesses());
     for (std::uint64_t size : sim::fig3Sizes())
         for (int assoc : sim::fig3ReportAssocs())
             for (bool model : {false, true})

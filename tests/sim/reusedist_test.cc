@@ -1,8 +1,8 @@
 // Tests for the reuse-distance analytical fast path: histogram bucket
 // geometry, hand-computable predictions on synthetic streams, the
 // bit-for-bit fully-associative differential against the exact Mattson
-// sweep, profile serialization, and the broadcast-replay profiler
-// replica.
+// sweep (and the profile the sweep fills from its own stacks), profile
+// serialization, and the broadcast-replay profiler replica.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -202,7 +202,8 @@ expectFaBitIdentical(const std::vector<AccessRec>& recs, int nprocs)
     SweepConfig sc;
     sc.nprocs = nprocs;
     sc.lineSize = kLine;
-    CacheSweep sweep(sc);
+    ReuseDistProfile filled;  // by the sweep's own stacks
+    CacheSweep sweep(sc, &filled);
     ReuseDistProfiler prof(nprocs, kLine);
     for (const AccessRec& r : recs) {
         sweep.access(r.proc, r.addr, r.size, r.type);
@@ -215,6 +216,7 @@ expectFaBitIdentical(const std::vector<AccessRec>& recs, int nprocs)
         EXPECT_DOUBLE_EQ(p.missRate(size, 0), sweep.missRate(size, 0))
             << size;
     }
+    EXPECT_TRUE(filled == p);
 }
 
 TEST(ReuseDistDifferential, FaMatchesExactSweepPrivateStreams)
@@ -237,12 +239,15 @@ TEST(ReuseDistDifferential, FaMatchesExactSweepSharedStreams)
 TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
 {
     // resetStats is the measurement boundary in both engines: zeroed
-    // counters, warm stacks and coherence state.
+    // counters, warm stacks and coherence state.  A profile the sweep
+    // fills (serially, or from ParallelSweep's stack-owning workers)
+    // is zeroed at the same boundary.
     auto recs = randomStream(4, 20000, 200, 55, false);
     SweepConfig sc;
     sc.nprocs = 4;
     sc.lineSize = kLine;
-    CacheSweep sweep(sc);
+    ReuseDistProfile filled;
+    CacheSweep sweep(sc, &filled);
     ReuseDistProfiler prof(4, kLine);
     for (std::size_t i = 0; i < recs.size(); ++i) {
         if (i == recs.size() / 2) {
@@ -257,6 +262,21 @@ TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
     ASSERT_EQ(p.accesses(), sweep.accesses());
     for (std::uint64_t size : fig3Sizes())
         EXPECT_EQ(p.faMisses(size), sweep.misses(size, 0)) << size;
+    EXPECT_TRUE(filled == p);
+
+    for (int threads : {2, 4}) {
+        ReuseDistProfile pooled;
+        CacheSweep target(sc, &pooled);
+        {
+            ParallelSweep ps(target, threads, /*chunkRecords=*/256);
+            for (std::size_t i = 0; i < recs.size(); ++i) {
+                if (i == recs.size() / 2)
+                    ps.resetStats();
+                ps.access(recs[i]);
+            }
+        }
+        EXPECT_TRUE(pooled == p) << threads << " workers";
+    }
 }
 
 TEST(ReuseDistDifferential, UnalignedAccessesSplitLikeSweep)

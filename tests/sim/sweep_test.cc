@@ -249,13 +249,21 @@ TEST(ParallelSweep, MatchesSerialForAnyWorkerCount)
             for (const auto& acc : stream)
                 ps.access(rec(acc.p, acc.a, 8, acc.t));
         }
+        // The counters the sweep hands over once it is freed, too.
+        const SweepResult result = sw.result();
         EXPECT_EQ(serial.accesses(), sw.accesses()) << threads;
+        EXPECT_EQ(serial.accesses(), result.accesses()) << threads;
         for (std::uint64_t size : sc.sizes)
-            for (int assoc : {1, 2, 4, 0})
+            for (int assoc : {1, 2, 4, 0}) {
                 EXPECT_EQ(serial.misses(size, assoc),
                           sw.misses(size, assoc))
                     << threads << " workers, size " << size << " assoc "
                     << assoc;
+                EXPECT_EQ(serial.misses(size, assoc),
+                          result.misses(size, assoc))
+                    << threads << " workers, size " << size << " assoc "
+                    << assoc;
+            }
     }
 }
 
@@ -345,7 +353,7 @@ TEST(SweepRegression, ParallelSweepReproducesCommittedFig3Fft)
         runWorkingSets(*app, sc.nprocs, sc, cfg, simOpts);
 
     for (const auto& [point, mr] : committed)
-        EXPECT_NEAR(run.exact->missRate(point.first, point.second), mr,
+        EXPECT_NEAR(run.exact.missRate(point.first, point.second), mr,
                     5e-7)
             << point.first << "B " << point.second << "-way";
 }
