@@ -15,14 +15,27 @@ namespace splash::sim {
 
 namespace tracecodec {
 
+namespace {
+
+/** Writes @p v as LEB128 at @p p; returns the byte after it. */
+std::uint8_t*
+writeVarint(std::uint8_t* p, std::uint64_t v)
+{
+    while (v >= 0x80) {
+        *p++ = static_cast<std::uint8_t>(v) | 0x80;
+        v >>= 7;
+    }
+    *p++ = static_cast<std::uint8_t>(v);
+    return p;
+}
+
+} // namespace
+
 void
 putVarint(std::vector<std::uint8_t>& out, std::uint64_t v)
 {
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
+    std::uint8_t b[10];
+    out.insert(out.end(), b, writeVarint(b, v));
 }
 
 bool
@@ -47,19 +60,32 @@ getVarint(const std::uint8_t** p, const std::uint8_t* end,
 
 namespace {
 
+/** Slicing-by-8 tables: t[0] is the byte-at-a-time table, and t[k][i]
+ *  is the CRC of byte i followed by k zero bytes, so eight input bytes
+ *  fold into the register with eight independent lookups. */
 struct CrcTable
 {
-    std::uint32_t t[256];
+    std::uint32_t t[8][256];
     CrcTable()
     {
         for (std::uint32_t i = 0; i < 256; ++i) {
             std::uint32_t c = i;
             for (int k = 0; k < 8; ++k)
                 c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-            t[i] = c;
+            t[0][i] = c;
         }
+        for (int k = 1; k < 8; ++k)
+            for (std::uint32_t i = 0; i < 256; ++i)
+                t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xff];
     }
 };
+
+std::uint32_t
+le32(const std::uint8_t* p)
+{
+    return std::uint32_t(p[0]) | std::uint32_t(p[1]) << 8 |
+           std::uint32_t(p[2]) << 16 | std::uint32_t(p[3]) << 24;
+}
 
 } // namespace
 
@@ -69,169 +95,17 @@ crc32(const void* data, std::size_t n, std::uint32_t seed)
     static const CrcTable tbl;
     const auto* p = static_cast<const std::uint8_t*>(data);
     std::uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < n; ++i)
-        c = tbl.t[(c ^ p[i]) & 0xff] ^ (c >> 8);
+    for (; n >= 8; n -= 8, p += 8) {
+        const std::uint32_t lo = le32(p) ^ c;
+        const std::uint32_t hi = le32(p + 4);
+        c = tbl.t[7][lo & 0xff] ^ tbl.t[6][(lo >> 8) & 0xff] ^
+            tbl.t[5][(lo >> 16) & 0xff] ^ tbl.t[4][lo >> 24] ^
+            tbl.t[3][hi & 0xff] ^ tbl.t[2][(hi >> 8) & 0xff] ^
+            tbl.t[1][(hi >> 16) & 0xff] ^ tbl.t[0][hi >> 24];
+    }
+    for (; n > 0; --n, ++p)
+        c = tbl.t[0][(c ^ *p) & 0xff] ^ (c >> 8);
     return c ^ 0xffffffffu;
-}
-
-// LZ77, LZ4-flavored byte format.  A sequence is:
-//   token  = (litLen : 4 high bits | matchLen-4 : 4 low bits)
-//   [255-extension bytes for litLen >= 15]
-//   literals
-//   varint match offset (reaching the whole block)
-//   [255-extension bytes for matchLen >= 19]
-// The final sequence carries literals only (no offset); matches are
-// at least 4 bytes.  The window spans the whole chunk: the reference
-// streams repeat with the period of an application iteration, which
-// is far longer than a classic 64 KB window, and a whole-chunk reach
-// lets one iteration match against the previous one.
-
-namespace {
-
-constexpr std::size_t kMinMatch = 4;
-constexpr std::size_t kMaxOffset = std::size_t(1) << 26;
-constexpr int kHashBits = 17;
-
-inline std::uint32_t
-load32(const std::uint8_t* p)
-{
-    std::uint32_t v;
-    std::memcpy(&v, p, 4);
-    return v;
-}
-
-inline std::uint32_t
-hash32(std::uint32_t v)
-{
-    return (v * 2654435761u) >> (32 - kHashBits);
-}
-
-void
-putLen(std::vector<std::uint8_t>& out, std::size_t len)
-{
-    while (len >= 255) {
-        out.push_back(255);
-        len -= 255;
-    }
-    out.push_back(static_cast<std::uint8_t>(len));
-}
-
-void
-emitSequence(std::vector<std::uint8_t>& out, const std::uint8_t* lit,
-             std::size_t litLen, std::size_t offset,
-             std::size_t matchLen)
-{
-    const std::size_t litCode = litLen < 15 ? litLen : 15;
-    const std::size_t matCode =
-        matchLen == 0 ? 0
-                      : (matchLen - kMinMatch < 15 ? matchLen - kMinMatch
-                                                   : 15);
-    out.push_back(static_cast<std::uint8_t>((litCode << 4) | matCode));
-    if (litCode == 15)
-        putLen(out, litLen - 15);
-    out.insert(out.end(), lit, lit + litLen);
-    if (matchLen == 0)
-        return;  // terminal literals-only sequence
-    putVarint(out, offset);
-    if (matCode == 15)
-        putLen(out, matchLen - kMinMatch - 15);
-}
-
-} // namespace
-
-void
-lzCompress(const std::uint8_t* in, std::size_t n,
-           std::vector<std::uint8_t>& out)
-{
-    std::vector<std::uint32_t> head(std::size_t(1) << kHashBits, 0);
-    // Position 0 is the "empty" sentinel, so stored positions are +1.
-    std::size_t i = 0;
-    std::size_t anchor = 0;
-    while (n >= kMinMatch && i + kMinMatch <= n) {
-        const std::uint32_t h = hash32(load32(in + i));
-        const std::size_t cand = head[h];
-        head[h] = static_cast<std::uint32_t>(i + 1);
-        if (cand != 0) {
-            const std::size_t c = cand - 1;
-            if (i - c <= kMaxOffset && load32(in + c) == load32(in + i)) {
-                std::size_t len = kMinMatch;
-                while (i + len < n && in[c + len] == in[i + len])
-                    ++len;
-                emitSequence(out, in + anchor, i - anchor, i - c, len);
-                // Index a few positions inside the match so long runs
-                // of a short period stay discoverable.
-                const std::size_t stop =
-                    std::min(i + len, n >= kMinMatch ? n - kMinMatch : 0);
-                for (std::size_t j = i + 1; j < stop; j += 13)
-                    head[hash32(load32(in + j))] =
-                        static_cast<std::uint32_t>(j + 1);
-                i += len;
-                anchor = i;
-                continue;
-            }
-        }
-        ++i;
-    }
-    emitSequence(out, in + anchor, n - anchor, 0, 0);
-}
-
-bool
-lzDecompress(const std::uint8_t* in, std::size_t n, std::uint8_t* out,
-             std::size_t outN)
-{
-    const std::uint8_t* p = in;
-    const std::uint8_t* end = in + n;
-    std::size_t o = 0;
-    auto readLen = [&](std::size_t base, std::size_t* len) {
-        *len = base;
-        if (base != 15)
-            return true;
-        for (;;) {
-            if (p >= end)
-                return false;
-            std::uint8_t b = *p++;
-            *len += b;
-            if (b != 255)
-                return true;
-        }
-    };
-    for (;;) {
-        if (p >= end)
-            return false;  // missing terminal sequence
-        const std::uint8_t token = *p++;
-        std::size_t litLen;
-        if (!readLen(token >> 4, &litLen))
-            return false;
-        if (litLen > static_cast<std::size_t>(end - p) ||
-            litLen > outN - o)
-            return false;
-        if (litLen)  // an empty output may have a null buffer
-            std::memcpy(out + o, p, litLen);
-        p += litLen;
-        o += litLen;
-        if (p == end)
-            return o == outN;  // terminal sequence
-        std::uint64_t off64 = 0;
-        if (!getVarint(&p, end, &off64))
-            return false;
-        const std::size_t offset = static_cast<std::size_t>(off64);
-        if (offset == 0 || offset > o || offset > kMaxOffset)
-            return false;
-        std::size_t matchLen;
-        if (!readLen(token & 0x0f, &matchLen))
-            return false;
-        matchLen += kMinMatch;
-        if (matchLen > outN - o)
-            return false;
-        // Byte-wise copy: overlapping matches (offset < length)
-        // replicate the period, which is the point.
-        const std::uint8_t* src = out + o - offset;
-        for (std::size_t k = 0; k < matchLen; ++k)
-            out[o + k] = src[k];
-        o += matchLen;
-        if (o == outN && p == end)
-            return true;
-    }
 }
 
 } // namespace tracecodec
@@ -244,37 +118,32 @@ using namespace tracecodec;
 namespace {
 
 constexpr char kMagic[8] = {'S', '2', 'T', 'R', 'A', 'C', 'E', '1'};
-constexpr std::uint32_t kFormatVersion = 1;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kHeaderBytes = 128;
 constexpr std::uint32_t kChunkMagic = 0x4b433253u;   // "S2CK"
 constexpr std::uint32_t kFooterMagic = 0x54463253u;  // "S2FT"
 constexpr std::size_t kAppBytes = 16;
-constexpr std::size_t kFrameBytes = 24;
+constexpr std::size_t kFrameBytes = 20;
 
-constexpr std::uint8_t kEvSync = 0;
-constexpr std::uint8_t kEvReset = 1;
-constexpr std::uint8_t kEvPlace = 2;
+// Lead byte of a payload item.  A record uses the low five bits; the
+// next two are reserved and must be zero.  The high bit marks an
+// event, whose kind is in the low bits.
+constexpr std::uint8_t kWrite = 1u << 0;
+constexpr std::uint8_t kAtomic = 1u << 1;
+constexpr std::uint8_t kNewProc = 1u << 2;  ///< varint processor follows
+constexpr std::uint8_t kNewSize = 1u << 3;  ///< varint size follows
+constexpr std::uint8_t kNewStep = 1u << 4;  ///< zigzag clock step follows
+constexpr std::uint8_t kReserved = 3u << 5;
+constexpr std::uint8_t kEvent = 1u << 7;
 
-constexpr std::uint8_t kSizePlanes = 0;  ///< dictionary + index planes
-constexpr std::uint8_t kSizeRuns = 1;    ///< sizes as RLE runs
+constexpr std::uint8_t kEvSync = kEvent | 0;
+constexpr std::uint8_t kEvReset = kEvent | 1;
+constexpr std::uint8_t kEvPlace = kEvent | 2;
 
-constexpr std::uint8_t kAddrPlain = 0;  ///< delta vs previous address
-constexpr std::uint8_t kAddrPred = 1;   ///< selector plane + predictor
-
-/** Address-column predictor geometry (part of the on-disk format):
- *  the second predictor is the prior target of the previous address's
- *  4 KiB page, through a per-processor direct-mapped table of 4096
- *  slots (16 MiB of distinct pages before aliasing). */
-constexpr unsigned kPageShift = 12;
-constexpr std::size_t kAddrSlots = std::size_t(1) << 12;
-
-/** Upper bound on encoded bytes per record or event: the widest
- *  record costs a processor run (12 B) + 2 bitmap bits + a size run
- *  (11 B) + two 10-byte varint deltas, and the widest event a
- *  position delta + place triple (31 B) -- both comfortably under
- *  this.  Lets the reader reject an implausible chunk size before
- *  allocating a decode buffer from it. */
-constexpr std::uint64_t kMaxEncPerItem = 64;
+/** Upper bound on the encoded bytes of one item: a record with every
+ *  field present (lead byte + four varints), which is wider than any
+ *  event (kind + packed op + three varints). */
+constexpr std::size_t kMaxItemBytes = 1 + 4 * 10;
 
 template <typename T>
 void
@@ -421,12 +290,7 @@ TraceWriter::TraceWriter(std::string path, const TraceMeta& meta,
     f_ = std::fopen(tmpPath_.c_str(), "wb");
     if (f_ == nullptr)
         fatal("cannot create trace file '" + tmpPath_ + "'");
-    recs_.reserve(chunkRecords_);
-    runsByProc_.resize(static_cast<std::size_t>(meta_.nprocs));
-    addrTbl_.assign(static_cast<std::size_t>(meta_.nprocs),
-                    std::vector<Addr>(kAddrSlots, 0));
-    lastAddr_.assign(static_cast<std::size_t>(meta_.nprocs), 0);
-    lastLtime_.assign(static_cast<std::size_t>(meta_.nprocs), 0);
+    procs_.resize(static_cast<std::size_t>(meta_.nprocs));
     // Provisional header (totals unknown); rewritten by finalize().
     std::uint8_t h[kHeaderBytes];
     buildHeader(h, meta_, 0, 0, 0, 0, /*finalized=*/false, 0);
@@ -442,357 +306,116 @@ TraceWriter::~TraceWriter()
         ::unlink(tmpPath_.c_str());  // aborted recording
 }
 
+std::uint8_t*
+TraceWriter::room()
+{
+    if (buf_.size() - len_ < kMaxItemBytes)
+        buf_.resize(2 * buf_.size() + 4096);
+    return buf_.data() + len_;
+}
+
 void
 TraceWriter::access(const AccessRec& r)
 {
-    recs_.push_back(r);
-    if (recs_.size() == chunkRecords_)
+    std::uint8_t* const lead = room();
+    std::uint8_t* p = lead + 1;
+    std::uint8_t f = r.type == AccessType::Write ? kWrite : 0;
+    if (r.atomic())
+        f |= kAtomic;
+    ensure(r.proc >= 0 && r.proc < meta_.nprocs,
+           "trace record processor out of range");
+    if (r.proc != cur_) {
+        f |= kNewProc;
+        p = writeVarint(p, static_cast<std::uint64_t>(r.proc));
+        cur_ = r.proc;
+    }
+    ProcState& s = procs_[static_cast<std::size_t>(r.proc)];
+    if (r.size != s.size) {
+        f |= kNewSize;
+        p = writeVarint(p, static_cast<std::uint32_t>(r.size));
+        s.size = r.size;
+    }
+    const Tick step = r.ltime - s.clock;
+    if (step != s.step) {
+        f |= kNewStep;
+        p = writeVarint(p, zigzag(static_cast<std::int64_t>(step)));
+        s.step = step;
+    }
+    p = writeVarint(p, zigzag(static_cast<std::int64_t>(r.addr - s.addr)));
+    s.addr = r.addr;
+    s.clock = r.ltime;
+    *lead = f;
+    len_ = static_cast<std::size_t>(p - buf_.data());
+    if (++chunkRecs_ == chunkRecords_)
         flushChunk();
 }
 
 void
 TraceWriter::sync(const SyncRec& r)
 {
-    Event e;
-    e.pos = static_cast<std::uint32_t>(recs_.size());
-    e.kind = kEvSync;
-    e.sync = r;
-    events_.push_back(e);
+    ensure(r.proc >= 0 && r.proc < meta_.nprocs,
+           "trace sync processor out of range");
+    std::uint8_t* p = room();
+    *p++ = kEvSync;
+    *p++ = static_cast<std::uint8_t>((r.op == SyncOp::Release ? 1 : 0) |
+                                     (static_cast<unsigned>(r.prim) << 1));
+    p = writeVarint(p, r.obj);
+    p = writeVarint(p, static_cast<std::uint64_t>(r.proc));
+    // The edge's clock is a delta on the same per-processor clock the
+    // records use, so the next record's step is measured from it.
+    ProcState& s = procs_[static_cast<std::size_t>(r.proc)];
+    p = writeVarint(p, zigzag(static_cast<std::int64_t>(r.ltime - s.clock)));
+    s.clock = r.ltime;
+    len_ = static_cast<std::size_t>(p - buf_.data());
+    ++chunkEvents_;
     ++totalSyncs_;
 }
 
 void
 TraceWriter::resetStats()
 {
-    Event e;
-    e.pos = static_cast<std::uint32_t>(recs_.size());
-    e.kind = kEvReset;
-    events_.push_back(e);
+    *room() = kEvReset;
+    ++len_;
+    ++chunkEvents_;
 }
 
 void
 TraceWriter::place(const PlaceRec& r)
 {
-    Event e;
-    e.pos = static_cast<std::uint32_t>(recs_.size());
-    e.kind = kEvPlace;
-    e.place = r;
-    events_.push_back(e);
+    ensure(r.home >= 0 && r.home < meta_.nprocs,
+           "trace placement home out of range");
+    std::uint8_t* p = room();
+    *p++ = kEvPlace;
+    p = writeVarint(p, r.addr);
+    p = writeVarint(p, r.bytes);
+    p = writeVarint(p, static_cast<std::uint64_t>(r.home));
+    len_ = static_cast<std::size_t>(p - buf_.data());
+    ++chunkEvents_;
 }
 
 void
 TraceWriter::flushChunk()
 {
-    if (recs_.empty() && events_.empty())
+    if (chunkRecs_ == 0 && chunkEvents_ == 0)
         return;
-    enc_.clear();
-    const std::size_t n = recs_.size();
-
-    // Column 1: processor run lengths.
-    {
-        std::uint64_t runs = 0;
-        for (std::size_t i = 0; i < n; ++i)
-            if (i == 0 || recs_[i].proc != recs_[i - 1].proc)
-                ++runs;
-        putVarint(enc_, runs);
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n && recs_[j].proc == recs_[i].proc)
-                ++j;
-            putVarint(enc_, zigzag(recs_[i].proc));
-            putVarint(enc_, j - i);
-            i = j;
-        }
-    }
-    // Columns 2+3: access-type and atomic-flag bitmaps.
-    {
-        const std::size_t bytes = (n + 7) / 8;
-        std::size_t base = enc_.size();
-        enc_.resize(base + 2 * bytes, 0);
-        for (std::size_t i = 0; i < n; ++i) {
-            if (recs_[i].type == AccessType::Write)
-                enc_[base + i / 8] |= std::uint8_t(1u << (i % 8));
-            if (recs_[i].atomic())
-                enc_[base + bytes + i / 8] |=
-                    std::uint8_t(1u << (i % 8));
-        }
-    }
-    // The delta columns below are grouped by processor: all of
-    // processor 0's records (in stream order), then processor 1's,
-    // and so on.  Grouping keeps each processor's regular pattern
-    // contiguous, which the LZ stage compresses far better than the
-    // scheduler's interleaving of them.  The groups are reconstructed
-    // on both sides from the processor runs of column 1.
-    for (auto& rp : runsByProc_)
-        rp.clear();
-    {
-        std::size_t i = 0;
-        while (i < n) {
-            std::size_t j = i + 1;
-            while (j < n && recs_[j].proc == recs_[i].proc)
-                ++j;
-            runsByProc_[static_cast<std::size_t>(recs_[i].proc)]
-                .push_back({static_cast<std::uint32_t>(i),
-                            static_cast<std::uint32_t>(j - i)});
-            i = j;
-        }
-    }
-    // Column 4: access sizes.  A chunk almost always uses a handful
-    // of distinct sizes (word, double, the odd struct copy), so the
-    // common encoding is a small per-chunk dictionary sorted by
-    // frequency plus two bit-planes of dictionary indices, laid out
-    // in grouped (per-processor) order: the dominant size is index 0,
-    // so the planes are near-zero and the LZ stage collapses them.
-    // Chunks with more than four distinct sizes fall back to runs.
-    {
-        std::vector<std::pair<std::int64_t, std::int32_t>> dict;
-        for (std::size_t i = 0; i < n && dict.size() <= 4; ++i) {
-            const auto s = recs_[i].size;
-            bool seen = false;
-            for (auto& d : dict)
-                if (d.second == s) {
-                    --d.first;  // negated count: sort puts it first
-                    seen = true;
-                    break;
-                }
-            if (!seen)
-                dict.push_back({-1, s});
-        }
-        const bool planar = dict.size() <= 4;
-        enc_.push_back(planar ? kSizePlanes : kSizeRuns);
-        if (planar) {
-            std::sort(dict.begin(), dict.end());
-            enc_.push_back(static_cast<std::uint8_t>(dict.size()));
-            for (const auto& d : dict)
-                putVarint(enc_, zigzag(d.second));
-            const std::size_t bytes = (n + 7) / 8;
-            std::size_t base = enc_.size();
-            enc_.resize(base + 2 * bytes, 0);
-            std::size_t g = 0;
-            for (int p = 0; p < meta_.nprocs; ++p)
-                for (const auto& run :
-                     runsByProc_[static_cast<std::size_t>(p)])
-                    for (std::uint32_t i = run.first;
-                         i < run.first + run.second; ++i, ++g) {
-                        unsigned idx = 0;
-                        while (dict[idx].second != recs_[i].size)
-                            ++idx;
-                        if (idx & 1u)
-                            enc_[base + g / 8] |=
-                                std::uint8_t(1u << (g % 8));
-                        if (idx & 2u)
-                            enc_[base + bytes + g / 8] |=
-                                std::uint8_t(1u << (g % 8));
-                    }
-        } else {
-            std::uint64_t runs = 0;
-            for (std::size_t i = 0; i < n; ++i)
-                if (i == 0 || recs_[i].size != recs_[i - 1].size)
-                    ++runs;
-            putVarint(enc_, runs);
-            std::size_t i = 0;
-            while (i < n) {
-                std::size_t j = i + 1;
-                while (j < n && recs_[j].size == recs_[i].size)
-                    ++j;
-                putVarint(enc_, zigzag(recs_[i].size));
-                putVarint(enc_, j - i);
-                i = j;
-            }
-        }
-    }
-    // Column 5: address deltas, grouped by processor.  Two candidate
-    // encodings are built, both replayable from decoded history:
-    //
-    //   kAddrPlain -- delta against the processor's previous address.
-    //     Iteration-periodic streams repeat the exact byte sequence,
-    //     which the whole-chunk LZ window collapses.
-    //   kAddrPred  -- a selector bit-plane plus the delta against the
-    //     better of that previous address and a page-keyed table (the
-    //     prior target of the previous address's page), which
-    //     untangles interleaved streams -- scatter buckets, molecule
-    //     pairs -- into their own near-constant strides.
-    //
-    // Whichever LZ-compresses smaller is written behind a mode byte.
-    // The prediction-state updates depend only on the address stream,
-    // never on the mode, so chunks may switch modes freely.
-    {
-        const std::size_t bytes = (n + 7) / 8;
-        std::vector<std::uint8_t> plainCol;
-        std::vector<std::uint8_t> predCol(bytes, 0);
-        ltex_.clear();  // scratch may hold a previous chunk's bytes
-        std::size_t g = 0;
-        for (int p = 0; p < meta_.nprocs; ++p) {
-            const auto pi = static_cast<std::size_t>(p);
-            Addr* tbl = addrTbl_[pi].data();
-            Addr last = lastAddr_[pi];
-            for (const auto& run : runsByProc_[pi])
-                for (std::uint32_t i = run.first;
-                     i < run.first + run.second; ++i, ++g) {
-                    const Addr a = recs_[i].addr;
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const auto dLast =
-                        zigzag(static_cast<std::int64_t>(a - last));
-                    const auto dTbl =
-                        zigzag(static_cast<std::int64_t>(a -
-                                                         tbl[slot]));
-                    putVarint(plainCol, dLast);
-                    if (dTbl < dLast) {
-                        predCol[g / 8] |= std::uint8_t(1u << (g % 8));
-                        putVarint(ltex_, dTbl);
-                    } else {
-                        putVarint(ltex_, dLast);
-                    }
-                    tbl[slot] = a;
-                    last = a;
-                }
-            lastAddr_[pi] = last;
-        }
-        predCol.insert(predCol.end(), ltex_.begin(), ltex_.end());
-        ltex_.clear();
-        comp_.clear();
-        lzCompress(plainCol.data(), plainCol.size(), comp_);
-        const std::size_t plainLz = std::min(comp_.size(),
-                                             plainCol.size());
-        comp_.clear();
-        lzCompress(predCol.data(), predCol.size(), comp_);
-        const std::size_t predLz = std::min(comp_.size(),
-                                            predCol.size());
-        if (predLz < plainLz) {
-            enc_.push_back(kAddrPred);
-            enc_.insert(enc_.end(), predCol.begin(), predCol.end());
-        } else {
-            enc_.push_back(kAddrPlain);
-            enc_.insert(enc_.end(), plainCol.begin(), plainCol.end());
-        }
-    }
-    // Column 6: logical-time deltas, grouped by processor.  An app's
-    // clock advances by a handful of distinct strides (usually just
-    // 1, plus the cost of the instruction block between references),
-    // so the deltas get the same treatment as the sizes: a per-chunk
-    // dictionary of the most frequent deltas plus two bit-planes of
-    // dictionary indices in grouped order; index 3 escapes to an
-    // explicit varint (appended after the planes) unless the
-    // dictionary is exact with four entries.  Sync events share the
-    // same per-processor clock state (encoded below): all accesses
-    // update it first, then events, exactly the order the decoder
-    // replays.
-    {
-        ltd_.clear();
-        for (int p = 0; p < meta_.nprocs; ++p) {
-            Tick last = lastLtime_[static_cast<std::size_t>(p)];
-            for (const auto& run :
-                 runsByProc_[static_cast<std::size_t>(p)])
-                for (std::uint32_t i = run.first;
-                     i < run.first + run.second; ++i) {
-                    ltd_.push_back(static_cast<std::int64_t>(
-                        recs_[i].ltime - last));
-                    last = recs_[i].ltime;
-                }
-            lastLtime_[static_cast<std::size_t>(p)] = last;
-        }
-        // Frequency-ranked dictionary; tracking caps at 32 distinct
-        // deltas (beyond that the stragglers escape anyway).
-        std::vector<std::pair<std::int64_t, std::int64_t>> freq;
-        for (const std::int64_t d : ltd_) {
-            bool seen = false;
-            for (auto& f : freq)
-                if (f.second == d) {
-                    --f.first;
-                    seen = true;
-                    break;
-                }
-            if (!seen && freq.size() < 32)
-                freq.push_back({-1, d});
-        }
-        std::sort(freq.begin(), freq.end());
-        // Four entries only when they cover every delta; otherwise
-        // index 3 is the escape marker.
-        const unsigned dictN = freq.size() <= 4
-                                   ? static_cast<unsigned>(freq.size())
-                                   : 3u;
-        enc_.push_back(static_cast<std::uint8_t>(dictN));
-        for (unsigned d = 0; d < dictN; ++d)
-            putVarint(enc_, zigzag(freq[d].second));
-        const std::size_t bytes = (n + 7) / 8;
-        const std::size_t base = enc_.size();
-        enc_.resize(base + 2 * bytes, 0);
-        ltex_.clear();
-        for (std::size_t g = 0; g < ltd_.size(); ++g) {
-            unsigned idx = 0;
-            while (idx < dictN && freq[idx].second != ltd_[g])
-                ++idx;
-            if (idx == dictN && dictN == 4)
-                fatal("ltime dictionary claimed exact but is not");
-            if (idx == dictN) {
-                idx = 3;
-                putVarint(ltex_, zigzag(ltd_[g]));
-            }
-            if (idx & 1u)
-                enc_[base + g / 8] |= std::uint8_t(1u << (g % 8));
-            if (idx & 2u)
-                enc_[base + bytes + g / 8] |=
-                    std::uint8_t(1u << (g % 8));
-        }
-        enc_.insert(enc_.end(), ltex_.begin(), ltex_.end());
-    }
-    // Column 7: stream-ordered events.
-    {
-        putVarint(enc_, events_.size());
-        std::uint64_t prevPos = 0;
-        for (const Event& e : events_) {
-            putVarint(enc_, e.pos - prevPos);
-            prevPos = e.pos;
-            enc_.push_back(e.kind);
-            if (e.kind == kEvSync) {
-                const SyncRec& s = e.sync;
-                enc_.push_back(static_cast<std::uint8_t>(
-                    (s.op == SyncOp::Release ? 1 : 0) |
-                    (static_cast<unsigned>(s.prim) << 1)));
-                putVarint(enc_, s.obj);
-                putVarint(enc_, zigzag(s.proc));
-                const auto p = static_cast<std::size_t>(
-                    s.proc >= 0 ? s.proc : 0);
-                putVarint(enc_, zigzag(static_cast<std::int64_t>(
-                                    s.ltime - lastLtime_[p])));
-                lastLtime_[p] = s.ltime;
-            } else if (e.kind == kEvPlace) {
-                putVarint(enc_, e.place.addr);
-                putVarint(enc_, e.place.bytes);
-                putVarint(enc_, zigzag(e.place.home));
-            }
-        }
-    }
-
-    comp_.clear();
-    lzCompress(enc_.data(), enc_.size(), comp_);
-    const bool stored = comp_.size() >= enc_.size();
-    const std::uint8_t* payload = stored ? enc_.data() : comp_.data();
-    const std::size_t payloadN = stored ? enc_.size() : comp_.size();
-
+    ensure(len_ <= UINT32_MAX, "trace chunk payload exceeds 4 GiB");
     std::uint8_t fr[kFrameBytes];
     put<std::uint32_t>(fr, 0, kChunkMagic);
-    put<std::uint32_t>(fr, 4, static_cast<std::uint32_t>(n));
-    put<std::uint32_t>(fr, 8,
-                       static_cast<std::uint32_t>(events_.size()));
-    put<std::uint32_t>(fr, 12,
-                       static_cast<std::uint32_t>(enc_.size()));
-    put<std::uint32_t>(fr, 16, static_cast<std::uint32_t>(payloadN));
+    put<std::uint32_t>(fr, 4, static_cast<std::uint32_t>(chunkRecs_));
+    put<std::uint32_t>(fr, 8, chunkEvents_);
+    put<std::uint32_t>(fr, 12, static_cast<std::uint32_t>(len_));
     // The CRC covers the frame fields as well as the payload, so a
-    // corrupted record/byte count is itself detectable -- the reader
-    // must never size a buffer from an unverified length.
-    put<std::uint32_t>(fr, 20, crc32(fr, 20, crc32(payload, payloadN)));
+    // corrupted record/byte count is itself detectable.
+    put<std::uint32_t>(fr, 16, crc32(fr, 16, crc32(buf_.data(), len_)));
     if (std::fwrite(fr, 1, sizeof(fr), f_) != sizeof(fr) ||
-        (payloadN != 0 &&
-         std::fwrite(payload, 1, payloadN, f_) != payloadN))
+        std::fwrite(buf_.data(), 1, len_, f_) != len_)
         fatal("cannot append trace chunk to '" + tmpPath_ + "'");
-    bytesWritten_ += kFrameBytes + payloadN;
-    totalRecords_ += n;
+    bytesWritten_ += kFrameBytes + len_;
+    totalRecords_ += chunkRecs_;
     ++totalChunks_;
-    recs_.clear();
-    events_.clear();
+    len_ = 0;
+    chunkRecs_ = 0;
+    chunkEvents_ = 0;
 }
 
 bool
@@ -942,7 +565,7 @@ TraceReader::parseHeaderAndIndex(std::string* err)
     chunkOffset_ = kHeaderBytes;
 
     // Walk the chunk frames to find and pre-validate the footer
-    // position (payload CRCs are checked during replay/verify).
+    // position (payload CRCs are checked during replay).
     std::size_t off = chunkOffset_;
     for (std::uint64_t c = 0; c < totalChunks_; ++c) {
         if (size_ - off < kFrameBytes) {
@@ -954,7 +577,7 @@ TraceReader::parseHeaderAndIndex(std::string* err)
             *err = "bad chunk magic at chunk " + std::to_string(c);
             return false;
         }
-        const auto payloadN = get<std::uint32_t>(fr, 16);
+        const auto payloadN = get<std::uint32_t>(fr, 12);
         if (size_ - off - kFrameBytes < payloadN) {
             *err = "truncated payload at chunk " + std::to_string(c);
             return false;
@@ -1003,30 +626,10 @@ TraceReader::replay(RefSink* sink, std::string* err)
         return false;
     };
     placement_.reset(meta_.nprocs);
-    std::vector<std::vector<Addr>> addrTbl(
-        static_cast<std::size_t>(meta_.nprocs),
-        std::vector<Addr>(kAddrSlots, 0));
-    std::vector<Addr> lastAddr(
-        static_cast<std::size_t>(meta_.nprocs), 0);
-    std::vector<Tick> lastLtime(
-        static_cast<std::size_t>(meta_.nprocs), 0);
-    // Per-chunk scratch, kept in grouped (per-processor) order so
-    // every decode pass writes sequentially: the chunk is large
-    // enough that scattering whole records into stream order would
-    // stream the scratch through memory once per column.  Stream
-    // order is reconstituted during delivery by walking the run list
-    // with one cursor per processor; the type/atomic bitmaps and the
-    // size bit-planes are read directly from the encoded chunk at
-    // that point rather than materialized.
-    const auto np = static_cast<std::size_t>(meta_.nprocs);
-    std::vector<std::vector<Addr>> addrBy(np);
-    std::vector<std::vector<Tick>> ltimeBy(np);
-    std::vector<std::uint32_t> cnt(np);
-    std::vector<std::uint32_t> cur(np);
-    std::vector<std::uint64_t> gbase(np);
-    std::vector<std::pair<std::int16_t, std::uint32_t>> streamRuns;
-    std::vector<std::int32_t> sizeStream;  // RLE fallback only
-    std::vector<std::uint8_t> raw;
+    const auto np = static_cast<std::uint64_t>(meta_.nprocs);
+    std::vector<ProcState> procs(np);
+    ProcState* st = nullptr;  // the current processor's state
+    AccessRec r;
     std::uint64_t seenRecords = 0;
     std::uint64_t seenSyncs = 0;
 
@@ -1035,377 +638,108 @@ TraceReader::replay(RefSink* sink, std::string* err)
         const std::uint8_t* fr = data_ + off;
         const auto nRecs = get<std::uint32_t>(fr, 4);
         const auto nEvents = get<std::uint32_t>(fr, 8);
-        const auto encBytes = get<std::uint32_t>(fr, 12);
-        const auto payloadN = get<std::uint32_t>(fr, 16);
-        const auto crc = get<std::uint32_t>(fr, 20);
-        const std::uint8_t* payload = fr + kFrameBytes;
+        const auto payloadN = get<std::uint32_t>(fr, 12);
+        const std::uint8_t* p = fr + kFrameBytes;
+        const std::uint8_t* const end = p + payloadN;
         off += kFrameBytes + payloadN;
-        if (crc32(fr, 20, crc32(payload, payloadN)) != crc)
+        if (crc32(fr, 16, crc32(p, payloadN)) != get<std::uint32_t>(fr, 16))
             return fail(c, "chunk CRC mismatch (corrupted file)");
-        // Defense in depth behind the CRC: the counts must also be
-        // consistent with the (header-CRC-protected) totals and with
-        // the encoder's per-item output ceiling, so no buffer is ever
-        // sized from an implausible length field.
-        if (seenRecords + nRecs > totalRecords_)
-            return fail(c, "record count exceeds the header total");
-        if (encBytes > kMaxEncPerItem *
-                               (std::uint64_t(nRecs) + nEvents) +
-                           64)
-            return fail(c, "encoded size exceeds its count bound");
-        seenRecords += nRecs;
-        const std::uint8_t* enc = payload;
-        if (payloadN != encBytes) {  // compressed chunk
-            raw.resize(encBytes);
-            if (!lzDecompress(payload, payloadN, raw.data(), encBytes))
-                return fail(c, "undecodable compressed payload");
-            enc = raw.data();
-        }
-        if (sink == nullptr)
-            continue;  // verify-only walk
-
-        const std::uint8_t* p = enc;
-        const std::uint8_t* end = enc + encBytes;
-        auto truncated = [&] { return fail(c, "undecodable column"); };
+        auto truncated = [&] { return fail(c, "truncated item"); };
+        std::uint64_t recs = 0;
+        std::uint64_t events = 0;
         std::uint64_t v = 0;
-
-        // Column 1: processor runs -- the stream-order walk for
-        // delivery, plus per-processor record counts sizing the
-        // grouped scratch below.
-        streamRuns.clear();
-        std::fill(cnt.begin(), cnt.end(), 0u);
-        if (!getVarint(&p, end, &v))
-            return truncated();
-        std::uint64_t fill = 0;
-        for (std::uint64_t r = 0; r < v; ++r) {
-            std::uint64_t proc = 0, len = 0;
-            if (!getVarint(&p, end, &proc) ||
-                !getVarint(&p, end, &len))
-                return truncated();
-            const auto id = unzigzag(proc);
-            if (id < 0 || id >= meta_.nprocs || len == 0 ||
-                fill + len > nRecs)
-                return fail(c, "processor run out of range");
-            streamRuns.push_back({static_cast<std::int16_t>(id),
-                                  static_cast<std::uint32_t>(len)});
-            cnt[static_cast<std::size_t>(id)] +=
-                static_cast<std::uint32_t>(len);
-            fill += len;
-        }
-        if (fill != nRecs)
-            return fail(c, "processor runs do not cover the chunk");
-        for (std::size_t pi = 0; pi < np; ++pi)
-            gbase[pi] = pi == 0 ? 0 : gbase[pi - 1] + cnt[pi - 1];
-        // Columns 2+3: type/atomic bitmaps, read during delivery.
-        const std::size_t bmBytes = (std::size_t(nRecs) + 7) / 8;
-        if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
-            return truncated();
-        const std::uint8_t* bmType = p;
-        const std::uint8_t* bmAtomic = p + bmBytes;
-        p += 2 * bmBytes;
-        // Column 4: access sizes -- flag byte, then either a size
-        // dictionary + two index bit-planes in grouped order, or
-        // explicit runs (mirrors the encoder).
-        if (p == end)
-            return truncated();
-        const std::uint8_t sizeFlag = *p++;
-        std::int32_t szDict[4] = {0, 0, 0, 0};
-        unsigned szDictN = 0;
-        const std::uint8_t* szbm = nullptr;
-        if (sizeFlag == kSizePlanes) {
-            if (p == end)
-                return truncated();
-            szDictN = *p++;
-            if (szDictN > 4 || (szDictN == 0 && nRecs != 0))
-                return fail(c, "size dictionary out of range");
-            for (unsigned d = 0; d < szDictN; ++d) {
-                if (!getVarint(&p, end, &v))
+        while (p < end) {
+            const std::uint8_t f = *p++;
+            if ((f & kEvent) == 0) {
+                if ((f & kReserved) != 0)
+                    return fail(c, "reserved record flag set");
+                if ((f & kNewProc) != 0) {
+                    if (!getVarint(&p, end, &v) || v >= np)
+                        return fail(c, "record processor out of range");
+                    r.proc = static_cast<std::int16_t>(v);
+                    st = &procs[v];
+                } else if (st == nullptr) {
+                    return fail(c, "first record names no processor");
+                }
+                if ((f & kNewSize) != 0) {
+                    if (!getVarint(&p, end, &v) || v > UINT32_MAX)
+                        return fail(c, "record size out of range");
+                    st->size = static_cast<std::int32_t>(v);
+                }
+                if ((f & kNewStep) != 0) {
+                    if (!getVarint(&p, end, &v))
+                        return truncated();
+                    st->step = static_cast<Tick>(unzigzag(v));
+                }
+                // One-byte address deltas dominate: inline them.
+                if (p < end && *p < 0x80)
+                    v = *p++;
+                else if (!getVarint(&p, end, &v))
                     return truncated();
-                szDict[d] = static_cast<std::int32_t>(unzigzag(v));
+                st->addr += static_cast<Addr>(unzigzag(v));
+                st->clock += st->step;
+                r.addr = st->addr;
+                r.ltime = st->clock;
+                r.size = st->size;
+                r.type = (f & kWrite) != 0 ? AccessType::Write
+                                           : AccessType::Read;
+                r.flags = (f & kAtomic) != 0 ? AccessRec::kAtomic : 0;
+                sink->access(r);
+                ++recs;
+                continue;
             }
-            if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
-                return truncated();
-            szbm = p;
-            p += 2 * bmBytes;
-            // Validate the whole plane pair up front (word-wise: an
-            // index >= dictN is a specific bit pattern), so delivery
-            // can read indices unchecked.
-            if (szDictN < 4) {
-                std::uint64_t bad = 0;
-                for (std::size_t b = 0; b < bmBytes; ++b) {
-                    const std::uint8_t lo = szbm[b];
-                    const std::uint8_t hi = szbm[bmBytes + b];
-                    std::uint8_t w = 0;
-                    if (szDictN <= 1)
-                        w = static_cast<std::uint8_t>(lo | hi);
-                    else if (szDictN == 2)
-                        w = hi;
-                    else  // 3: only index 3 (both bits) is invalid
-                        w = static_cast<std::uint8_t>(lo & hi);
-                    if (b == bmBytes - 1 && nRecs % 8 != 0)
-                        w &= static_cast<std::uint8_t>(
-                            (1u << (nRecs % 8)) - 1);
-                    bad |= w;
-                }
-                if (bad != 0)
-                    return fail(c,
-                                "size index outside the dictionary");
-            }
-        } else if (sizeFlag == kSizeRuns) {
-            if (!getVarint(&p, end, &v))
-                return truncated();
-            sizeStream.resize(nRecs);
-            fill = 0;
-            for (std::uint64_t r = 0; r < v; ++r) {
-                std::uint64_t size = 0, len = 0;
-                if (!getVarint(&p, end, &size) ||
-                    !getVarint(&p, end, &len))
-                    return truncated();
-                if (len == 0 || fill + len > nRecs)
-                    return fail(c, "size run out of range");
-                for (std::uint64_t i = 0; i < len; ++i)
-                    sizeStream[fill + i] =
-                        static_cast<std::int32_t>(unzigzag(size));
-                fill += len;
-            }
-            if (fill != nRecs)
-                return fail(c, "size runs do not cover the chunk");
-        } else {
-            return fail(c, "unknown size-column encoding");
-        }
-        // Column 5: mode byte, then either plain per-processor deltas
-        // or a selector bit-plane plus deltas against the selected
-        // predictor (previous address or page-keyed table entry),
-        // replaying exactly the prediction state the encoder
-        // maintained.  State updates are mode-independent.  The
-        // one-byte varint case dominates, so it is inlined ahead of
-        // the general decode.
-        if (p == end)
-            return truncated();
-        const std::uint8_t addrMode = *p++;
-        if (addrMode != kAddrPlain && addrMode != kAddrPred)
-            return fail(c, "unknown address-column encoding");
-        const std::uint8_t* selbm = nullptr;
-        if (addrMode == kAddrPred) {
-            if (static_cast<std::size_t>(end - p) < bmBytes)
-                return truncated();
-            selbm = p;
-            p += bmBytes;
-        }
-        std::uint64_t ag = 0;
-        for (std::size_t pi = 0; pi < np; ++pi) {
-            Addr* tbl = addrTbl[pi].data();
-            Addr last = lastAddr[pi];
-            addrBy[pi].resize(cnt[pi]);
-            Addr* out = addrBy[pi].data();
-            if (selbm == nullptr) {
-                // Plain mode: no selector plane, but the predictor
-                // table still tracks the stream so a later chunk may
-                // switch modes.
-                for (std::uint32_t k = 0; k < cnt[pi]; ++k) {
-                    if (p < end && *p < 0x80)
-                        v = *p++;
-                    else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const Addr a =
-                        last + static_cast<Addr>(unzigzag(v));
-                    out[k] = a;
-                    tbl[slot] = a;
-                    last = a;
-                }
-            } else {
-                for (std::uint32_t k = 0; k < cnt[pi]; ++k, ++ag) {
-                    if (p < end && *p < 0x80)
-                        v = *p++;
-                    else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    const std::size_t slot =
-                        (last >> kPageShift) & (kAddrSlots - 1);
-                    const Addr base =
-                        (selbm[ag / 8] & (1u << (ag % 8))) != 0
-                            ? tbl[slot]
-                            : last;
-                    const Addr a =
-                        base + static_cast<Addr>(unzigzag(v));
-                    out[k] = a;
-                    tbl[slot] = a;
-                    last = a;
-                }
-            }
-            lastAddr[pi] = last;
-        }
-        // Column 6: logical-time deltas, grouped by processor -- a
-        // per-chunk delta dictionary plus two index bit-planes over
-        // the grouped order; index 3 escapes to a varint appended
-        // after the planes unless the dictionary is exact with four
-        // entries (mirrors the encoder).
-        if (p == end)
-            return truncated();
-        const unsigned ltDictN = *p++;
-        if (ltDictN > 4 || (ltDictN == 0 && nRecs != 0))
-            return fail(c, "ltime dictionary out of range");
-        std::int64_t ltDict[4] = {0, 0, 0, 0};
-        for (unsigned d = 0; d < ltDictN; ++d) {
-            if (!getVarint(&p, end, &v))
-                return truncated();
-            ltDict[d] = unzigzag(v);
-        }
-        if (static_cast<std::size_t>(end - p) < 2 * bmBytes)
-            return truncated();
-        const std::uint8_t* ltbm = p;
-        p += 2 * bmBytes;
-        std::uint64_t g = 0;
-        for (std::size_t pi = 0; pi < np; ++pi) {
-            Tick acc = lastLtime[pi];
-            ltimeBy[pi].resize(cnt[pi]);
-            Tick* out = ltimeBy[pi].data();
-            for (std::uint32_t k = 0; k < cnt[pi]; ++k, ++g) {
-                const unsigned idx =
-                    ((ltbm[g / 8] >> (g % 8)) & 1u) |
-                    (((ltbm[bmBytes + g / 8] >> (g % 8)) & 1u) << 1);
-                if (idx < ltDictN) {
-                    acc += static_cast<Tick>(ltDict[idx]);
-                } else if (idx == 3) {  // escape
-                    if (p < end && *p < 0x80)
-                        v = *p++;
-                    else if (!getVarint(&p, end, &v))
-                        return truncated();
-                    acc += static_cast<Tick>(unzigzag(v));
-                } else {
-                    return fail(c,
-                                "ltime index outside the "
-                                "dictionary");
-                }
-                out[k] = acc;
-            }
-            lastLtime[pi] = acc;
-        }
-        // Column 7: events, delivered interleaved with the records.
-        if (!getVarint(&p, end, &v) || v != nEvents)
-            return fail(c, "event count mismatch");
-        std::uint64_t evPos = 0;
-        std::uint64_t nextRec = 0;
-        std::size_t runIdx = 0;
-        std::uint32_t runOff = 0;
-        std::fill(cur.begin(), cur.end(), 0u);
-        auto deliverUpTo = [&](std::uint64_t pos) {
-            if (pos > nRecs)
-                return false;
-            while (nextRec < pos) {
-                const auto [rp, rlen] = streamRuns[runIdx];
-                const auto pi = static_cast<std::size_t>(rp);
-                const auto take = static_cast<std::uint32_t>(
-                    std::min<std::uint64_t>(rlen - runOff,
-                                            pos - nextRec));
-                const Addr* pa = addrBy[pi].data() + cur[pi];
-                const Tick* pt = ltimeBy[pi].data() + cur[pi];
-                std::uint64_t gi = gbase[pi] + cur[pi];
-                std::uint64_t si = nextRec;
-                AccessRec r;
-                r.proc = rp;
-                for (std::uint32_t k = 0; k < take;
-                     ++k, ++si, ++gi) {
-                    r.addr = pa[k];
-                    r.ltime = pt[k];
-                    // One-entry dictionaries dominate (most apps
-                    // issue a single access width), so skip the
-                    // plane reads when the size is a constant.
-                    r.size =
-                        szbm != nullptr
-                            ? (szDictN == 1
-                                   ? szDict[0]
-                                   : szDict
-                                         [((szbm[gi / 8] >>
-                                            (gi % 8)) &
-                                           1u) |
-                                          (((szbm[bmBytes + gi / 8] >>
-                                             (gi % 8)) &
-                                            1u)
-                                           << 1)])
-                            : sizeStream[si];
-                    r.type = (bmType[si / 8] & (1u << (si % 8))) != 0
-                                 ? AccessType::Write
-                                 : AccessType::Read;
-                    r.flags =
-                        (bmAtomic[si / 8] & (1u << (si % 8))) != 0
-                            ? AccessRec::kAtomic
-                            : 0;
-                    sink->access(r);
-                }
-                cur[pi] += take;
-                runOff += take;
-                nextRec += take;
-                if (runOff == rlen) {
-                    ++runIdx;
-                    runOff = 0;
-                }
-            }
-            return true;
-        };
-        for (std::uint64_t e = 0; e < nEvents; ++e) {
-            if (!getVarint(&p, end, &v))
-                return truncated();
-            evPos += v;
-            if (!deliverUpTo(evPos))
-                return fail(c, "event position out of range");
-            if (p >= end)
-                return truncated();
-            const std::uint8_t kind = *p++;
-            if (kind == kEvSync) {
-                if (p >= end)
+            ++events;
+            if (f == kEvSync) {
+                if (p == end)
                     return truncated();
                 const std::uint8_t packed = *p++;
-                SyncRec s;
-                s.op = (packed & 1) ? SyncOp::Release : SyncOp::Acquire;
                 const unsigned prim = packed >> 1;
                 if (prim > static_cast<unsigned>(SyncPrim::Flag))
                     return fail(c, "sync primitive out of range");
-                s.prim = static_cast<SyncPrim>(prim);
                 std::uint64_t obj = 0, proc = 0, dt = 0;
                 if (!getVarint(&p, end, &obj) ||
                     !getVarint(&p, end, &proc) ||
                     !getVarint(&p, end, &dt))
                     return truncated();
+                if (proc >= np || obj > UINT32_MAX)
+                    return fail(c, "sync field out of range");
+                SyncRec s;
+                s.op = (packed & 1) ? SyncOp::Release : SyncOp::Acquire;
+                s.prim = static_cast<SyncPrim>(prim);
                 s.obj = static_cast<std::uint32_t>(obj);
-                const auto id = unzigzag(proc);
-                if (id < 0 || id >= meta_.nprocs)
-                    return fail(c, "sync processor out of range");
-                s.proc = static_cast<std::int16_t>(id);
-                const auto pi = static_cast<std::size_t>(id);
-                lastLtime[pi] += static_cast<Tick>(unzigzag(dt));
-                s.ltime = lastLtime[pi];
+                s.proc = static_cast<std::int16_t>(proc);
+                procs[proc].clock += static_cast<Tick>(unzigzag(dt));
+                s.ltime = procs[proc].clock;
                 sink->sync(s);
                 ++seenSyncs;
-            } else if (kind == kEvReset) {
+            } else if (f == kEvReset) {
                 sink->resetStats();
-            } else if (kind == kEvPlace) {
+            } else if (f == kEvPlace) {
                 std::uint64_t addr = 0, bytes = 0, home = 0;
                 if (!getVarint(&p, end, &addr) ||
                     !getVarint(&p, end, &bytes) ||
                     !getVarint(&p, end, &home))
                     return truncated();
+                if (home >= np)
+                    return fail(c, "placement home out of range");
                 PlaceRec pr;
                 pr.addr = static_cast<Addr>(addr);
                 pr.bytes = bytes;
-                pr.home = static_cast<ProcId>(unzigzag(home));
+                pr.home = static_cast<ProcId>(home);
                 // Quiesce consumers before the resolver mutates,
                 // exactly like the live runtime's placement observer.
                 sink->streamBarrier();
                 placement_.apply(pr.addr, pr.bytes, pr.home);
                 sink->place(pr);
             } else {
-                return fail(c, "unknown event kind " +
-                                   std::to_string(kind));
+                return fail(c, "unknown event kind " + std::to_string(f));
             }
         }
-        if (!deliverUpTo(nRecs))
-            return fail(c, "record decode out of range");
-        if (p != end)
-            return fail(c, "trailing bytes after the event column");
+        if (recs != nRecs || events != nEvents)
+            return fail(c, "item counts disagree with the chunk frame");
+        seenRecords += recs;
     }
-    if (seenRecords != totalRecords_ ||
-        (sink != nullptr && seenSyncs != totalSyncs_))
+    if (seenRecords != totalRecords_ || seenSyncs != totalSyncs_)
         return fail(totalChunks_,
                     "record/sync totals disagree with the header");
     return true;

@@ -27,30 +27,28 @@
  *   [Header 128 B]  magic "S2TRACE1", format version, (app, P,
  *                   problem size, seed, quantum) identity, record /
  *                   sync / chunk totals, finalized flag, header CRC.
- *   [Chunk]*        24 B frame (magic, records, events, encoded
- *                   bytes, stored bytes, CRC32 over the frame fields
- *                   and the payload) + payload.
+ *   [Chunk]*        20 B frame (magic, records, events, payload bytes,
+ *                   CRC32 over the frame fields and the payload) +
+ *                   payload.
  *   [Footer]        execution profile + CRC.
  *
- * Chunk payload: column-oriented delta encoding, then an LZ77 block
- * compressor whose window spans the whole chunk (reference streams
- * repeat with the period of an application iteration, so one
- * iteration matches against the previous one).  Columns: processor
- * run lengths; type/atomic bitmaps; a per-chunk size dictionary plus
- * index bit-planes; address deltas against the better of two
- * replayable predictors (previous address, or a page-keyed table
- * that untangles interleaved streams), chosen per chunk by trial
- * compression; a logical-time delta dictionary plus index bit-planes
- * with varint escapes; and a stream-position-ordered event list
- * (sync / reset / placement).  The delta columns are laid out in
- * processor-grouped order and their prediction state persists across
- * chunks.  The suite amortizes to ~2 bits per reference
- * (BENCH_trace.json pins the measured sizes).
+ * Chunk payload: the stream in its own order, one item at a time.  A
+ * record is a flags byte (write, atomic, and whether the processor,
+ * the access size or the processor's clock step changed), the changed
+ * fields as varints, then the zigzag delta of the address against that
+ * processor's previous address.  An event (sync / reset / placement)
+ * is a kind byte with the high bit set plus its fields.  Per-processor
+ * state and the current processor carry across chunks, so chunks
+ * decode only in sequence -- the only order replay needs.  The format
+ * trades size (~29 bits per reference over the suite) for an encoder
+ * and a decoder that each touch a record once (BENCH_trace.json pins
+ * the measured sizes).
  *
  * Robustness: the reader mmaps the file and bounds-checks every parse
  * against the mapping; the header CRC, per-chunk CRC, footer CRC, and
  * the pinned identity reject truncated, corrupted, or stale files
- * with a diagnostic instead of crashing or replaying garbage
+ * with a diagnostic instead of crashing or replaying garbage, and the
+ * decoder range-checks every field behind a valid CRC
  * (tests/sim/tracestore_test.cc byte-flip fuzz).
  */
 #ifndef SPLASH2_SIM_TRACESTORE_H
@@ -99,17 +97,16 @@ unzigzag(std::uint64_t v)
 std::uint32_t crc32(const void* data, std::size_t n,
                     std::uint32_t seed = 0);
 
-/** LZ77 block compressor (LZ4-style token format: literal runs +
- *  [varint offset, length] back-references reaching the whole
- *  block).  Appends to @p out; always produces a stream lzDecompress
- *  can invert. */
-void lzCompress(const std::uint8_t* in, std::size_t n,
-                std::vector<std::uint8_t>& out);
-
-/** Decompress exactly @p outN bytes; false on malformed input (every
- *  read and write is bounds-checked -- corrupt data cannot crash). */
-bool lzDecompress(const std::uint8_t* in, std::size_t n,
-                  std::uint8_t* out, std::size_t outN);
+/** One processor's record-codec state, mirrored by writer and reader:
+ *  each record is coded against its processor's previous address,
+ *  clock, clock step and access size. */
+struct ProcState
+{
+    Addr addr = 0;
+    Tick clock = 0;
+    Tick step = 0;
+    std::int32_t size = 0;
+};
 
 } // namespace tracecodec
 
@@ -184,14 +181,10 @@ class ReplayPlacement final : public HomeResolver
 class TraceWriter final : public RefSink
 {
   public:
-    /** Default records per chunk.  Large chunks are what make the
-     *  LZ stage bite: a processor's reference stream repeats with
-     *  the period of an application iteration (hundreds of thousands
-     *  of records), and a match can only reach the previous
-     *  iteration if both land in the same chunk's per-processor
-     *  group.  4 M records costs ~100 MB of encode/decode scratch,
-     *  well worth a 2-3x smaller trace on the iterative apps. */
-    static constexpr std::size_t kChunkRecords = std::size_t(1) << 22;
+    /** Default records per chunk: the writer's one staging buffer
+     *  (a few MB) and the unit each CRC covers.  Nothing in the
+     *  format depends on it. */
+    static constexpr std::size_t kChunkRecords = std::size_t(1) << 20;
 
     /** Opens <path>.tmp.<pid> for writing; fatal() on I/O failure
      *  (callers validate the directory up front in the CLI). */
@@ -219,14 +212,9 @@ class TraceWriter final : public RefSink
     std::uint64_t bytesWritten() const { return bytesWritten_; }
 
   private:
-    struct Event
-    {
-        std::uint32_t pos;  ///< record index the event precedes
-        std::uint8_t kind;  ///< 0 sync, 1 reset, 2 place
-        SyncRec sync;
-        PlaceRec place;
-    };
-
+    /** Grows the payload buffer to fit one more item; returns the
+     *  write cursor. */
+    std::uint8_t* room();
     void flushChunk();
 
     std::string path_;
@@ -236,21 +224,12 @@ class TraceWriter final : public RefSink
     std::FILE* f_ = nullptr;
     bool finalized_ = false;
 
-    std::vector<AccessRec> recs_;
-    std::vector<Event> events_;
-    std::vector<std::uint8_t> enc_;   // encode scratch
-    std::vector<std::uint8_t> comp_;  // compress scratch
-    std::vector<std::uint8_t> ltex_;  // ltime-exception scratch
-    std::vector<std::int64_t> ltd_;   // grouped ltime-delta scratch
-    /** Per-processor (start, length) runs of the chunk being encoded:
-     *  the iteration order of the processor-grouped delta columns. */
-    std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>>
-        runsByProc_;
-    /** Per-processor page-keyed next-address tables: the address
-     *  column's second predictor (mirrored by the reader). */
-    std::vector<std::vector<Addr>> addrTbl_;
-    std::vector<Addr> lastAddr_;
-    std::vector<Tick> lastLtime_;
+    std::vector<std::uint8_t> buf_;  ///< chunk payload; len_ bytes used
+    std::size_t len_ = 0;
+    std::size_t chunkRecs_ = 0;
+    std::uint32_t chunkEvents_ = 0;
+    std::vector<tracecodec::ProcState> procs_;
+    std::int16_t cur_ = -1;  ///< processor of the previous record
 
     std::uint64_t totalRecords_ = 0;
     std::uint64_t totalSyncs_ = 0;
@@ -288,8 +267,7 @@ class TraceReader
      *  valid for replicas during and after replay(). */
     const HomeResolver* placement() const { return &placement_; }
 
-    /** Decode every chunk and deliver the stream to @p sink (null =
-     *  verify-only: CRC + structure walk with no delivery).  False
+    /** Decode every chunk and deliver the stream to @p sink.  False
      *  with @p err on any corruption.  Placement events mutate
      *  placement() between a streamBarrier() and the next record,
      *  exactly like the live runtime. */
