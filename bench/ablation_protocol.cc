@@ -53,6 +53,8 @@ main(int argc, char** argv)
     bool csv = opt.has("csv");
 
     std::uint64_t small = std::uint64_t(opt.getI("cachekb", 16)) << 10;
+    if (!opt.allRead())
+        return 2;
     std::vector<App*> apps;
     for (App* app : suite())
         if (only.empty() || findApp(only) == app)

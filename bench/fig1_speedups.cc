@@ -39,6 +39,8 @@ main(int argc, char** argv)
         opt.getI("maxprocs", opt.has("quick") ? 16 : 64));
     std::string only = opt.getS("app", "");
     bool csv = opt.has("csv");
+    if (!opt.allRead())
+        return 2;
 
     std::vector<int> procs;
     for (int p = 1; p <= maxp; p *= 2)

@@ -35,6 +35,8 @@ main(int argc, char** argv)
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
     std::string only = opt.getS("app", "");
+    if (!opt.allRead())
+        return 2;
 
     std::vector<App*> apps;
     for (App* app : suite())

@@ -50,6 +50,8 @@ main(int argc, char** argv)
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
     cfg.n = opt.getI("n", 0);
     std::string only = opt.getS("app", "");
+    if (!opt.allRead())
+        return 2;
     const sim::SweepMode mode = eng.sim.sweep;
     // Which engine the single-value outputs quote (Both's CSV quotes
     // the two side by side; its table shows the exact curves).

@@ -40,6 +40,8 @@ main(int argc, char** argv)
     bool csv = opt.has("csv");
     sim::CacheConfig cache;
     cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
+    if (!opt.allRead())
+        return 2;
 
     std::vector<int> procs;
     for (int p = 1; p <= maxp; p *= 2)

@@ -37,6 +37,8 @@ main(int argc, char** argv)
     long n1 = opt.getI("n1", opt.has("quick") ? 64 : 128);
     long n2 = opt.getI("n2", opt.has("quick") ? 128 : 256);
     bool csv = opt.has("csv");
+    if (!opt.allRead())
+        return 2;
 
     App* ocean = findApp("Ocean");
     sim::CacheConfig cache;  // 1 MB 4-way 64 B

@@ -43,6 +43,8 @@ main(int argc, char** argv)
     bool csv = opt.has("csv");
     sim::CacheConfig small;
     small.size = std::uint64_t(opt.getI("cachekb", 8)) << 10;
+    if (!opt.allRead())
+        return 2;
     sim::CacheConfig large;  // Figure 4's 1 MB baseline
 
     const std::vector<const char*> names = {"FFT", "Ocean", "Radix",

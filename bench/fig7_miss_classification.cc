@@ -42,6 +42,8 @@ main(int argc, char** argv)
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
     std::string only = opt.getS("app", "");
     bool csv = opt.has("csv");
+    if (!opt.allRead())
+        return 2;
 
     const std::vector<int> lines = {8, 16, 32, 64, 128, 256};
     std::vector<App*> apps;

@@ -51,6 +51,8 @@ main(int argc, char** argv)
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 0.5);
     std::string only = opt.getS("app", "");
     bool csv = opt.has("csv");
+    if (!opt.allRead())
+        return 2;
 
     std::vector<App*> apps;
     for (App* app : suite())

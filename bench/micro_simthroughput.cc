@@ -14,10 +14,11 @@
  *  - Scheduler context-switch cost and quantum sensitivity
  *  - Backend handoff cost (fiber vs thread): ping-pong benchmarks
  *    where two processors alternate via yield and via block/unblock,
- *    so items/sec is context switches per second.  scripts/
- *    bench_simcore.py turns these into BENCH_simcore.json and
- *    scripts/bench_memsys.py turns the memory-path ones into
- *    BENCH_memsys.json.
+ *    so items/sec is context switches per second.
+ *
+ * The timings depend on the host and the build type, so no output of
+ * this binary is committed.  Whole-suite cost per layer and per
+ * program comes from `python3 perfbench/run.py --workload W --trace 1`.
  */
 #include <benchmark/benchmark.h>
 

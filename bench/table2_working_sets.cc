@@ -111,6 +111,8 @@ main(int argc, char** argv)
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
+    if (!opt.allRead())
+        return 2;
 
     std::vector<App*> apps;
     for (App* app : suite())

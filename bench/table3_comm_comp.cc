@@ -93,6 +93,8 @@ main(int argc, char** argv)
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 8));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
+    if (!opt.allRead())
+        return 2;
 
     std::vector<App*> apps;
     for (App* app : suite())

@@ -38,15 +38,20 @@
  *   --replay DIR      replay reference streams from trace store DIR
  *                     (or a single .s2t file) instead of executing;
  *                     mutually exclusive with --record
+ *   --sweep-threads N accepted and ignored: a retired knob that
+ *                     existing benchmark command lines still pass
+ *                     (--replicas sizes the sweep pool)
  *
  * Every flag except --protocol and --interconnect changes wall clock
  * only; results and output bytes are identical for any combination
  * (--jobs 1 --replicas off is the serial differential oracle).
  * --protocol and --interconnect select the machine being measured, so
  * they change results by design.  Invalid values are rejected with an
- * error rather than silently falling back, and contradictory flag
+ * error rather than silently falling back, contradictory flag
  * combinations are rejected up front with one uniform message shape
- * ("conflicting flags: ...") via checkModeConflicts().
+ * ("conflicting flags: ...") via checkModeConflicts(), and a flag the
+ * binary never reads is rejected ("unknown flag --X", exit 2) by
+ * Options::allRead() once each main has read its own flags.
  */
 #ifndef SPLASH2_HARNESS_CLI_H
 #define SPLASH2_HARNESS_CLI_H
@@ -163,6 +168,7 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
                      race.c_str());
         return false;
     }
+    (void)opt.getI("sweep-threads", 1);  // retired no-op, see above
     out->sim.record = opt.getS("record", "");
     out->sim.replay = opt.getS("replay", "");
     if (!out->sim.record.empty() && !out->sim.replay.empty())

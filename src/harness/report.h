@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -80,7 +81,9 @@ fmtU(std::uint64_t v)
     return buf;
 }
 
-/** Parse `--key value` style options; unmatched keys keep defaults. */
+/** Parse `--key value` style options; keys not given keep defaults.
+ *  Every lookup marks its key as read, so once a binary has read all
+ *  its flags, allRead() can reject the ones it does not know. */
 class Options
 {
   public:
@@ -90,6 +93,7 @@ class Options
         while (i < argc) {
             std::string k = argv[i];
             if (k.rfind("--", 0) != 0) {
+                stray_.push_back(k);
                 ++i;
                 continue;
             }
@@ -109,7 +113,7 @@ class Options
     double
     getD(const std::string& k, double def) const
     {
-        auto it = kv_.find(k);
+        auto it = find(k);
         if (it == kv_.end())
             return def;
         // Reject partial parses ("1.5x") and non-numbers outright
@@ -128,7 +132,7 @@ class Options
     long
     getI(const std::string& k, long def) const
     {
-        auto it = kv_.find(k);
+        auto it = find(k);
         if (it == kv_.end())
             return def;
         try {
@@ -145,14 +149,42 @@ class Options
     std::string
     getS(const std::string& k, const std::string& def) const
     {
-        auto it = kv_.find(k);
+        auto it = find(k);
         return it == kv_.end() ? def : it->second;
     }
 
-    bool has(const std::string& k) const { return kv_.count(k) > 0; }
+    bool has(const std::string& k) const { return find(k) != kv_.end(); }
+
+    /** True when every flag given has been read.  Otherwise prints
+     *  "unknown flag --X" for each flag nothing read (and
+     *  "unexpected argument" for each word that is not a flag) and
+     *  returns false.  Call once, after the binary's last lookup. */
+    bool
+    allRead() const
+    {
+        for (const auto& [k, v] : kv_)
+            if (!read_.count(k))
+                std::fprintf(stderr, "unknown flag --%s\n", k.c_str());
+        for (const std::string& w : stray_)
+            std::fprintf(stderr, "unexpected argument '%s'\n",
+                         w.c_str());
+        return read_.size() == kv_.size() && stray_.empty();
+    }
 
   private:
+    std::map<std::string, std::string>::const_iterator
+    find(const std::string& k) const
+    {
+        auto it = kv_.find(k);
+        if (it != kv_.end())
+            read_.insert(k);
+        return it;
+    }
+
     std::map<std::string, std::string> kv_;
+    std::vector<std::string> stray_;
+    /** Keys given on the command line that some lookup asked for. */
+    mutable std::set<std::string> read_;
 };
 
 } // namespace splash::harness

@@ -40,9 +40,9 @@
  * is a kind byte with the high bit set plus its fields.  Per-processor
  * state and the current processor carry across chunks, so chunks
  * decode only in sequence -- the only order replay needs.  The format
- * trades size (~29 bits per reference over the suite) for an encoder
- * and a decoder that each touch a record once (BENCH_trace.json pins
- * the measured sizes).
+ * trades size (~29 bits per reference over the suite, the
+ * tracestore.bits_per_ref of a `perfbench/run.py --trace 1` run) for an
+ * encoder and a decoder that each touch a record once.
  *
  * Robustness: the reader mmaps the file and bounds-checks every parse
  * against the mapping; the header CRC, per-chunk CRC, footer CRC, and

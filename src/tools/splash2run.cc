@@ -590,6 +590,15 @@ main(int argc, char** argv)
 
     if (!checkModeConflicts(opt, eng))
         return 2;
+    const bool csv = opt.has("csv");
+    const std::string csvPath = opt.getS("csv", "");
+    if (csv && (eng.sim.race == sim::RaceGranularity::Off ||
+                csvPath.empty())) {
+        std::fprintf(stderr, "--csv FILE needs --race word|line\n");
+        return 2;
+    }
+    if (!opt.allRead())
+        return 2;
 
     if (opt.has("inject")) {
         if (!with_mem) {
@@ -672,16 +681,10 @@ main(int argc, char** argv)
                       !r.race.clean());
     }
 
-    if (opt.has("csv")) {
-        std::string path = opt.getS("csv", "");
-        if (eng.sim.race == sim::RaceGranularity::Off || path.empty()) {
-            std::fprintf(stderr,
-                         "--csv FILE needs --race word|line\n");
-            return 2;
-        }
-        std::FILE* f = std::fopen(path.c_str(), "w");
+    if (csv) {
+        std::FILE* f = std::fopen(csvPath.c_str(), "w");
         if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", path.c_str());
+            std::fprintf(stderr, "cannot write '%s'\n", csvPath.c_str());
             return 2;
         }
         std::fprintf(f,

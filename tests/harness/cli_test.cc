@@ -1,10 +1,19 @@
 // Tests for the shared engine-flag parser: every invalid value --
 // nonsensical job counts, zero quanta, unknown modes, non-numeric
-// garbage -- must be rejected loudly instead of silently falling back
-// to a default, and valid values must land in the right SimOpts knob.
+// garbage, flags nothing reads -- must be rejected loudly instead of
+// silently falling back to a default, and valid values must land in
+// the right SimOpts knob.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <spawn.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/cli.h"
@@ -13,18 +22,22 @@ using namespace splash::harness;
 
 namespace {
 
+/** Options over a synthetic command line (@p words after "prog"). */
+Options
+optionsFor(std::vector<std::string> words)
+{
+    words.insert(words.begin(), "prog");
+    std::vector<char*> argv;
+    for (auto& s : words)
+        argv.push_back(s.data());
+    return Options(static_cast<int>(argv.size()), argv.data());
+}
+
 /** Run parseEngineOpts over a synthetic command line. */
 bool
 parse(std::vector<std::string> words, EngineOpts* out)
 {
-    std::vector<std::string> full = {"prog"};
-    full.insert(full.end(), words.begin(), words.end());
-    std::vector<char*> argv;
-    argv.reserve(full.size());
-    for (auto& s : full)
-        argv.push_back(s.data());
-    Options opt(static_cast<int>(argv.size()), argv.data());
-    return parseEngineOpts(opt, out);
+    return parseEngineOpts(optionsFor(std::move(words)), out);
 }
 
 /** Parse @p words, then run the mode-conflict matrix over them the
@@ -33,19 +46,28 @@ parse(std::vector<std::string> words, EngineOpts* out)
 bool
 parseAndCheck(std::vector<std::string> words, std::string* err = nullptr)
 {
-    std::vector<std::string> full = {"prog"};
-    full.insert(full.end(), words.begin(), words.end());
-    std::vector<char*> argv;
-    argv.reserve(full.size());
-    for (auto& s : full)
-        argv.push_back(s.data());
-    Options opt(static_cast<int>(argv.size()), argv.data());
+    const Options opt = optionsFor(std::move(words));
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
     bool ok = parseEngineOpts(opt, &eng) && checkModeConflicts(opt, eng);
     std::string captured = ::testing::internal::GetCapturedStderr();
     if (err)
         *err = captured;
+    return ok;
+}
+
+/** Parse the engine flags of @p words the way every bench does, then
+ *  ask Options::allRead() about the rest.  Returns its verdict, with
+ *  its diagnostics in @p err. */
+bool
+engineFlagsOnly(std::vector<std::string> words, std::string* err)
+{
+    const Options opt = optionsFor(std::move(words));
+    EngineOpts eng;
+    ::testing::internal::CaptureStderr();
+    EXPECT_TRUE(parseEngineOpts(opt, &eng));
+    bool ok = opt.allRead();
+    *err = ::testing::internal::GetCapturedStderr();
     return ok;
 }
 
@@ -364,11 +386,108 @@ TEST(EngineOptsDeathTest, NumericGarbageIsFatal)
 TEST(OptionsDeathTest, NonNumericDoubleIsFatal)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-    std::vector<std::string> full = {"prog", "--scale", "1.5x"};
-    std::vector<char*> argv;
-    for (auto& s : full)
-        argv.push_back(s.data());
-    Options opt(static_cast<int>(argv.size()), argv.data());
+    const Options opt = optionsFor({"--scale", "1.5x"});
     EXPECT_EXIT(opt.getD("scale", 1.0), ::testing::ExitedWithCode(1),
                 "expects a number");
 }
+
+// A flag no lookup asks for is an error, not a silent no-op: a typo
+// such as --replica would otherwise run the default.  The retired
+// --sweep-threads stays accepted, because existing benchmark command
+// lines pass `--sweep-threads 1` on every run.
+TEST(Options, FlagsNothingReadsAreRejected)
+{
+    std::string err;
+    EXPECT_TRUE(engineFlagsOnly({"--jobs", "1", "--replicas", "off",
+                                 "--sweep-threads", "1"},
+                                &err));
+    EXPECT_EQ(err, "");
+    EXPECT_FALSE(engineFlagsOnly({"--replica", "off"}, &err));
+    EXPECT_EQ(err, "unknown flag --replica\n");
+    EXPECT_FALSE(engineFlagsOnly({"--bogus-flag", "3", "--jobs", "2"}, &err));
+    EXPECT_EQ(err, "unknown flag --bogus-flag\n");
+    EXPECT_FALSE(engineFlagsOnly({"--quick", "--seed", "7"}, &err));
+    EXPECT_EQ(err, "unknown flag --quick\nunknown flag --seed\n");
+    // `--key=value` is not this parser's syntax, and a bare word is no
+    // flag at all.
+    EXPECT_FALSE(engineFlagsOnly({"--jobs=2"}, &err));
+    EXPECT_EQ(err, "unknown flag --jobs=2\n");
+    EXPECT_FALSE(engineFlagsOnly({"fft"}, &err));
+    EXPECT_EQ(err, "unexpected argument 'fft'\n");
+}
+
+#ifdef SPLASH2_BINARY_DIR
+namespace {
+
+/** Exit status of @p cmd, a space-separated command line whose
+ *  program is relative to the build tree, with its stderr in @p err;
+ *  -1 when it could not start or did not exit normally. */
+int
+runBinary(const std::string& cmd, std::string* err)
+{
+    std::vector<std::string> words;
+    std::istringstream split(std::string(SPLASH2_BINARY_DIR) + "/" + cmd);
+    for (std::string w; split >> w;)
+        words.push_back(w);
+    std::vector<char*> argv;
+    for (std::string& w : words)
+        argv.push_back(w.data());
+    argv.push_back(nullptr);
+
+    const std::string errFile = ::testing::TempDir() + "cli_stderr_" +
+                                std::to_string(::getpid());
+    posix_spawn_file_actions_t io{};
+    posix_spawn_file_actions_init(&io);
+    posix_spawn_file_actions_addopen(&io, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&io, 2, errFile.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    pid_t pid = 0;
+    const int spawned =
+        posix_spawn(&pid, argv[0], &io, nullptr, argv.data(), environ);
+    posix_spawn_file_actions_destroy(&io);
+    int status = 0;
+    if (spawned != 0 || ::waitpid(pid, &status, 0) != pid)
+        return -1;
+    std::ifstream in(errFile);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    *err = ss.str();
+    (void)std::remove(errFile.c_str());
+    return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
+}
+
+} // namespace
+
+// End to end: splash2run and all twelve figure/table benches exit 2
+// with the diagnostic before simulating anything.
+TEST(UnknownFlags, EveryBinaryExitsTwo)
+{
+    std::vector<std::pair<std::string, std::string>> cases = {
+        {"src/splash2run --app fft --bogus-flag 3", "--bogus-flag"},
+        {"src/splash2run --app fft --replica off", "--replica"},
+        {"bench/fig4_traffic --quick --seed 7", "--seed"},
+        {"bench/fig6_small_cache --quick --app fft", "--app"},
+    };
+    for (const char* b :
+         {"fig1_speedups", "fig2_synchronization", "fig3_working_sets",
+          "fig4_traffic", "fig5_ocean_scaling", "fig6_small_cache",
+          "fig7_miss_classification", "table1_characterization",
+          "table2_working_sets", "table3_comm_comp", "ablation_protocol",
+          "interconnect_traffic"})
+        cases.push_back({std::string("bench/") + b + " --quick --bogus",
+                         "--bogus"});
+    for (const auto& [cmd, flag] : cases) {
+        std::string err;
+        EXPECT_EQ(runBinary(cmd, &err), 2) << cmd;
+        EXPECT_EQ(err, "unknown flag " + flag + "\n") << cmd;
+    }
+    // The accepted spellings still run.
+    std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --list", &err), 0);
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--jobs 1 --replicas off --sweep-threads 1",
+                        &err),
+              0)
+        << err;
+}
+#endif

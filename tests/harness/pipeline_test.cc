@@ -4,10 +4,15 @@
 // MemSystem fed directly, six line sizes through a broadcast, the
 // exact plus model working-set sweep, the word-granularity race
 // detector) must produce the statistics of the serial live oracle.
+// A second case pins the reuse-distance fast path: a model sweep
+// replayed from a recorded profile sidecar.
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <string>
 #include <vector>
 
@@ -115,4 +120,88 @@ TEST_P(PipelineDifferential, EverySourceReplicaModeAndSinkSetAgrees)
 }
 
 INSTANTIATE_TEST_SUITE_P(Apps, PipelineDifferential,
+                         ::testing::Values("fft", "ocean"));
+
+namespace {
+
+/** Wall seconds of one runWorkingSets call. */
+double
+timedSweep(App& app, const AppConfig& cfg, const SimOpts& so,
+           WorkingSetRun* out)
+{
+    sim::SweepConfig sc;
+    sc.nprocs = kProcs;
+    const auto t0 = std::chrono::steady_clock::now();
+    *out = runWorkingSets(app, kProcs, sc, cfg, so);
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
+/** Paths of the ".rdp" profile sidecars in store directory @p dir. */
+std::vector<std::string>
+sidecarsIn(const std::string& dir)
+{
+    std::vector<std::string> out;
+    DIR* d = ::opendir(dir.c_str());
+    if (d == nullptr)
+        return out;
+    while (const dirent* e = ::readdir(d)) {
+        const std::string name = e->d_name;
+        if (name.ends_with(".rdp"))
+            out.push_back(dir + "/" + name);
+    }
+    ::closedir(d);
+    return out;
+}
+
+class ModelSidecar : public ::testing::TestWithParam<const char*>
+{};
+
+} // namespace
+
+// `--sweep model --record` saves the profile next to the trace as one
+// ".rdp" sidecar; `--sweep model --replay` of that store must then
+// load it, with neither execution nor replay, reproduce the live
+// profile exactly, and take at most a tenth of the exact sweep's wall
+// time.
+TEST_P(ModelSidecar, ReplayLoadsTheLiveProfileTenTimesFasterThanExact)
+{
+    App* app = findApp(GetParam());
+    ASSERT_NE(app, nullptr);
+    AppConfig cfg;
+    cfg.scale = 0.25;
+    const std::string store = ::testing::TempDir() + "sidecar_" +
+                              GetParam() + "_" + std::to_string(::getpid());
+    ASSERT_EQ(::mkdir(store.c_str(), 0777), 0) << store;
+
+    WorkingSetRun exact, live, fast;
+    SimOpts so;
+    const double exactSeconds = timedSweep(*app, cfg, so, &exact);
+    so.sweep = sim::SweepMode::Model;
+    so.record = store;
+    timedSweep(*app, cfg, so, &live);
+    so.record.clear();
+    so.replay = store;
+    // Best of three: one stray preemption would swamp a load that
+    // takes well under a millisecond.
+    double modelSeconds = timedSweep(*app, cfg, so, &fast);
+    for (int rep = 0; rep < 2; ++rep)
+        modelSeconds =
+            std::min(modelSeconds, timedSweep(*app, cfg, so, &fast));
+
+    EXPECT_FALSE(live.modelFromProfile);
+    ASSERT_TRUE(fast.modelFromProfile) << "the sidecar was not used";
+    EXPECT_TRUE(fast.model == live.model);
+    expectSameRun(live.stats, fast.stats);
+    const std::vector<std::string> rdp = sidecarsIn(store);
+    ASSERT_EQ(rdp.size(), 1u);
+    EXPECT_EQ(rdp[0], sim::profilePathFor(
+                          store, traceMetaFor(*app, kProcs, cfg, so)));
+    EXPECT_LE(10.0 * modelSeconds, exactSeconds)
+        << "exact " << exactSeconds << " s, model from sidecar "
+        << modelSeconds << " s";
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, ModelSidecar,
                          ::testing::Values("fft", "ocean"));
