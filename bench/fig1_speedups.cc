@@ -54,7 +54,7 @@ main(int argc, char** argv)
         apps.size(), std::vector<RunStats>(procs.size()));
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
+        runner.add(apps[i]->name(), 1, [&, i] {
             for (std::size_t j = 0; j < procs.size(); ++j)
                 results[i][j] =
                     runPram(*apps[i], procs[j], cfg, eng.sim);

@@ -12,9 +12,10 @@
  * small 2-way -> 4-way one.
  *
  * Engine: each application (execution + sweep) is one runner job
- * (--jobs overlaps applications); --replicas on replays the sweep
- * within a job across a worker pool sized from the host's cores,
- * --replicas off keeps it serial.  Both change wall clock only --
+ * (--jobs overlaps applications); --replicas on splits the sweep
+ * within a job into processor-range shards, one thread each, one per
+ * usable CPU (at most one per processor); --replicas off keeps it
+ * serial.  Both change wall clock only --
  * output bytes are identical.  --sweep selects the engine:
  * exact (default; the output above), model (reuse-distance analytical
  * predictions, same schema), or both (each point reported from both
@@ -65,7 +66,7 @@ main(int argc, char** argv)
     std::vector<WorkingSetRun> runs(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
+        runner.add(apps[i]->name(), 1, [&, i] {
             sim::SweepConfig sc;
             sc.nprocs = procs;
             sc.lineSize = line;

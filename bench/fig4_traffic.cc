@@ -58,7 +58,7 @@ main(int argc, char** argv)
         for (std::size_t j = 0; j < procs.size(); ++j) {
             runner.add(apps[i]->name() + "/P" +
                            std::to_string(procs[j]),
-                       appCostHint(*apps[i]) * procs[j], [&, i, j] {
+                       procs[j], [&, i, j] {
                            results[i][j] = runCharacterizations(
                                *apps[i], procs[j],
                                {experimentFor(cache, eng.sim)}, cfg,

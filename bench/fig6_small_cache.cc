@@ -63,7 +63,7 @@ main(int argc, char** argv)
         App* app = findApp(names[i]);
         for (std::size_t j = 0; j < procs.size(); ++j) {
             runner.add(app->name() + "/P" + std::to_string(procs[j]),
-                       appCostHint(*app) * procs[j], [&, app, i, j] {
+                       procs[j], [&, app, i, j] {
                            std::vector<MemExperiment> exps;
                            MemExperiment e;
                            e.protocol = eng.sim.protocol;

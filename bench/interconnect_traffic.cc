@@ -75,7 +75,7 @@ main(int argc, char** argv)
     std::vector<std::vector<RunStats>> results(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        runner.add(apps[i]->name(), appCostHint(*apps[i]), [&, i] {
+        runner.add(apps[i]->name(), 1, [&, i] {
             results[i] = runCharacterizations(*apps[i], procs, exps,
                                               cfg, eng.sim);
         });

@@ -9,7 +9,7 @@
  *    BM_MemSysMissProto/dragon, ...) to show the table-driven dispatch
  *    costs the same across the zoo
  *  - Working-set sweep throughput: serial online (BM_SweepAccess) and
- *    the batched capture/replay pipeline (BM_SweepBatched)
+ *    processor-range shards on a threaded broadcast (BM_SweepBatched)
  *  - Reference delivery shape under a full Env (BM_Delivery)
  *  - Scheduler context-switch cost and quantum sensitivity
  *  - Backend handoff cost (fiber vs thread): ping-pong benchmarks
@@ -22,6 +22,7 @@
  */
 #include <benchmark/benchmark.h>
 
+#include <memory>
 #include <vector>
 
 #include "rt/env.h"
@@ -144,19 +145,26 @@ BM_SweepAccess(benchmark::State& state)
 }
 BENCHMARK(BM_SweepAccess);
 
-/** Capture/replay pipeline at a given worker count; cost includes
- *  capture, annotation, and replay. */
+/** The sweep split into N processor-range shards on a threaded
+ *  broadcast -- the engine --replicas on runs; cost includes staging,
+ *  every shard's coherence advance, and the slowest shard's replay. */
 static void
 BM_SweepBatched(benchmark::State& state)
 {
     sim::SweepConfig sc;
     sc.nprocs = 4;
-    sim::CacheSweep sweep(sc);
-    sim::ParallelSweep ps(sweep, static_cast<int>(state.range(0)));
+    const int k = static_cast<int>(state.range(0));
+    std::vector<std::unique_ptr<sim::CacheSweep>> shards;
+    std::vector<sim::RefSink*> sinks;
+    for (int i = 0; i < k; ++i) {
+        shards.push_back(std::make_unique<sim::CacheSweep>(sc, nullptr, i, k));
+        sinks.push_back(shards.back().get());
+    }
+    sim::BroadcastReplay cast(sinks);
     std::uint64_t x = 12345;
     for (auto _ : state)
-        sweepStep(ps, x);
-    ps.flush();
+        sweepStep(cast, x);
+    cast.flush();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_SweepBatched)->Arg(2)->Arg(4)->UseRealTime();

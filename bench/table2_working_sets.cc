@@ -137,7 +137,7 @@ main(int argc, char** argv)
         for (int v = 0; v < 3; ++v) {
             const Variant& var = variants[v];
             runner.add(apps[i]->name() + "/" + var.tag,
-                       appCostHint(*apps[i]) * var.scale * var.procs,
+                       var.scale * var.procs,
                        [&, i, v, var] {
                            profiles[i][v] = profileAt(
                                *apps[i], var.procs, var.scale, eng.sim);

@@ -119,7 +119,7 @@ main(int argc, char** argv)
         for (int v = 0; v < 3; ++v) {
             const Point& pt = points[v];
             runner.add(apps[i]->name() + "/" + pt.tag,
-                       appCostHint(*apps[i]) * pt.scale * pt.procs,
+                       pt.scale * pt.procs,
                        [&, i, v, pt] {
                            ratios[i][v] = ratioAt(*apps[i], pt.procs,
                                                   pt.scale, eng.sim);

@@ -8,9 +8,10 @@
  *   --replicas off|on host threads within one job (default on):
  *                     off keeps the job on one thread -- one pass per
  *                     configuration, serial sweep, inline profiler;
- *                     on broadcasts one pass to every configuration
- *                     and sizes the replica threads and the sweep
- *                     pool from the host's cores
+ *                     on broadcasts one pass to every configuration,
+ *                     splits the sweep into processor-range shards,
+ *                     and gives each replica a thread when the
+ *                     process may use more than one CPU
  *   --quantum N       instrumentation events per scheduling slice
  *   --sweep MODE      working-set sweep engine: exact | model | both
  *                     (default exact).  model predicts the Figure-3
@@ -40,7 +41,7 @@
  *                     mutually exclusive with --record
  *   --sweep-threads N accepted and ignored: a retired knob that
  *                     existing benchmark command lines still pass
- *                     (--replicas sizes the sweep pool)
+ *                     (--replicas sizes the sweep shards)
  *
  * Every flag except --protocol and --interconnect changes wall clock
  * only; results and output bytes are identical for any combination
@@ -282,26 +283,6 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                     : "this fault kind corrupts directory state");
     }
     return true;
-}
-
-/** Relative execution cost of one characterization of @p app at the
- *  suite default problem size -- a scheduling hint for the runner's
- *  LPT ordering (measured on the committed results; only the ordering
- *  matters, not the absolute values). */
-inline double
-appCostHint(const App& app)
-{
-    const std::string n = app.name();
-    if (n == "FMM") return 8.0;
-    if (n == "Barnes") return 6.0;
-    if (n == "Ocean") return 5.0;
-    if (n == "Water-Nsq") return 4.0;
-    if (n == "Radiosity") return 3.0;
-    if (n == "Raytrace") return 3.0;
-    if (n == "Volrend") return 2.0;
-    if (n == "Water-Sp") return 2.0;
-    if (n == "Cholesky") return 1.5;
-    return 1.0;  // FFT, LU, Radix
 }
 
 } // namespace splash::harness

@@ -13,17 +13,19 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "base/log.h"
 #include "harness/app.h"
+#include "harness/runner.h"
 #include "rt/env.h"
 #include "sim/memsys.h"
 #include "sim/racecheck.h"
 #include "sim/replay.h"
+#include "sim/reusedist.h"
 #include "sim/sweep.h"
 #include "sim/tracestore.h"
 
@@ -51,10 +53,11 @@ struct RunStats
  *    and the reuse-distance profiler inline.  The serial
  *    differential oracle.
  *  - On: a multi-configuration characterization makes ONE pass and
- *    broadcasts it to every configuration (BroadcastReplay).  On a
- *    multi-core host the replicas get consumer threads, the exact
- *    sweep replays across a ParallelSweep pool, and the profiler gets
- *    a consumer thread; on one core all of it runs inline. */
+ *    broadcasts it to every configuration (BroadcastReplay).  With
+ *    more than one usable CPU every broadcast replica gets a consumer
+ *    thread, and a working-set run broadcasts too: the exact sweep
+ *    as processor-range shards, the profiler and the race checker.
+ *    On one CPU all of it runs inline. */
 enum class Replicas : std::uint8_t { Off, On };
 
 inline bool
@@ -67,12 +70,11 @@ parseReplicas(const std::string& s, Replicas* out)
 }
 
 /** Host threads Replicas::On spreads one job's simulators over: the
- *  host's cores, at most 16 (1 on a single-core host). */
+ *  CPUs the process may use, at most 16. */
 inline int
 replicaThreads()
 {
-    const unsigned hc = std::thread::hardware_concurrency();
-    return hc > 1 ? static_cast<int>(std::min(hc, 16u)) : 1;
+    return std::min(usableCpus(), 16);
 }
 
 /** Run-wide simulation knobs shared by the pipeline below.  The
@@ -394,56 +396,6 @@ machineFor(const MemExperiment& e, int nprocs)
     return mc;
 }
 
-/** Broadcast replica set for @p exps: one MemSystem replica per
- *  experiment (placed ones resolve homes through @p homes), then --
- *  when race detection is on -- race replicas appended after the
- *  memory systems and deduplicated by granule size: Word granules are
- *  line-size independent (one replica serves every experiment), Line
- *  granules need one replica per distinct line size.
- *  @p raceReplicaOfExp maps each experiment to its race replica's
- *  spec index (-1 when race detection is off). */
-inline std::vector<sim::ReplicaSpec>
-broadcastSpecs(const std::vector<MemExperiment>& exps, int nprocs,
-               const SimOpts& simOpts, const sim::HomeResolver* homes,
-               std::vector<int>* raceReplicaOfExp)
-{
-    std::vector<sim::ReplicaSpec> specs;
-    specs.reserve(exps.size());
-    for (const MemExperiment& e : exps) {
-        sim::ReplicaSpec s;
-        s.machine = machineFor(e, nprocs);
-        s.homes = e.placed ? homes : nullptr;
-        s.checkPeriod = simOpts.checkPeriod;
-        specs.push_back(s);
-    }
-    raceReplicaOfExp->assign(exps.size(), -1);
-    if (simOpts.race != sim::RaceGranularity::Off) {
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            const int granule =
-                simOpts.race == sim::RaceGranularity::Word
-                    ? 4
-                    : exps[i].cache.lineSize;
-            for (std::size_t j = 0; j < i; ++j) {
-                if ((*raceReplicaOfExp)[j] >= 0 &&
-                    specs[(*raceReplicaOfExp)[j]]
-                            .machine.cache.lineSize == granule) {
-                    (*raceReplicaOfExp)[i] = (*raceReplicaOfExp)[j];
-                    break;
-                }
-            }
-            if ((*raceReplicaOfExp)[i] >= 0)
-                continue;
-            sim::ReplicaSpec s;
-            s.machine.nprocs = nprocs;
-            s.machine.cache.lineSize = granule;
-            s.race = simOpts.race;
-            (*raceReplicaOfExp)[i] = static_cast<int>(specs.size());
-            specs.push_back(s);
-        }
-    }
-    return specs;
-}
-
 /** @p r with its memory-system half read from @p mem. */
 inline RunStats
 withMem(RunStats r, const sim::MemSystem& mem)
@@ -454,54 +406,98 @@ withMem(RunStats r, const sim::MemSystem& mem)
     return r;
 }
 
+/** Experiment @p e's MemSystem on @p nprocs under the run's checker
+ *  period; a placed experiment resolves homes through @p homes. */
+inline std::unique_ptr<sim::MemSystem>
+memSystemFor(const MemExperiment& e, int nprocs,
+             const sim::HomeResolver* homes, const SimOpts& simOpts)
+{
+    auto mem = std::make_unique<sim::MemSystem>(machineFor(e, nprocs),
+                                                e.placed ? homes : nullptr);
+    mem->setCheckPeriod(simOpts.checkPeriod);
+    return mem;
+}
+
+/** Characterize @p app under every experiment of @p exps from ONE
+ *  pass: a BroadcastReplay feeds one MemSystem per experiment and,
+ *  with race detection on, one RaceChecker per granule size -- Word
+ *  granules are line-size independent, so one serves every
+ *  experiment; Line granules need one per line size.  @p threaded
+ *  gives each replica a consumer thread; false replays them inline on
+ *  the producer thread. */
+inline std::vector<RunStats>
+broadcastCharacterizations(App& app, int nprocs,
+                           const std::vector<MemExperiment>& exps,
+                           const AppConfig& cfg, const SimOpts& simOpts,
+                           bool threaded)
+{
+    const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
+    auto granule = [&](const MemExperiment& e) {
+        return simOpts.race == sim::RaceGranularity::Word
+                   ? 4
+                   : e.cache.lineSize;
+    };
+    // Declared before the broadcast, which is destroyed first: its
+    // consumers replay into these.
+    std::vector<std::unique_ptr<sim::MemSystem>> mems;
+    std::map<int, std::unique_ptr<sim::RaceChecker>> races;
+    std::unique_ptr<sim::BroadcastReplay> cast;
+    const RunStats base = runPass(
+        app, nprocs, cfg, simOpts, [&](const sim::HomeResolver* homes) {
+            std::vector<sim::RefSink*> sinks;
+            for (const MemExperiment& e : exps) {
+                mems.push_back(memSystemFor(e, nprocs, homes, simOpts));
+                sinks.push_back(mems.back().get());
+            }
+            for (std::size_t i = 0; raceOn && i < exps.size(); ++i) {
+                auto& race = races[granule(exps[i])];
+                if (race == nullptr) {
+                    race = std::make_unique<sim::RaceChecker>(raceConfigFor(
+                        simOpts.race, nprocs, exps[i].cache.lineSize));
+                    sinks.push_back(race.get());
+                }
+            }
+            cast = std::make_unique<sim::BroadcastReplay>(std::move(sinks),
+                                                          threaded);
+            return std::vector<sim::RefSink*>{cast.get()};
+        });
+    std::vector<RunStats> out;
+    for (std::size_t i = 0; i < exps.size(); ++i) {
+        RunStats r = withMem(base, *mems[i]);
+        if (raceOn)
+            noteRace(&r, races.at(granule(exps[i])).get());
+        out.push_back(std::move(r));
+    }
+    return out;
+}
+
 /** Characterize @p app on @p nprocs under every configuration in
  *  @p exps.
  *
  *  The PRAM reference stream of a given (app, P) does not depend on
  *  the memory system.  With Replicas::On and several experiments, one
- *  pass feeds a BroadcastReplay with one MemSystem replica per
- *  experiment; otherwise each experiment gets its own pass feeding
- *  its MemSystem directly.  Statistics are bit-identical either way
- *  (tests/sim/replay_test.cc). */
+ *  pass feeds every experiment's MemSystem through a broadcast
+ *  (broadcastCharacterizations); otherwise each experiment gets its
+ *  own pass feeding its MemSystem directly.  Statistics are
+ *  bit-identical either way (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
                      const std::vector<MemExperiment>& exps,
                      const AppConfig& cfg, const SimOpts& simOpts = {})
 {
-    const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
+    if (simOpts.replicas == Replicas::On && exps.size() > 1)
+        return broadcastCharacterizations(app, nprocs, exps, cfg, simOpts,
+                                          replicaThreads() > 1);
     std::vector<RunStats> out;
-    if (simOpts.replicas == Replicas::On && exps.size() > 1) {
-        std::unique_ptr<sim::BroadcastReplay> cast;
-        std::vector<int> raceReplicaOfExp;
-        const RunStats base = runPass(
-            app, nprocs, cfg, simOpts,
-            [&](const sim::HomeResolver* homes) {
-                cast = std::make_unique<sim::BroadcastReplay>(
-                    broadcastSpecs(exps, nprocs, simOpts, homes,
-                                   &raceReplicaOfExp),
-                    replicaThreads() > 1);
-                return std::vector<sim::RefSink*>{cast.get()};
-            });
-        for (std::size_t i = 0; i < exps.size(); ++i) {
-            RunStats r =
-                withMem(base, cast->replica(static_cast<int>(i)));
-            if (raceOn)
-                noteRace(&r, &cast->raceReplica(raceReplicaOfExp[i]));
-            out.push_back(std::move(r));
-        }
-        return out;
-    }
     for (const MemExperiment& e : exps) {
         std::unique_ptr<sim::MemSystem> mem;
         std::unique_ptr<sim::RaceChecker> race;
         RunStats r = runPass(
             app, nprocs, cfg, simOpts,
             [&](const sim::HomeResolver* homes) {
-                mem = std::make_unique<sim::MemSystem>(
-                    machineFor(e, nprocs), e.placed ? homes : nullptr);
-                mem->setCheckPeriod(simOpts.checkPeriod);
+                mem = memSystemFor(e, nprocs, homes, simOpts);
                 std::vector<sim::RefSink*> s{mem.get()};
-                if (raceOn) {
+                if (simOpts.race != sim::RaceGranularity::Off) {
                     race = std::make_unique<sim::RaceChecker>(
                         raceConfigFor(simOpts.race, nprocs,
                                       e.cache.lineSize));

@@ -1,5 +1,7 @@
 #include "harness/runner.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -13,12 +15,19 @@
 namespace splash::harness {
 
 int
+usableCpus()
+{
+    cpu_set_t set;
+    if (::sched_getaffinity(0, sizeof(set), &set) == 0 && CPU_COUNT(&set) > 0)
+        return CPU_COUNT(&set);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw ? static_cast<int>(hw) : 1;
+}
+
+int
 Runner::resolve(long flag)
 {
-    if (flag > 0)
-        return static_cast<int>(flag);
-    unsigned hw = std::thread::hardware_concurrency();
-    return hw ? static_cast<int>(hw) : 1;
+    return flag > 0 ? static_cast<int>(flag) : usableCpus();
 }
 
 Runner::Runner(int jobs) : jobs_(resolve(jobs)) {}

@@ -6,12 +6,12 @@
  * Each figure/table bench decomposes into jobs that share no state --
  * one per (application, processor-count, configuration-group)
  * execution.  The runner executes them on a pool of host threads,
- * ordered longest-processing-time-first by the caller's cost hint so
- * the pool drains evenly, while the caller assembles output strictly
- * in submission order after run() returns -- stdout bytes are
- * identical for every --jobs value, including the serial path
- * (--jobs 1), which executes jobs inline in submission order and is
- * the differential oracle.
+ * ordered longest-processing-time-first by the caller's cost (the
+ * problem size, where a bench's jobs differ in it) so the pool drains
+ * evenly, while the caller assembles output strictly in submission
+ * order after run() returns -- stdout bytes are identical for every
+ * --jobs value, including the serial path (--jobs 1), which executes
+ * jobs inline in submission order and is the differential oracle.
  *
  * Jobs must not touch shared mutable state; every simulation object
  * (Env, heap, memory systems) is per-job, and the stable simulated
@@ -28,10 +28,15 @@
 
 namespace splash::harness {
 
+/** CPUs this process may run on: the count of its sched_getaffinity
+ *  mask (so `taskset -c 0` gives 1), or hardware_concurrency where
+ *  the mask is unavailable; at least 1. */
+int usableCpus();
+
 class Runner
 {
   public:
-    /** @param jobs worker threads; 0 = hardware concurrency, 1 =
+    /** @param jobs worker threads; 0 = usableCpus(), 1 =
      *  execute inline in submission order (serial oracle). */
     explicit Runner(int jobs);
 
@@ -50,7 +55,7 @@ class Runner
     /** Wall seconds the last run() spent in job @p i (diagnostics). */
     double jobSeconds(std::size_t i) const { return jobs_run_[i]; }
 
-    /** Resolve a --jobs flag value: 0 = hardware concurrency. */
+    /** Resolve a --jobs flag value: 0 = usableCpus(). */
     static int resolve(long flag);
 
   private:

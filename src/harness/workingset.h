@@ -92,63 +92,61 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
     // Under --sweep both the exact sweep's Mattson stacks fill the
     // profile; a profiler of its own runs only for --sweep model.
     const bool profilerLive = profileLive && !needExact;
-    std::unique_ptr<sim::CacheSweep> sweep;
-    if (needExact)
-        sweep = std::make_unique<sim::CacheSweep>(
-            sc, profileLive ? &out.model : nullptr);
 
-    // Replicas::On on a multi-core host: the exact sweep replays across
-    // a worker pool and the profiler runs as a broadcast replica on its
-    // own consumer thread.
+    // Replicas::On with several CPUs: the exact sweep splits into at
+    // most one shard per processor, and the shards, the profiler and
+    // the race checker replay one broadcast, each on its own thread.
     const int threads =
         simOpts.replicas == Replicas::On ? replicaThreads() : 1;
-    std::unique_ptr<sim::ParallelSweep> pool;
+    const int nshards = needExact ? std::min(threads, nprocs) : 0;
+    // Each shard fills its own processors' rows of its own profile.
+    std::vector<sim::ReuseDistProfile> rows(nshards);
+    std::vector<std::unique_ptr<sim::CacheSweep>> shards;
+    for (int k = 0; k < nshards; ++k)
+        shards.push_back(std::make_unique<sim::CacheSweep>(
+            sc, profileLive ? &rows[k] : nullptr, k, nshards));
     std::unique_ptr<sim::ReuseDistProfiler> prof;
-    std::unique_ptr<sim::BroadcastReplay> rdcast;
+    if (profilerLive)
+        prof = std::make_unique<sim::ReuseDistProfiler>(sc.nprocs,
+                                                        sc.lineSize);
     std::unique_ptr<sim::RaceChecker> race;
+    if (raceOn)
+        race = std::make_unique<sim::RaceChecker>(
+            raceConfigFor(simOpts.race, nprocs, sc.lineSize));
+    std::unique_ptr<sim::BroadcastReplay> cast;  // destroyed first
     out.stats = runPass(
         app, nprocs, cfg, simOpts, [&](const sim::HomeResolver*) {
             std::vector<sim::RefSink*> sinks;
-            if (needExact && threads > 1) {
-                pool = std::make_unique<sim::ParallelSweep>(*sweep,
-                                                            threads);
-                sinks.push_back(pool.get());
-            } else if (needExact) {
-                sinks.push_back(sweep.get());
-            }
-            if (profilerLive && threads > 1) {
-                sim::ReplicaSpec spec;
-                spec.machine.nprocs = sc.nprocs;
-                spec.machine.cache.lineSize = sc.lineSize;
-                spec.rdProfile = true;
-                rdcast = std::make_unique<sim::BroadcastReplay>(
-                    std::vector<sim::ReplicaSpec>{spec}, true);
-                sinks.push_back(rdcast.get());
-            } else if (profilerLive) {
-                prof = std::make_unique<sim::ReuseDistProfiler>(
-                    sc.nprocs, sc.lineSize);
+            for (auto& shard : shards)
+                sinks.push_back(shard.get());
+            if (prof)
                 sinks.push_back(prof.get());
-            }
-            if (raceOn) {
-                race = std::make_unique<sim::RaceChecker>(
-                    raceConfigFor(simOpts.race, nprocs, sc.lineSize));
+            if (race)
                 sinks.push_back(race.get());
-            }
-            return sinks;
+            if (threads == 1)
+                return sinks;
+            cast = std::make_unique<sim::BroadcastReplay>(std::move(sinks));
+            return std::vector<sim::RefSink*>{cast.get()};
         });
+    cast.reset();
     noteRace(&out.stats, race.get());
-    if (sweep) {
-        // Keep the counters, free the tag arrays and stacks (about
-        // 50 MB per program at 32 processors) before the next run.
-        pool.reset();
-        out.exact = sweep->result();
-        sweep.reset();
+    // Keep the counters, free the tag arrays and stacks (about 50 MB
+    // per program at 32 processors) before the next run.  Each
+    // processor's profile row comes from the shard that owns it.
+    if (nshards > 0 && profileLive)
+        out.model = sim::ReuseDistProfile(sc.nprocs, sc.lineSize);
+    for (int k = 0; k < nshards; ++k) {
+        const sim::CacheSweep& shard = *shards[k];
+        out.exact += shard.result();
+        for (int p = shard.firstProc(); profileLive && p < shard.endProc();
+             ++p)
+            out.model.procs[p] = std::move(rows[k].procs[p]);
+        shards[k].reset();
     }
 
     if (profileLive) {
         if (profilerLive)
-            out.model =
-                (rdcast ? rdcast->rdReplica(0) : *prof).profile();
+            out.model = prof->profile();
         out.model.exec = execProfileFrom(
             out.stats.perProc, out.stats.elapsed, out.stats.valid);
         out.haveModel = true;

@@ -174,8 +174,8 @@ struct RaceOutcome
 std::string raceSummary(const RaceOutcome& o);
 
 /** FastTrack happens-before detector; a RefSink, so it attaches
- *  anywhere a MemSystem replica does (Env::attachSink or a
- *  BroadcastReplay race replica). */
+ *  anywhere a MemSystem replica does (Env::attachSink, or as a
+ *  BroadcastReplay replica). */
 class RaceChecker final : public RefSink
 {
   public:

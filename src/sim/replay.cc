@@ -6,6 +6,16 @@
 
 namespace splash::sim {
 
+BroadcastReplay::BroadcastReplay(std::vector<RefSink*> sinks,
+                                 bool threaded,
+                                 std::size_t chunkRecords,
+                                 int ringChunks)
+    : chunkRecords_(chunkRecords), sinks_(std::move(sinks)),
+      uncaughtAtCtor_(std::uncaught_exceptions())
+{
+    start(threaded, ringChunks);
+}
+
 BroadcastReplay::BroadcastReplay(const std::vector<ReplicaSpec>& specs,
                                  bool threaded,
                                  std::size_t chunkRecords,
@@ -13,45 +23,28 @@ BroadcastReplay::BroadcastReplay(const std::vector<ReplicaSpec>& specs,
     : chunkRecords_(chunkRecords),
       uncaughtAtCtor_(std::uncaught_exceptions())
 {
-    ensure(!specs.empty(), "broadcast replay needs at least one replica");
+    for (const ReplicaSpec& s : specs) {
+        owned_.push_back(std::make_unique<MemSystem>(s.machine, s.homes));
+        sinks_.push_back(owned_.back().get());
+    }
+    start(threaded, ringChunks);
+}
+
+void
+BroadcastReplay::start(bool threaded, int ringChunks)
+{
+    ensure(!sinks_.empty(), "broadcast replay needs at least one replica");
     ensure(chunkRecords_ >= 1 && ringChunks >= 2,
            "broadcast replay ring too small");
-    mems_.reserve(specs.size());
-    race_.reserve(specs.size());
-    rd_.reserve(specs.size());
-    for (const ReplicaSpec& s : specs) {
-        if (s.race != RaceGranularity::Off) {
-            RaceConfig rc;
-            rc.gran = s.race;
-            rc.nprocs = s.machine.nprocs;
-            rc.lineSize = s.machine.cache.lineSize;
-            mems_.push_back(nullptr);
-            race_.push_back(std::make_unique<RaceChecker>(rc));
-            rd_.push_back(nullptr);
-            continue;
-        }
-        if (s.rdProfile) {
-            mems_.push_back(nullptr);
-            race_.push_back(nullptr);
-            rd_.push_back(std::make_unique<ReuseDistProfiler>(
-                s.machine.nprocs, s.machine.cache.lineSize));
-            continue;
-        }
-        mems_.push_back(std::make_unique<MemSystem>(s.machine, s.homes));
-        mems_.back()->setCheckPeriod(s.checkPeriod);
-        race_.push_back(nullptr);
-        rd_.push_back(nullptr);
-    }
-
     ring_.resize(ringChunks);
     for (auto& c : ring_)
         c.recs.reserve(chunkRecords_);
 
     if (!threaded)
         return;
-    consumers_.resize(mems_.size());
+    consumers_.resize(sinks_.size());
     for (std::size_t i = 0; i < consumers_.size(); ++i) {
-        consumers_[i].replica = static_cast<int>(i);
+        consumers_[i].sink = sinks_[i];
         consumers_[i].th =
             std::thread([this, i] { consumerLoop(consumers_[i]); });
     }
@@ -155,8 +148,8 @@ BroadcastReplay::publish(bool resetMark)
     ++nextSeq_;
     if (consumers_.empty()) {
         // Inline mode: replay the chunk into every replica here.
-        for (int i = 0; i < static_cast<int>(mems_.size()); ++i)
-            replayChunk(i, *cur_);
+        for (RefSink* s : sinks_)
+            replayChunk(*s, *cur_);
         cur_ = nullptr;
         return;
     }
@@ -169,35 +162,21 @@ BroadcastReplay::publish(bool resetMark)
 }
 
 void
-BroadcastReplay::replayChunk(int replica, const Chunk& c)
+BroadcastReplay::replayChunk(RefSink& sink, const Chunk& c)
 {
-    if (RaceChecker* rc = race_[replica].get()) {
-        // Merge-walk records and sync edges by stream position, so
-        // the detector sees exactly the order the runtime emitted.
-        std::size_t si = 0;
-        for (std::size_t i = 0; i < c.recs.size(); ++i) {
-            while (si < c.syncs.size() && c.syncs[si].pos <= i)
-                rc->sync(c.syncs[si++].rec);
-            rc->access(c.recs[i]);
-        }
-        while (si < c.syncs.size())
-            rc->sync(c.syncs[si++].rec);
-        if (c.reset)
-            rc->resetStats();
-        return;
+    // Batches between sync edges, so the sink sees exactly the order
+    // the runtime emitted.
+    std::size_t from = 0;
+    for (const SyncAt& s : c.syncs) {
+        if (s.pos > from)
+            sink.accessBatch(&c.recs[from], s.pos - from);
+        from = s.pos;
+        sink.sync(s.rec);
     }
-    if (ReuseDistProfiler* rd = rd_[replica].get()) {
-        for (const AccessRec& r : c.recs)
-            rd->access(r);
-        if (c.reset)
-            rd->resetStats();
-        return;
-    }
-    MemSystem& mem = *mems_[replica];
-    for (const AccessRec& r : c.recs)
-        mem.access(r.proc, r.addr, r.size, r.type);
+    if (from < c.recs.size())
+        sink.accessBatch(&c.recs[from], c.recs.size() - from);
     if (c.reset)
-        mem.resetStats();
+        sink.resetStats();
 }
 
 void
@@ -218,7 +197,7 @@ BroadcastReplay::consumerLoop(Consumer& me)
         // included) advances past it, so this read needs no lock.
         const Chunk& c = ring_[seq % ring_.size()];
         ensure(c.seq == seq, "broadcast ring overwrote a live chunk");
-        replayChunk(me.replica, c);
+        replayChunk(*me.sink, c);
         {
             std::lock_guard<std::mutex> lk(mu_);
             me.done = seq + 1;

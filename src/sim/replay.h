@@ -1,6 +1,6 @@
 /**
  * @file
- * Broadcast replay: one reference stream, many memory systems.
+ * Broadcast replay: one reference stream, many simulators.
  *
  * The paper's memory-system characterizations (Figures 4-7, the
  * protocol ablation) vary only machine parameters -- line size, cache
@@ -8,8 +8,10 @@
  * stream of a given (application, P) is identical across all of them.
  * Re-executing the fiber simulation once per configuration therefore
  * repeats exactly the same work N times; this component executes the
- * application ONCE and feeds N independent MemSystem replicas from the
- * single stream.
+ * application ONCE and feeds N independent replicas from the single
+ * stream.  A replica is any RefSink: a MemSystem per configuration,
+ * a race detector, a reuse-distance profiler, or one processor-range
+ * shard of the exact working-set sweep (sim/sweep.h).
  *
  * Pipeline shape: single producer (the Env's instrumentation, via
  * RefSink::access), multiple consumers (one host worker thread per
@@ -24,10 +26,11 @@
  * dedicated serial simulation would have observed -- statistics are
  * bit-identical to running the application once per configuration
  * (proven by tests/sim/replay_test.cc).  Stream-ordered control events
- * ride in the chunks themselves: statistics resets (measurement
- * boundaries) mark a chunk so each replica resets at the exact stream
- * position, and placement changes arrive through streamBarrier(),
- * which quiesces all consumers before the home map mutates.
+ * ride in the chunks themselves: sync edges at their record position,
+ * statistics resets (measurement boundaries) as a chunk mark so each
+ * replica resets at the exact stream position, and placement changes
+ * arrive through streamBarrier(), which quiesces all consumers before
+ * the home map mutates.
  *
  * An inline (threads-off) mode replays chunks on the producer thread,
  * for single-core hosts: the redundant executions are still saved,
@@ -45,18 +48,11 @@
 #include <vector>
 
 #include "sim/memsys.h"
-#include "sim/racecheck.h"
-#include "sim/reusedist.h"
 #include "sim/trace.h"
 
 namespace splash::sim {
 
-/** One operating point replayed by a BroadcastReplay.  A replica is a
- *  MemSystem (the default), a RaceChecker (race != Off), or a
- *  reuse-distance profiler (rdProfile) -- the latter two are extra
- *  replica kinds fed by the same chunks, so one execution yields
- *  characterizations, the race verdict, *and* the analytical
- *  working-set profile. */
+/** A MemSystem replica the broadcast owns (the spec constructor). */
 struct ReplicaSpec
 {
     MachineConfig machine;
@@ -64,29 +60,31 @@ struct ReplicaSpec
      *  heap, or null for line-interleaved homes (the MemSystem
      *  default) -- the ablation's "no placement" point. */
     const HomeResolver* homes = nullptr;
-    /** Invariant-checker sampling period for this replica's MemSystem
-     *  (0 = off); see MemSystem::setCheckPeriod. */
-    std::uint64_t checkPeriod = 0;
-    /** Non-Off makes this replica a RaceChecker instead of a
-     *  MemSystem; machine.nprocs and machine.cache.lineSize
-     *  parameterize it. */
-    RaceGranularity race = RaceGranularity::Off;
-    /** True makes this replica a ReuseDistProfiler (sim/reusedist.h);
-     *  machine.nprocs and machine.cache.lineSize parameterize it. */
-    bool rdProfile = false;
 };
 
 class BroadcastReplay final : public RefSink
 {
   public:
-    /** @param threaded one consumer thread per replica; false replays
+    /** Records per chunk unless a caller asks otherwise: 1.5 MB of
+     *  AccessRec per ring slot. */
+    static constexpr std::size_t kChunkRecords = std::size_t(1) << 16;
+
+    /** Broadcast to caller-owned @p sinks, which must outlive it.
+     *  Each replays every chunk as accessBatch runs split at the
+     *  chunk's sync edges, then resetStats when the chunk carries one.
+     *  @param threaded one consumer thread per sink; false replays
      *  chunks inline on the producer thread (single-core hosts).
      *  @param chunkRecords records per chunk; @param ringChunks chunks
      *  in flight before the producer stalls (back-pressure bound). */
+    explicit BroadcastReplay(std::vector<RefSink*> sinks,
+                             bool threaded = true,
+                             std::size_t chunkRecords = kChunkRecords,
+                             int ringChunks = 4);
+    /** Broadcast to one MemSystem per spec, owned here and read
+     *  through replica(i). */
     explicit BroadcastReplay(const std::vector<ReplicaSpec>& specs,
                              bool threaded = true,
-                             std::size_t chunkRecords = std::size_t(1)
-                                                        << 20,
+                             std::size_t chunkRecords = kChunkRecords,
                              int ringChunks = 4);
     ~BroadcastReplay() override;
 
@@ -95,8 +93,7 @@ class BroadcastReplay final : public RefSink
 
     void access(const AccessRec& r) override;
 
-    /** Stage a synchronization edge at its exact stream position;
-     *  race replicas consume it, MemSystem replicas never see it. */
+    /** Stage a synchronization edge at its exact stream position. */
     void sync(const SyncRec& r) override;
 
     /** Stream-ordered statistics reset: every replica resets at this
@@ -122,19 +119,11 @@ class BroadcastReplay final : public RefSink
     /** True once the stream was aborted. */
     bool aborted() const { return aborted_.load(); }
 
-    int replicas() const { return static_cast<int>(mems_.size()); }
-    /** Replica @p i's memory system (spec'd race == Off); flush()
+    int replicas() const { return static_cast<int>(sinks_.size()); }
+    /** Spec @p i's memory system (spec constructor only); flush()
      *  first for exact stats. */
-    MemSystem& replica(int i) { return *mems_[i]; }
-    const MemSystem& replica(int i) const { return *mems_[i]; }
-    /** Replica @p i's race checker (spec'd race != Off). */
-    RaceChecker& raceReplica(int i) { return *race_[i]; }
-    const RaceChecker& raceReplica(int i) const { return *race_[i]; }
-    /** True if replica @p i is a reuse-distance profiler. */
-    bool isRdReplica(int i) const { return rd_[i] != nullptr; }
-    /** Replica @p i's reuse-distance profiler (spec'd rdProfile). */
-    ReuseDistProfiler& rdReplica(int i) { return *rd_[i]; }
-    const ReuseDistProfiler& rdReplica(int i) const { return *rd_[i]; }
+    MemSystem& replica(int i) { return *owned_[i]; }
+    const MemSystem& replica(int i) const { return *owned_[i]; }
 
   private:
     /** A sync edge between record [pos-1] and record [pos] of its
@@ -155,12 +144,14 @@ class BroadcastReplay final : public RefSink
 
     struct Consumer
     {
-        int replica = 0;
+        RefSink* sink = nullptr;
         std::uint64_t done = 0;  ///< chunks fully replayed
         std::thread th;
     };
 
-    void replayChunk(int replica, const Chunk& c);
+    /** Allocate the ring and, when @p threaded, start the consumers. */
+    void start(bool threaded, int ringChunks);
+    static void replayChunk(RefSink& sink, const Chunk& c);
     /** Producer: wait for slot of @p seq to be recycled, stage into it. */
     Chunk& acquireSlot();
     void publish(bool resetMark);
@@ -170,10 +161,10 @@ class BroadcastReplay final : public RefSink
     void shutdown(bool abort);
 
     std::size_t chunkRecords_;
-    /** Parallel arrays, exactly one non-null per replica index. */
-    std::vector<std::unique_ptr<MemSystem>> mems_;
-    std::vector<std::unique_ptr<RaceChecker>> race_;
-    std::vector<std::unique_ptr<ReuseDistProfiler>> rd_;
+    /** MemSystems the spec constructor built (empty otherwise). */
+    std::vector<std::unique_ptr<MemSystem>> owned_;
+    /** Every replica, in replica order. */
+    std::vector<RefSink*> sinks_;
 
     std::vector<Chunk> ring_;
     Chunk* cur_ = nullptr;        ///< staging slot (producer-owned)

@@ -33,8 +33,8 @@
  * sidecar and evaluates curves in microseconds.
  *
  * The profiler is a RefSink, so it attaches anywhere the trace
- * recorder or race detector does -- including as a third replica kind
- * of the broadcast replay engine (sim/replay.h).
+ * recorder or race detector does -- including as one replica of the
+ * broadcast replay engine (sim/replay.h).
  */
 #ifndef SPLASH2_SIM_REUSEDIST_H
 #define SPLASH2_SIM_REUSEDIST_H

@@ -14,21 +14,27 @@ namespace {
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
 } // namespace
 
-CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile)
-    : cfg_(cfg), lineShift_(log2i(cfg.lineSize)),
-      arrays_(cfg.nprocs), stacks_(cfg.nprocs), accesses_(cfg.nprocs, 0),
-      profile_(profile)
+CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile,
+                       int shard, int shards)
+    : cfg_(cfg), lineShift_(log2i(cfg.lineSize)), profile_(profile)
 {
     if (!isPow2(cfg_.lineSize))
         fatal("sweep line size must be a power of two");
+    ensure(0 <= shard && shard < shards, "sweep shard out of range");
+    first_ = shard * cfg_.nprocs / shards;
+    nmine_ = static_cast<std::size_t>((shard + 1) * cfg_.nprocs / shards -
+                                      first_);
+    arrays_.resize(nmine_);
+    stacks_.resize(nmine_);
+    accesses_.assign(nmine_, 0);
     std::uint64_t max_lines = 0;
     for (auto s : cfg_.sizes) {
         if (!isPow2(s) || s < static_cast<std::uint64_t>(cfg_.lineSize))
             fatal("sweep cache size must be a power of two >= line size");
         max_lines = std::max(max_lines, s >> lineShift_);
     }
-    for (int p = 0; p < cfg_.nprocs; ++p) {
-        auto& cfgs = arrays_[p];
+    for (std::size_t i = 0; i < nmine_; ++i) {
+        auto& cfgs = arrays_[i];
         for (auto size : cfg_.sizes) {
             for (int assoc : cfg_.assocs) {
                 TagArray ta;
@@ -39,7 +45,7 @@ CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile)
                 cfgs.push_back(std::move(ta));
             }
         }
-        stacks_[p].init(max_lines);
+        stacks_[i].init(max_lines);
     }
     if (profile_)
         *profile_ = ReuseDistProfile(cfg_.nprocs, cfg_.lineSize);
@@ -143,15 +149,6 @@ CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
 }
 
 void
-CacheSweep::touchStack(ProcId p, Addr line, std::uint64_t oldVer,
-                       std::uint64_t newVer, bool isWrite)
-{
-    const std::uint64_t d = stacks_[p].touch(line, oldVer, newVer, isWrite);
-    if (profile_)
-        profile_->record(p, d);
-}
-
-void
 VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
                           std::uint64_t* oldVer, std::uint64_t* newVer)
 {
@@ -169,39 +166,6 @@ VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
     *newVer = c.version;
 }
 
-template <typename StaleFn>
-void
-CacheSweep::applyTagArray(TagArray& ta, Addr lineAddr,
-                          std::uint64_t lineId, std::uint64_t oldVer,
-                          std::uint64_t newVer, bool isWrite,
-                          StaleFn&& stale)
-{
-    TagEntry* set = &ta.entries[(lineId & ta.setMask) * ta.ways];
-    const int ways = ta.ways;
-    int w = 0;
-    while (w < ways && set[w].tag != lineAddr)
-        ++w;
-    const TagEntry e{lineAddr, isWrite ? newVer : oldVer};
-    if (w == ways || set[w].version != oldVer) {
-        ++ta.misses;
-        if (w == ways) {
-            // Victim: the first free way -- never filled, or holding a
-            // copy coherence has invalidated, as the eager-invalidation
-            // MemSystem would have -- else the LRU (last) way.  A stale
-            // copy never hits again, so which free way takes the fill
-            // cannot change any later hit or miss.
-            w = 0;
-            while (w < ways - 1 && set[w].tag != kNoTag &&
-                   !stale(set[w].tag, set[w].version))
-                ++w;
-        }
-    }
-    // Hit or fill: move the way to the front.
-    for (; w > 0; --w)
-        set[w] = set[w - 1];
-    set[0] = e;
-}
-
 void
 CacheSweep::access(ProcId p, Addr addr, int size, AccessType type)
 {
@@ -214,21 +178,49 @@ CacheSweep::access(ProcId p, Addr addr, int size, AccessType type)
 void
 CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
 {
-    ++accesses_[p];
-
     bool is_write = type == AccessType::Write;
     std::uint64_t old_ver, new_ver;
+    // Every reference advances coherence, another shard's too: its
+    // invalidations decide what this shard's processors still hold.
     coh_.advance(lineAddr, p, is_write, &old_ver, &new_ver);
+    const std::size_t i = static_cast<std::size_t>(p - first_);
+    if (i >= nmine_)
+        return;
+    ++accesses_[i];
 
-    std::uint64_t line_id = lineAddr >> lineShift_;
-    auto stale = [this](Addr tag, std::uint64_t ver) {
-        return coh_.stale(tag, ver);
-    };
-    for (auto& ta : arrays_[p])
-        applyTagArray(ta, lineAddr, line_id, old_ver, new_ver, is_write,
-                      stale);
+    const std::uint64_t line_id = lineAddr >> lineShift_;
+    const TagEntry e{lineAddr, is_write ? new_ver : old_ver};
+    for (TagArray& ta : arrays_[i]) {
+        TagEntry* set = &ta.entries[(line_id & ta.setMask) * ta.ways];
+        const int ways = ta.ways;
+        int w = 0;
+        while (w < ways && set[w].tag != lineAddr)
+            ++w;
+        if (w == ways || set[w].version != old_ver) {
+            ++ta.misses;
+            if (w == ways) {
+                // Victim: the first free way -- never filled, or holding
+                // a copy coherence has invalidated, as the
+                // eager-invalidation MemSystem would have -- else the
+                // LRU (last) way.  A stale copy never hits again, so
+                // which free way takes the fill cannot change any later
+                // hit or miss.
+                w = 0;
+                while (w < ways - 1 && set[w].tag != kNoTag &&
+                       !coh_.stale(set[w].tag, set[w].version))
+                    ++w;
+            }
+        }
+        // Hit or fill: move the way to the front.
+        for (; w > 0; --w)
+            set[w] = set[w - 1];
+        set[0] = e;
+    }
 
-    touchStack(p, lineAddr, old_ver, new_ver, is_write);
+    const std::uint64_t d =
+        stacks_[i].touch(lineAddr, old_ver, new_ver, is_write);
+    if (profile_)
+        profile_->record(p, d);
 }
 
 void
@@ -330,158 +322,17 @@ SweepResult::missRate(std::uint64_t size, int assoc) const
     return accesses_ ? double(m) / double(accesses_) : 0.0;
 }
 
-// ---------------------------------------------------------------------
-// ParallelSweep
-
-ParallelSweep::ParallelSweep(CacheSweep& sweep, int threads,
-                             std::size_t chunkRecords)
-    : sweep_(sweep), chunkRecords_(chunkRecords)
+SweepResult&
+SweepResult::operator+=(const SweepResult& o)
 {
-    ensure(chunkRecords_ > 0, "chunk must hold at least one record");
-    buf_.reserve(chunkRecords_);
-
-    const int nprocs = sweep_.cfg_.nprocs;
-    const int ncfg = static_cast<int>(sweep_.cfg_.sizes.size() *
-                                      sweep_.cfg_.assocs.size());
-    ensure(threads >= 2, "a sweep pool needs at least two threads");
-    threads = std::min(threads, ncfg + nprocs);
-
-    // Greedy longest-processing-time assignment of columns to workers.
-    // A configuration column does work on every record; a stack column
-    // only on its processor's records, but a Fenwick touch costs a few
-    // tag-array probes.
-    workers_.resize(threads);
-    std::vector<std::uint64_t> load(threads, 0);
-    for (auto& w : workers_)
-        w.stackMine.assign(nprocs, 0);
-    auto least = [&] {
-        int best = 0;
-        for (int i = 1; i < threads; ++i)
-            if (load[i] < load[best])
-                best = i;
-        return best;
-    };
-    const std::uint64_t wCfg = 2 * std::uint64_t(nprocs);
-    const std::uint64_t wStack = 5;
-    for (int c = 0; c < ncfg; ++c) {
-        int i = least();
-        workers_[i].cfgCols.push_back(c);
-        load[i] += wCfg;
-    }
-    for (int p = 0; p < nprocs; ++p) {
-        int i = least();
-        workers_[i].stackMine[p] = 1;
-        load[i] += wStack;
-    }
-    for (auto& w : workers_)
-        w.th = std::thread([this, &w] { workerLoop(w); });
-}
-
-ParallelSweep::~ParallelSweep()
-{
-    flush();
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        stop_ = true;
-    }
-    cvWork_.notify_all();
-    for (auto& w : workers_)
-        w.th.join();
-}
-
-void
-ParallelSweep::captureLine(ProcId p, Addr lineAddr, bool isWrite)
-{
-    ++sweep_.accesses_[p];
-    std::uint64_t oldVer, newVer;
-    sweep_.coh_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
-    buf_.push_back({lineAddr, oldVer, newVer,
-                    static_cast<std::int16_t>(p),
-                    static_cast<std::uint8_t>(isWrite)});
-    if (buf_.size() >= chunkRecords_)
-        flush();
-}
-
-void
-ParallelSweep::access(const AccessRec& r)
-{
-    const int ls = sweep_.cfg_.lineSize;
-    Addr first = alignDown(r.addr, ls);
-    Addr last = alignDown(r.addr + r.size - 1, ls);
-    bool isWrite = r.type == AccessType::Write;
-    for (Addr line = first; line <= last; line += ls)
-        captureLine(r.proc, line, isWrite);
-}
-
-void
-ParallelSweep::replayChunk(Worker& w, const Rec* recs, std::size_t n)
-{
-    auto stale = [&w](Addr tag, std::uint64_t ver) {
-        const std::uint64_t* v = w.verMap.find(tag);
-        return (v ? *v : 0) != ver;
-    };
-    const int shift = sweep_.lineShift_;
-    for (std::size_t i = 0; i < n; ++i) {
-        const Rec& r = recs[i];
-        if (r.newVer != r.oldVer)
-            w.verMap[r.line] = r.newVer;
-        std::uint64_t lineId = r.line >> shift;
-        auto& cols = sweep_.arrays_[r.proc];
-        bool isWrite = r.write != 0;
-        for (int c : w.cfgCols)
-            CacheSweep::applyTagArray(cols[c], r.line, lineId, r.oldVer,
-                                      r.newVer, isWrite, stale);
-        if (w.stackMine[r.proc])
-            sweep_.touchStack(r.proc, r.line, r.oldVer, r.newVer,
-                              isWrite);
-    }
-}
-
-void
-ParallelSweep::workerLoop(Worker& w)
-{
-    std::uint64_t seen = 0;
-    for (;;) {
-        const Rec* recs;
-        std::size_t n;
-        {
-            std::unique_lock<std::mutex> lk(mu_);
-            cvWork_.wait(lk, [&] { return stop_ || gen_ != seen; });
-            if (gen_ == seen)
-                return;  // stopped with no new work
-            seen = gen_;
-            recs = batch_;
-            n = batchN_;
-        }
-        replayChunk(w, recs, n);
-        {
-            std::lock_guard<std::mutex> lk(mu_);
-            if (--pending_ == 0)
-                cvDone_.notify_one();
-        }
-    }
-}
-
-void
-ParallelSweep::flush()
-{
-    if (buf_.empty())
-        return;
-    std::unique_lock<std::mutex> lk(mu_);
-    batch_ = buf_.data();
-    batchN_ = buf_.size();
-    pending_ = static_cast<int>(workers_.size());
-    ++gen_;
-    cvWork_.notify_all();
-    cvDone_.wait(lk, [&] { return pending_ == 0; });
-    buf_.clear();
-}
-
-void
-ParallelSweep::resetStats()
-{
-    flush();
-    sweep_.resetStats();
+    if (misses_.empty())
+        return *this = o;
+    ensure(misses_.size() == o.misses_.size(),
+           "summed sweep results cover different grids");
+    accesses_ += o.accesses_;
+    for (std::size_t i = 0; i < misses_.size(); ++i)
+        misses_[i] += o.misses_[i];
+    return *this;
 }
 
 } // namespace splash::sim

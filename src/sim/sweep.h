@@ -28,23 +28,18 @@
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
  *
- * ParallelSweep exploits the same independence for host parallelism:
- * the version-stamp update is the only cross-configuration state, so
- * once each reference is annotated with its (before, after) version
- * pair at capture time, every tag array and every stack profiler can
- * be replayed independently.  References are buffered into chunks and
- * replayed across a worker pool, each worker owning a disjoint set of
- * configurations/stacks -- results are bit-identical to the serial
- * sweep for any worker count.  Both are RefSinks; the serial
- * CacheSweep is the one-thread engine.
+ * The same independence splits the sweep across host threads: a
+ * CacheSweep can simulate a contiguous range of processors only.  The
+ * version stamps are the only state shared between processors, and
+ * every shard advances its own copy of them on every reference, so K
+ * shards fed one stream (BroadcastReplay, sim/replay.h) count exactly
+ * what one whole sweep counts -- their results sum.  The whole sweep
+ * is the one-shard case.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
 
-#include <condition_variable>
 #include <cstdint>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "base/types.h"
@@ -74,9 +69,8 @@ struct SweepConfig
  *  stale version has been coherence-invalidated -- at *every* cache
  *  geometry, because invalidations are independent of capacity and
  *  associativity.  The single piece of cross-configuration state of a
- *  sweep; shared by the serial CacheSweep, ParallelSweep's capture,
- *  and the reuse-distance profiler (sim/reusedist.h) so the three can
- *  never drift. */
+ *  sweep; shared by CacheSweep and the reuse-distance profiler
+ *  (sim/reusedist.h) so the two can never drift. */
 class VersionCoherence
 {
   public:
@@ -170,6 +164,10 @@ class SweepResult
     /** Aggregate miss rate at a simulated operating point. */
     double missRate(std::uint64_t size, int assoc) const;
 
+    /** Add another shard's counters over the same grid (an empty
+     *  result takes @p o's). */
+    SweepResult& operator+=(const SweepResult& o);
+
   private:
     friend class CacheSweep;
 
@@ -186,9 +184,16 @@ class CacheSweep final : public RefSink
     /** @param profile when set, the sweep's Mattson stacks also fill
      *  this reuse-distance profile (sized here, zeroed by resetStats),
      *  so a model needs no stack walk of its own.  The caller owns it;
-     *  it must outlive the sweep. */
+     *  it must outlive the sweep.
+     *  @param shard, @param shards simulate only the @p shard-th of
+     *  @p shards contiguous processor ranges (default: all of them).
+     *  Counters, tag arrays and stacks exist for those processors
+     *  only, and only their profile rows fill; coherence still
+     *  advances on every reference, which is what makes a shard
+     *  exact. */
     explicit CacheSweep(const SweepConfig& cfg,
-                        ReuseDistProfile* profile = nullptr);
+                        ReuseDistProfile* profile = nullptr,
+                        int shard = 0, int shards = 1);
 
     /** Issue one reference from processor @p p. */
     void access(ProcId p, Addr addr, int size, AccessType type);
@@ -209,8 +214,12 @@ class CacheSweep final : public RefSink
 
     const SweepConfig& config() const { return cfg_; }
 
-    /** Total references issued (line-spanning references count once per
-     *  line). */
+    /** The processors this sweep simulates: [firstProc, endProc). */
+    int firstProc() const { return first_; }
+    int endProc() const { return first_ + static_cast<int>(nmine_); }
+
+    /** Total references the simulated processors issued
+     *  (line-spanning references count once per line). */
     std::uint64_t accesses() const;
 
     /** Aggregate miss rate at capacity @p size bytes and associativity
@@ -228,8 +237,6 @@ class CacheSweep final : public RefSink
     void resetStats() override;
 
   private:
-    friend class ParallelSweep;
-
     /** Tag of a way that has never been filled (no line address). */
     static constexpr Addr kNoTag = ~Addr{0};
 
@@ -266,113 +273,20 @@ class CacheSweep final : public RefSink
                             std::uint64_t newVer, bool isWrite);
     };
 
-    /** Replay one annotated line reference into one tag array.
-     *  @p stale decides whether a resident victim candidate has been
-     *  coherence-invalidated: called with (tag, storedVersion). */
-    template <typename StaleFn>
-    static void applyTagArray(TagArray& ta, Addr lineAddr,
-                              std::uint64_t lineId, std::uint64_t oldVer,
-                              std::uint64_t newVer, bool isWrite,
-                              StaleFn&& stale);
-
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
-
-    /** Replay one annotated line reference into @p p's stack profile
-     *  and the reuse-distance profile being filled, if any. */
-    void touchStack(ProcId p, Addr line, std::uint64_t oldVer,
-                    std::uint64_t newVer, bool isWrite);
 
     SweepConfig cfg_;
     int lineShift_;
+    /** The simulated processors: first_ .. first_ + nmine_ - 1.  The
+     *  per-processor vectors below are indexed by p - first_. */
+    int first_ = 0;
+    std::size_t nmine_ = 0;
     VersionCoherence coh_;
-    /** arrays_[p][configIndex] */
+    /** arrays_[p - first_][configIndex] */
     std::vector<std::vector<TagArray>> arrays_;
     std::vector<StackProfiler> stacks_;
     std::vector<std::uint64_t> accesses_;
     ReuseDistProfile* profile_;
-};
-
-/** Captures the reference stream into annotated chunks and replays
- *  them into a CacheSweep across a host worker pool.
- *
- *  Work partition: each worker owns a disjoint subset of the
- *  (configuration x all-processors) tag-array columns and of the
- *  per-processor stack profilers, assigned greedily by estimated cost.
- *  Victim selection needs the version of arbitrary *other* lines at
- *  replay time, so each worker maintains a sparse line -> version map
- *  updated only when a record's annotation shows a version bump --
- *  exact, because a line absent from the map has never been bumped
- *  (version 0).
- *
- *  Feed it via access() (it is a RefSink, so it can be attached to an
- *  Env with attachSink); call flush() or streamBarrier() -- or destroy
- *  it, or resetStats() -- before querying the underlying sweep.
- *  Results are bit-identical to the serial CacheSweep for any thread
- *  count.
- *
- *  While a ParallelSweep is attached, drive the underlying sweep only
- *  through it: direct CacheSweep::access calls would reorder the
- *  stream relative to buffered records. */
-class ParallelSweep final : public RefSink
-{
-  public:
-    /** @param threads worker threads (>= 2; a serial sweep is the
-     *  CacheSweep itself), capped at one per configuration column and
-     *  stack profiler. */
-    explicit ParallelSweep(CacheSweep& sweep, int threads,
-                           std::size_t chunkRecords = std::size_t(1)
-                                                      << 16);
-    ~ParallelSweep() override;
-
-    ParallelSweep(const ParallelSweep&) = delete;
-    ParallelSweep& operator=(const ParallelSweep&) = delete;
-
-    void access(const AccessRec& r) override;
-    void resetStats() override;
-    void streamBarrier() override { flush(); }
-
-    /** Replay all buffered records; the sweep is up to date after. */
-    void flush();
-
-  private:
-    /** One captured line reference, annotated at capture time with the
-     *  version-stamp transition so replay needs no shared state. */
-    struct Rec
-    {
-        Addr line;
-        std::uint64_t oldVer;
-        std::uint64_t newVer;
-        std::int16_t proc;
-        std::uint8_t write;
-    };
-
-    struct Worker
-    {
-        std::vector<int> cfgCols;      ///< owned configuration indices
-        std::vector<char> stackMine;   ///< [proc] -> owns that stack
-        /** Line versions as of the record being replayed (sparse:
-         *  only ever-bumped lines appear; absent means version 0). */
-        LineTable<std::uint64_t> verMap;
-        std::thread th;
-    };
-
-    void captureLine(ProcId p, Addr lineAddr, bool isWrite);
-    void replayChunk(Worker& w, const Rec* recs, std::size_t n);
-    void workerLoop(Worker& w);
-
-    CacheSweep& sweep_;
-    std::size_t chunkRecords_;
-    std::vector<Rec> buf_;
-
-    std::vector<Worker> workers_;
-    std::mutex mu_;
-    std::condition_variable cvWork_;
-    std::condition_variable cvDone_;
-    const Rec* batch_ = nullptr;
-    std::size_t batchN_ = 0;
-    std::uint64_t gen_ = 0;
-    int pending_ = 0;
-    bool stop_ = false;
 };
 
 } // namespace splash::sim

@@ -19,10 +19,10 @@
  * without widening the hot record ring.
  *
  * RefSink is the one consumer interface: every simulator that reads
- * the stream -- MemSystem, CacheSweep and its parallel replayer, the
- * broadcast replay, the reuse-distance profiler, the race detector,
- * the trace recorder -- is a RefSink, fed the same way by a live
- * rt::Env or by a trace replay (harness/experiment.h runPass).
+ * the stream -- MemSystem, CacheSweep, the broadcast replay, the
+ * reuse-distance profiler, the race detector, the trace recorder --
+ * is a RefSink, fed the same way by a live rt::Env or by a trace
+ * replay (harness/experiment.h runPass).
  */
 #ifndef SPLASH2_SIM_TRACE_H
 #define SPLASH2_SIM_TRACE_H

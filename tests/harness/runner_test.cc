@@ -3,6 +3,7 @@
 // serial ones (the stable simulated address space at work), and job
 // exceptions propagate.
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <atomic>
 #include <set>
@@ -61,6 +62,29 @@ TEST(Runner, ResolveMapsZeroToHardwareConcurrency)
 {
     EXPECT_EQ(Runner::resolve(3), 3);
     EXPECT_GE(Runner::resolve(0), 1);
+}
+
+// `taskset -c 0` leaves hardware_concurrency() at the machine's CPU
+// count; --jobs 0 and --replicas on must count the affinity mask.
+TEST(Runner, UsableCpusFollowTheAffinityMask)
+{
+    cpu_set_t saved;
+    ASSERT_EQ(::sched_getaffinity(0, sizeof(saved), &saved), 0);
+    int cpu = 0;
+    while (!CPU_ISSET(cpu, &saved))
+        ++cpu;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+    const int pinned = usableCpus();
+    const int jobs = Runner::resolve(0);
+    const int replicas = replicaThreads();
+    ASSERT_EQ(::sched_setaffinity(0, sizeof(saved), &saved), 0);
+    EXPECT_EQ(pinned, 1);
+    EXPECT_EQ(jobs, 1);
+    EXPECT_EQ(replicas, 1);
+    EXPECT_EQ(usableCpus(), CPU_COUNT(&saved));
 }
 
 // The determinism claim behind --jobs: simulations running beside each

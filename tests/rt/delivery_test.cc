@@ -6,11 +6,10 @@
 // a time and the ring is drained before every switch, the drained
 // order equals the execution order -- so the two shapes must produce
 // bit-identical characterizations.  These tests enforce that on full
-// FFT/LU/Ocean runs at 8 processors, including the multi-threaded
-// sweep replay pipeline that rides on batched delivery.
+// FFT/LU/Ocean runs at 8 processors, including the working-set sweep
+// split into processor-range shards on a threaded broadcast.
 #include <gtest/gtest.h>
 
-#include <memory>
 #include <string>
 
 #include "harness/app.h"
@@ -22,6 +21,7 @@ using namespace splash::harness;
 using namespace splash::rt;
 using splash::testing::characterize;
 using splash::testing::expectSameRun;
+using splash::testing::SweepShards;
 
 namespace {
 
@@ -69,11 +69,11 @@ TEST(DeliveryDifferential, QuantumOneStressIdentical)
 namespace {
 
 /** Run the working-set sweep for @p app at 8 processors under the
- *  given delivery shape: serially (@p poolThreads == 1) or through a
- *  ParallelSweep pool of that many workers. */
-sim::CacheSweep
+ *  given delivery shape: whole (@p shards == 1) or split into that
+ *  many processor-range shards on a threaded broadcast. */
+sim::SweepResult
 sweepRun(const std::string& name, long n, rt::Delivery delivery,
-         int poolThreads)
+         int shards)
 {
     App* app = findApp(name);
     EXPECT_NE(app, nullptr) << name;
@@ -81,27 +81,25 @@ sweepRun(const std::string& name, long n, rt::Delivery delivery,
     cfg.n = n;
     sim::SweepConfig sc;
     sc.nprocs = 8;
-    sim::CacheSweep sweep(sc);
     rt::Env env({rt::Mode::Sim, sc.nprocs, 250, rt::BackendKind::Fiber,
                  delivery});
-    std::unique_ptr<sim::ParallelSweep> pool;
-    if (poolThreads > 1) {
-        pool = std::make_unique<sim::ParallelSweep>(sweep, poolThreads);
-        env.attachSink(pool.get());
-    } else {
+    if (shards == 1) {
+        sim::CacheSweep sweep(sc);
         env.attachSink(&sweep);
+        app->run(env, cfg);
+        return sweep.result();
     }
+    SweepShards split(sc, shards);
+    env.attachSink(&split.sink());
     app->run(env, cfg);
-    pool.reset();  // flushes
-    return sweep;
+    return split.result();
 }
 
 void
-expectSameSweep(const sim::CacheSweep& a, const sim::CacheSweep& b)
+expectSameSweep(const sim::SweepResult& a, const sim::SweepResult& b)
 {
     EXPECT_EQ(a.accesses(), b.accesses());
-    const sim::SweepConfig& sc = a.config();
-    for (std::uint64_t size : sc.sizes) {
+    for (std::uint64_t size : sim::SweepConfig{}.sizes) {
         for (int assoc : {1, 2, 4, 0}) {
             EXPECT_EQ(a.misses(size, assoc), b.misses(size, assoc))
                 << size << "B " << assoc << "-way";
@@ -113,20 +111,20 @@ expectSameSweep(const sim::CacheSweep& a, const sim::CacheSweep& b)
 
 } // namespace
 
-TEST(SweepDifferential, ParallelReplayIdenticalToSerialOnline)
+TEST(SweepDifferential, ShardedReplayIdenticalToWholeOnline)
 {
-    // The acceptance pairing: classic direct delivery + serial online
-    // sweep versus batched delivery + multi-threaded capture/replay.
-    auto serial = sweepRun("fft", 12, rt::Delivery::Direct, 1);
-    auto parallel = sweepRun("fft", 12, rt::Delivery::Batched, 3);
-    expectSameSweep(serial, parallel);
+    // The acceptance pairing: classic direct delivery + the whole
+    // online sweep versus batched delivery + shards on a broadcast.
+    auto whole = sweepRun("fft", 12, rt::Delivery::Direct, 1);
+    auto sharded = sweepRun("fft", 12, rt::Delivery::Batched, 3);
+    expectSameSweep(whole, sharded);
 }
 
-TEST(SweepDifferential, WorkerCountInvariant)
+TEST(SweepDifferential, ShardCountInvariant)
 {
     auto one = sweepRun("lu", 64, rt::Delivery::Batched, 1);
-    for (int threads : {2, 5}) {
-        auto many = sweepRun("lu", 64, rt::Delivery::Batched, threads);
+    for (int shards : {2, 5}) {
+        auto many = sweepRun("lu", 64, rt::Delivery::Batched, shards);
         expectSameSweep(one, many);
     }
 }

@@ -1,7 +1,7 @@
 // Shared helpers for differential tests that prove two simulation
-// mechanisms (execution backends, reference-delivery shapes, sweep
-// replay modes, broadcast replica threading) produce bit-identical
-// characterizations.
+// mechanisms (execution backends, reference-delivery shapes, a whole
+// sweep versus processor-range shards, broadcast replica threading)
+// produce bit-identical characterizations.
 #ifndef SPLASH2_TESTS_RT_RUN_COMPARE_H
 #define SPLASH2_TESTS_RT_RUN_COMPARE_H
 
@@ -13,6 +13,7 @@
 
 #include "harness/app.h"
 #include "harness/experiment.h"
+#include "sim/reusedist.h"
 
 namespace splash::testing {
 
@@ -47,36 +48,72 @@ characterize(const std::string& name, long n,
     return harness::withMem(std::move(r), mem);
 }
 
-/** @p exps characterized from one pass through a BroadcastReplay
- *  whose replicas replay inline on the producer thread.  That is what
- *  --replicas on picks on a one-core host; building it here keeps it
- *  covered on multi-core hosts too. */
-inline std::vector<harness::RunStats>
-inlineBroadcast(harness::App& app, int procs,
-                const std::vector<harness::MemExperiment>& exps,
-                const harness::AppConfig& cfg,
-                const harness::SimOpts& simOpts)
+/** The exact sweep of @p sc split into @p k processor-range shards
+ *  behind a threaded broadcast: the engine --replicas on runs.  Feed
+ *  sink(); result() and profile() flush it first. */
+class SweepShards
 {
-    std::unique_ptr<sim::BroadcastReplay> cast;
-    std::vector<int> raceOf;
-    const harness::RunStats base = harness::runPass(
-        app, procs, cfg, simOpts, [&](const sim::HomeResolver* homes) {
-            cast = std::make_unique<sim::BroadcastReplay>(
-                harness::broadcastSpecs(exps, procs, simOpts, homes,
-                                        &raceOf),
-                /*threaded=*/false);
-            return std::vector<sim::RefSink*>{cast.get()};
-        });
-    std::vector<harness::RunStats> out;
-    out.reserve(exps.size());
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        harness::RunStats r =
-            harness::withMem(base, cast->replica(static_cast<int>(i)));
-        if (raceOf[i] >= 0)
-            harness::noteRace(&r, &cast->raceReplica(raceOf[i]));
-        out.push_back(std::move(r));
+  public:
+    /** @param profiled each shard fills its processors' rows of a
+     *  reuse-distance profile (--sweep both). */
+    SweepShards(const sim::SweepConfig& sc, int k, bool profiled = false,
+                std::size_t chunkRecords =
+                    sim::BroadcastReplay::kChunkRecords)
+        : rows_(k)
+    {
+        std::vector<sim::RefSink*> sinks;
+        for (int i = 0; i < k; ++i) {
+            shards_.push_back(std::make_unique<sim::CacheSweep>(
+                sc, profiled ? &rows_[i] : nullptr, i, k));
+            sinks.push_back(shards_.back().get());
+        }
+        cast_ = std::make_unique<sim::BroadcastReplay>(sinks, true,
+                                                       chunkRecords);
     }
-    return out;
+
+    sim::RefSink& sink() { return *cast_; }
+
+    /** The shards' counters, summed. */
+    sim::SweepResult
+    result()
+    {
+        cast_->flush();
+        sim::SweepResult r;
+        for (const auto& s : shards_)
+            r += s->result();
+        return r;
+    }
+
+    /** Each processor's profile row from the shard that owns it. */
+    sim::ReuseDistProfile
+    profile()
+    {
+        cast_->flush();
+        sim::ReuseDistProfile p = rows_[0];
+        for (std::size_t i = 1; i < shards_.size(); ++i)
+            for (int q = shards_[i]->firstProc(); q < shards_[i]->endProc();
+                 ++q)
+                p.procs[q] = rows_[i].procs[q];
+        return p;
+    }
+
+  private:
+    std::vector<sim::ReuseDistProfile> rows_;
+    std::vector<std::unique_ptr<sim::CacheSweep>> shards_;
+    /** Declared last, so it is destroyed before the shards it feeds. */
+    std::unique_ptr<sim::BroadcastReplay> cast_;
+};
+
+/** Every operating point of @p got equals the whole sweep @p want. */
+inline void
+expectSameSweep(const sim::CacheSweep& want, const sim::SweepResult& got,
+                const std::string& what)
+{
+    EXPECT_EQ(want.accesses(), got.accesses()) << what;
+    for (std::uint64_t size : want.config().sizes)
+        for (int assoc : {1, 2, 4, 0})
+            EXPECT_EQ(want.misses(size, assoc), got.misses(size, assoc))
+                << what << ", " << size << "B " << assoc << "-way";
 }
 
 inline void

@@ -19,7 +19,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "../rt/run_compare.h"
 #include "harness/app.h"
 #include "harness/experiment.h"
 #include "sim/racecheck.h"
@@ -610,8 +609,8 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
 
         SimOpts on = off;
         on.replicas = Replicas::On;
-        auto inlined = splash::testing::inlineBroadcast(
-            *app, procs, exps, smallCfg(), on);
+        auto inlined = broadcastCharacterizations(
+            *app, procs, exps, smallCfg(), on, /*threaded=*/false);
         auto threaded =
             runCharacterizations(*app, procs, exps, smallCfg(), on);
 

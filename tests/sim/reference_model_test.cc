@@ -6,15 +6,15 @@
 //
 // The same seeded streams also cross-validate the two reference
 // delivery shapes (direct call-per-access versus the batched ring
-// drained at scheduling boundaries) and the parallel sweep replay
-// pipeline against the serial online sweep: all must be state- and
-// statistics-exact.
+// drained at scheduling boundaries) and processor-range sweep shards
+// against the whole sweep: all must be state- and statistics-exact.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <set>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "rt/env.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
@@ -273,46 +273,34 @@ TEST_P(ReferenceFuzz, BatchedDeliveryStateAndStatExact)
     EXPECT_TRUE(memB->checkCoherenceInvariants());
 }
 
-/** The parallel sweep replay must reproduce the serial online sweep
- *  exactly at every operating point, for any worker count and chunk
- *  size -- including tiny chunks that force many flush barriers. */
-TEST_P(ReferenceFuzz, ParallelSweepStatExact)
+/** Processor-range shards on a threaded broadcast must reproduce the
+ *  whole sweep exactly at every operating point, for any shard count
+ *  -- with small chunks forcing constant publish/recycle cycling. */
+TEST_P(ReferenceFuzz, ShardedSweepStatExact)
 {
     const int nprocs = 6;
     SweepConfig sc;
     sc.nprocs = nprocs;
-    CacheSweep serial(sc);
+    CacheSweep whole(sc);
     std::uint64_t x = GetParam();
-    std::vector<FuzzStep> steps;
-    std::vector<int> procs;
+    std::vector<AccessRec> recs;
     for (int i = 0; i < 40000; ++i) {
-        steps.push_back(fuzzStep(x));
-        procs.push_back(static_cast<int>((x >> 60) % nprocs));
+        const FuzzStep step = fuzzStep(x);
+        AccessRec r;
+        r.addr = step.addr;
+        r.size = 8;
+        r.proc = static_cast<std::int16_t>((x >> 60) % nprocs);
+        r.type = step.write ? AccessType::Write : AccessType::Read;
+        recs.push_back(r);
     }
-    for (std::size_t i = 0; i < steps.size(); ++i)
-        serial.access(procs[i], steps[i].addr, 8,
-                      steps[i].write ? AccessType::Write
-                                     : AccessType::Read);
-    for (int threads : {2, 3, 4}) {
-        CacheSweep sweep(sc);
-        {
-            ParallelSweep ps(sweep, threads, /*chunkRecords=*/512);
-            for (std::size_t i = 0; i < steps.size(); ++i) {
-                AccessRec r;
-                r.addr = steps[i].addr;
-                r.size = 8;
-                r.proc = static_cast<std::int16_t>(procs[i]);
-                r.type = steps[i].write ? AccessType::Write
-                                        : AccessType::Read;
-                ps.access(r);
-            }
-        }  // destructor flushes
-        EXPECT_EQ(serial.accesses(), sweep.accesses()) << threads;
-        for (std::uint64_t size : sc.sizes)
-            for (int assoc : {1, 2, 4, 0})
-                EXPECT_EQ(serial.misses(size, assoc),
-                          sweep.misses(size, assoc))
-                    << threads << " workers, " << size << "B " << assoc
-                    << "-way";
+    for (const AccessRec& r : recs)
+        whole.access(r);
+    for (int k : {2, 3, 4}) {
+        splash::testing::SweepShards shards(sc, k, false,
+                                            /*chunkRecords=*/512);
+        for (const AccessRec& r : recs)
+            shards.sink().access(r);
+        splash::testing::expectSameSweep(whole, shards.result(),
+                                         std::to_string(k) + " shards");
     }
 }

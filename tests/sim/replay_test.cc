@@ -340,10 +340,11 @@ TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
     SimOpts on;
     on.replicas = Replicas::On;
     for (bool inlined : {true, false}) {
-        auto got = inlined
-                       ? splash::testing::inlineBroadcast(*app, procs,
-                                                          exps, cfg, on)
-                       : runCharacterizations(*app, procs, exps, cfg, on);
+        // Inline is what --replicas on picks on one CPU; building it
+        // here keeps it covered on multi-CPU hosts too.
+        auto got = inlined ? broadcastCharacterizations(*app, procs, exps,
+                                                        cfg, on, false)
+                           : runCharacterizations(*app, procs, exps, cfg, on);
         ASSERT_EQ(got.size(), exps.size());
         for (std::size_t i = 0; i < exps.size(); ++i) {
             SCOPED_TRACE("experiment " + std::to_string(i) +

@@ -2,7 +2,7 @@
 // geometry, hand-computable predictions on synthetic streams, the
 // bit-for-bit fully-associative differential against the exact Mattson
 // sweep (and the profile the sweep fills from its own stacks), profile
-// serialization, and the broadcast-replay profiler replica.
+// serialization, and the profiler as a broadcast replica.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "sim/grid.h"
 #include "sim/replay.h"
 #include "sim/reusedist.h"
@@ -240,8 +241,8 @@ TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
 {
     // resetStats is the measurement boundary in both engines: zeroed
     // counters, warm stacks and coherence state.  A profile the sweep
-    // fills (serially, or from ParallelSweep's stack-owning workers)
-    // is zeroed at the same boundary.
+    // fills (whole, or row by row from processor-range shards) is
+    // zeroed at the same boundary.
     auto recs = randomStream(4, 20000, 200, 55, false);
     SweepConfig sc;
     sc.nprocs = 4;
@@ -264,18 +265,15 @@ TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
         EXPECT_EQ(p.faMisses(size), sweep.misses(size, 0)) << size;
     EXPECT_TRUE(filled == p);
 
-    for (int threads : {2, 4}) {
-        ReuseDistProfile pooled;
-        CacheSweep target(sc, &pooled);
-        {
-            ParallelSweep ps(target, threads, /*chunkRecords=*/256);
-            for (std::size_t i = 0; i < recs.size(); ++i) {
-                if (i == recs.size() / 2)
-                    ps.resetStats();
-                ps.access(recs[i]);
-            }
+    for (int k : {2, 4}) {
+        splash::testing::SweepShards shards(sc, k, /*profiled=*/true,
+                                            /*chunkRecords=*/256);
+        for (std::size_t i = 0; i < recs.size(); ++i) {
+            if (i == recs.size() / 2)
+                shards.sink().resetStats();
+            shards.sink().access(recs[i]);
         }
-        EXPECT_TRUE(pooled == p) << threads << " workers";
+        EXPECT_TRUE(shards.profile() == p) << k << " shards";
     }
 }
 
@@ -368,7 +366,7 @@ TEST(ReuseDistProfileIO, RejectsCorruption)
 }
 
 // ----------------------------------------------------------------------
-// Broadcast-replay profiler replica.
+// The profiler as a broadcast replica (--sweep model, --replicas on).
 
 TEST(ReuseDistBroadcast, ReplicaMatchesDirectProfiler)
 {
@@ -376,16 +374,13 @@ TEST(ReuseDistBroadcast, ReplicaMatchesDirectProfiler)
     ReuseDistProfiler direct(4, kLine);
     feed(direct, recs);
     for (bool threaded : {false, true}) {
-        ReplicaSpec spec;
-        spec.machine.nprocs = 4;
-        spec.machine.cache.lineSize = kLine;
-        spec.rdProfile = true;
-        BroadcastReplay cast({spec}, threaded);
-        ASSERT_TRUE(cast.isRdReplica(0));
-        for (const AccessRec& r : recs)
-            cast.access(r);
-        cast.flush();
-        EXPECT_TRUE(cast.rdReplica(0).profile() == direct.profile())
+        ReuseDistProfiler replica(4, kLine);
+        {
+            BroadcastReplay cast({&replica}, threaded);
+            for (const AccessRec& r : recs)
+                cast.access(r);
+        }
+        EXPECT_TRUE(replica.profile() == direct.profile())
             << (threaded ? "threaded" : "inline");
     }
 }

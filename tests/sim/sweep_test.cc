@@ -1,9 +1,10 @@
 // Tests for the single-pass multi-configuration cache sweep, including
 // cross-validation against the full MemSystem simulator, exactness of
-// the parallel capture/replay pipeline, and reproduction of the
-// committed Figure 3 curves.
+// processor-range shards on a threaded broadcast, and reproduction of
+// the committed Figure 3 curves.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -13,6 +14,7 @@
 #include <tuple>
 #include <vector>
 
+#include "../rt/run_compare.h"
 #include "harness/workingset.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
@@ -230,97 +232,113 @@ TEST(Sweep, AdaptiveFenwickGrowsWithFootprint)
 }
 
 // ----------------------------------------------------------------------
-// Parallel capture/replay exactness.
+// Processor-range shards: K shards on one threaded broadcast count
+// exactly what one whole sweep counts.
 
-TEST(ParallelSweep, MatchesSerialForAnyWorkerCount)
+using splash::testing::SweepShards;
+using splash::testing::expectSameSweep;
+
+TEST(SweepShards, MatchWholeSweepForAnyShardCount)
 {
     SweepConfig sc;
     sc.nprocs = 8;
-    CacheSweep serial(sc);
+    CacheSweep whole(sc);
     auto stream = randomStream(8, 80000, 2500, 4242);
     for (const auto& acc : stream)
-        serial.access(acc.p, acc.a, 8, acc.t);
+        whole.access(acc.p, acc.a, 8, acc.t);
 
-    for (int threads : {2, 3, 4}) {
-        CacheSweep sw(sc);
-        {
-            // Tiny chunks force many flush barriers mid-stream.
-            ParallelSweep ps(sw, threads, /*chunkRecords=*/256);
-            for (const auto& acc : stream)
-                ps.access(rec(acc.p, acc.a, 8, acc.t));
-        }
-        // The counters the sweep hands over once it is freed, too.
-        const SweepResult result = sw.result();
-        EXPECT_EQ(serial.accesses(), sw.accesses()) << threads;
-        EXPECT_EQ(serial.accesses(), result.accesses()) << threads;
-        for (std::uint64_t size : sc.sizes)
-            for (int assoc : {1, 2, 4, 0}) {
-                EXPECT_EQ(serial.misses(size, assoc),
-                          sw.misses(size, assoc))
-                    << threads << " workers, size " << size << " assoc "
-                    << assoc;
-                EXPECT_EQ(serial.misses(size, assoc),
-                          result.misses(size, assoc))
-                    << threads << " workers, size " << size << " assoc "
-                    << assoc;
-            }
+    for (int k : {2, 3, 4}) {
+        // Tiny chunks force constant publish/recycle cycling.
+        SweepShards shards(sc, k, false, /*chunkRecords=*/256);
+        for (const auto& acc : stream)
+            shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
+        expectSameSweep(whole, shards.result(),
+                        std::to_string(k) + " shards");
     }
 }
 
-TEST(ParallelSweep, ResetStatsMidStreamMatchesSerial)
+TEST(SweepShards, ShardCountClampedToProcessorCount)
 {
-    // resetStats() must flush buffered records first, so the counter
-    // zeroing lands at the same stream position as the serial sweep's.
+    // runWorkingSets runs min(threads, P) shards: one shard per
+    // processor when the host has more threads than P.
+    for (int nprocs : {1, 2}) {
+        SweepConfig sc;
+        sc.nprocs = nprocs;
+        CacheSweep whole(sc);
+        auto stream = randomStream(nprocs, 20000, 800, 7 + nprocs);
+        for (const auto& acc : stream)
+            whole.access(acc.p, acc.a, 8, acc.t);
+        const int k = std::min(4, nprocs);
+        SweepShards shards(sc, k);
+        for (const auto& acc : stream)
+            shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
+        expectSameSweep(whole, shards.result(),
+                        "P=" + std::to_string(nprocs));
+        CacheSweep last(sc, nullptr, k - 1, k);
+        EXPECT_EQ(last.firstProc(), nprocs - 1);
+        EXPECT_EQ(last.endProc(), nprocs);
+    }
+}
+
+TEST(SweepShards, ResetStatsMidStreamMatchesWholeSweep)
+{
+    // The reset rides the broadcast's chunks, so every shard zeroes
+    // its counters at the same stream position as the whole sweep.
     SweepConfig sc;
     sc.nprocs = 4;
     auto stream = randomStream(4, 30000, 1200, 99);
 
-    CacheSweep serial(sc);
+    CacheSweep whole(sc);
+    SweepShards shards(sc, 3, false, /*chunkRecords=*/512);
     for (std::size_t i = 0; i < stream.size(); ++i) {
-        if (i == stream.size() / 2)
-            serial.resetStats();
-        serial.access(stream[i].p, stream[i].a, 8, stream[i].t);
-    }
-
-    CacheSweep sw(sc);
-    {
-        ParallelSweep ps(sw, 3, /*chunkRecords=*/512);
-        for (std::size_t i = 0; i < stream.size(); ++i) {
-            if (i == stream.size() / 2)
-                ps.resetStats();
-            ps.access(rec(stream[i].p, stream[i].a, 8, stream[i].t));
+        if (i == stream.size() / 2) {
+            whole.resetStats();
+            shards.sink().resetStats();
         }
+        whole.access(stream[i].p, stream[i].a, 8, stream[i].t);
+        shards.sink().access(
+            rec(stream[i].p, stream[i].a, 8, stream[i].t));
     }
-    EXPECT_EQ(serial.accesses(), sw.accesses());
-    for (std::uint64_t size : sc.sizes)
-        for (int assoc : {1, 2, 4, 0})
-            EXPECT_EQ(serial.misses(size, assoc), sw.misses(size, assoc))
-                << "size " << size << " assoc " << assoc;
+    expectSameSweep(whole, shards.result(), "reset mid-stream");
 }
 
-TEST(ParallelSweep, LineSpanningAccessCountsOncePerLine)
+TEST(SweepShards, LineSpanningAccessCountsOncePerLine)
 {
     SweepConfig sc;
-    sc.nprocs = 1;
-    CacheSweep serial(sc), sw(sc);
-    {
-        ParallelSweep ps(sw, 2);
-        // 16 bytes straddling a 64 B line boundary: two line touches.
-        serial.access(0, 0x1038, 16, AccessType::Read);
-        ps.access(rec(0, 0x1038, 16, AccessType::Read));
+    sc.nprocs = 2;
+    CacheSweep whole(sc);
+    SweepShards shards(sc, 2);
+    // 16 bytes straddling a 64 B line boundary: two line touches.
+    whole.access(1, 0x1038, 16, AccessType::Read);
+    shards.sink().access(rec(1, 0x1038, 16, AccessType::Read));
+    EXPECT_EQ(whole.accesses(), 2u);
+    expectSameSweep(whole, shards.result(), "line-spanning");
+}
+
+TEST(SweepShards, ProfileRowsEqualWholeSweep)
+{
+    // --sweep both: each shard's stacks fill its own processors' rows.
+    SweepConfig sc;
+    sc.nprocs = 8;
+    ReuseDistProfile filled;
+    CacheSweep whole(sc, &filled);
+    auto stream = randomStream(8, 40000, 600, 2024);
+    SweepShards shards(sc, 3, /*profiled=*/true, /*chunkRecords=*/512);
+    for (const auto& acc : stream) {
+        whole.access(acc.p, acc.a, 8, acc.t);
+        shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
     }
-    EXPECT_EQ(serial.accesses(), 2u);
-    EXPECT_EQ(sw.accesses(), 2u);
-    EXPECT_EQ(serial.misses(1 << 20, 0), sw.misses(1 << 20, 0));
+    EXPECT_TRUE(shards.profile() == filled);
 }
 
 // ----------------------------------------------------------------------
 // Regression against the committed Figure 3 curves: the sweep engine
-// --replicas on selects (the ParallelSweep pool on a multi-core host)
-// at the default configuration must reproduce results/fig3.csv.
+// --replicas on selects (processor-range shards on a threaded broadcast
+// when the process may use several CPUs) at the default configuration
+// must reproduce results/fig3.csv.
 
 #ifdef SPLASH2_SOURCE_DIR
-TEST(SweepRegression, ParallelSweepReproducesCommittedFig3Fft)
+TEST(SweepRegression, ReplicasOnReproducesCommittedFig3Fft)
 {
     std::string path =
         std::string(SPLASH2_SOURCE_DIR) + "/results/fig3.csv";
