@@ -18,8 +18,9 @@
  * serial.  Both change wall clock only --
  * output bytes are identical.  --sweep selects the engine:
  * exact (default; the output above), model (reuse-distance analytical
- * predictions, same schema), or both (each point reported from both
- * engines plus the absolute error -- the model-validation artifact).
+ * predictions from a sweep of the fully associative column alone, same
+ * schema), or both (each point reported from both engines plus the
+ * absolute error -- the model-validation artifact).
  *
  * Usage: fig3_working_sets [--procs 32] [--scale 1.0] [--app <name>]
  *                          [--n N] [--sweep exact|model|both]
@@ -42,7 +43,7 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     int line = static_cast<int>(opt.getI("line", 64));

@@ -157,7 +157,7 @@ BM_SweepBatched(benchmark::State& state)
     std::vector<std::unique_ptr<sim::CacheSweep>> shards;
     std::vector<sim::RefSink*> sinks;
     for (int i = 0; i < k; ++i) {
-        shards.push_back(std::make_unique<sim::CacheSweep>(sc, nullptr, i, k));
+        shards.push_back(std::make_unique<sim::CacheSweep>(sc, i, k));
         sinks.push_back(shards.back().get());
     }
     sim::BroadcastReplay cast(sinks);

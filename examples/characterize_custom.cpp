@@ -99,6 +99,7 @@ main()
         rt::Env env({rt::Mode::Sim, procs});
         sim::SweepConfig sc;
         sc.nprocs = procs;
+        sc.assocs = {4};  // the one column printed below
         sim::CacheSweep sweep(sc);
         env.attachSink(&sweep);
         histogramKernel(env, bins, nvalues, true);

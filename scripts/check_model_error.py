@@ -7,9 +7,9 @@ Input is the Both-mode Figure-3 CSV (fig3_working_sets --sweep both
 Two claims are enforced:
 
  1. Fully-associative rows (assoc 0) must match bit-for-bit -- the
-    profiler shares the exact sweep's stack-distance core and
-    invalidation model and every bucket boundary is a power of two, so
-    any FA disagreement is a bug, not model error.
+    model reads the sweep's own fully associative column (its
+    reuse-distance profile, whose bucket boundaries are all powers of
+    two), so any FA disagreement is a bug, not model error.
  2. Finite-associativity rows carry the model's real error (binomial
     conflict approximation; no stale-victim preference); each app's
     maximum absolute error must stay within the bound committed in

@@ -7,17 +7,19 @@
  *                     (N >= 1; default 1 = serial)
  *   --replicas off|on host threads within one job (default on):
  *                     off keeps the job on one thread -- one pass per
- *                     configuration, serial sweep, inline profiler;
+ *                     configuration, one whole sweep;
  *                     on broadcasts one pass to every configuration,
  *                     splits the sweep into processor-range shards,
  *                     and gives each replica a thread when the
  *                     process may use more than one CPU
  *   --quantum N       instrumentation events per scheduling slice
  *   --sweep MODE      working-set sweep engine: exact | model | both
- *                     (default exact).  model predicts the Figure-3
- *                     curves from a reuse-distance profile instead of
- *                     simulating 34 tag arrays; both runs the two and
- *                     reports model-vs-exact error
+ *                     (default exact), read by parseSweepFlag in
+ *                     splash2run and fig3_working_sets only.  model
+ *                     predicts the Figure-3 curves from the sweep's
+ *                     fully associative profile instead of simulating
+ *                     33 tag arrays; both runs the two and reports
+ *                     model-vs-exact error
  *   --check N         coherence invariant checker sampling period: a
  *                     full directory/cache cross-validation every N
  *                     slow-path transactions (0 = off, the default)
@@ -79,7 +81,7 @@ struct EngineOpts
     bool listRequested = false;
     /** True when --sweep was given explicitly (splash2run switches
      *  from the memory-system characterization to the working-set
-     *  sweep on it; the sweep benches always sweep). */
+     *  sweep on it; fig3_working_sets always sweeps). */
     bool sweepRequested = false;
     /** True when --interconnect was given explicitly (used to reject
      *  contradictory combinations only when the user actually asked
@@ -119,14 +121,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.quantum = static_cast<std::uint64_t>(quantum);
-    std::string sweepMode = opt.getS("sweep", "exact");
-    out->sweepRequested = opt.has("sweep");
-    if (!sim::parseSweepMode(sweepMode, &out->sim.sweep)) {
-        std::fprintf(stderr,
-                     "unknown --sweep '%s' (exact, model, or both)\n",
-                     sweepMode.c_str());
-        return false;
-    }
     long check = opt.getI("check", 0);
     if (check < 0) {
         std::fprintf(stderr,
@@ -210,11 +204,30 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
     return true;
 }
 
+/** Parse --sweep.  Only the binaries whose output a sweep mode
+ *  changes call this (splash2run and fig3_working_sets); anywhere
+ *  else the flag stays unread and Options::allRead() rejects it.
+ *  Prints to stderr and returns false on an unrecognized mode. */
+inline bool
+parseSweepFlag(const Options& opt, EngineOpts* out)
+{
+    std::string sweepMode = opt.getS("sweep", "exact");
+    out->sweepRequested = opt.has("sweep");
+    if (!sim::parseSweepMode(sweepMode, &out->sim.sweep)) {
+        std::fprintf(stderr,
+                     "unknown --sweep '%s' (exact, model, or both)\n",
+                     sweepMode.c_str());
+        return false;
+    }
+    return true;
+}
+
 /** Reject contradictory mode-flag combinations with the uniform
  *  "conflicting flags" diagnostic.  splash2run calls this once after
- *  parseEngineOpts; it covers the run-mode matrix the engine flags
- *  cannot see on their own (--inject and --race-inject are splash2run
- *  flags, not engine flags).  Each harness or mode owns the whole
+ *  parseEngineOpts and parseSweepFlag; it covers the run-mode matrix
+ *  the engine flags cannot see on their own (--inject, --race-inject
+ *  and the cache geometry flags are splash2run flags, not engine
+ *  flags).  Each harness or mode owns the whole
  *  run, so combining two of them would silently ignore one -- reject
  *  instead of no-op.  Returns true when the combination is runnable.
  */
@@ -251,6 +264,14 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                     "the harness drives its own "
                                     "detector configuration");
     }
+    // The sweep's grid fixes capacity and associativity; of the
+    // cache flags only --line applies to it.
+    for (const char* flag : {"cachekb", "assoc"})
+        if (eng.sweepRequested && opt.has(flag))
+            return conflictingFlags(std::string("--") + flag, "--sweep",
+                                    "the working-set sweep simulates "
+                                    "the Figure-3 grid of capacities "
+                                    "and associativities");
     if (eng.interconnectRequested && bus && eng.sweepRequested)
         return conflictingFlags("--interconnect bus", "--sweep",
                                 "the working-set sweep models cache "

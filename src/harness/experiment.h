@@ -49,15 +49,14 @@ struct RunStats
  *  Results are byte-identical either way.
  *
  *  - Off: one host thread.  A multi-configuration characterization
- *    makes one pass per configuration, the exact sweep runs serially
- *    and the reuse-distance profiler inline.  The serial
- *    differential oracle.
+ *    makes one pass per configuration, and the working-set sweep
+ *    runs serially.  The serial differential oracle.
  *  - On: a multi-configuration characterization makes ONE pass and
  *    broadcasts it to every configuration (BroadcastReplay).  With
  *    more than one usable CPU every broadcast replica gets a consumer
- *    thread, and a working-set run broadcasts too: the exact sweep
- *    as processor-range shards, the profiler and the race checker.
- *    On one CPU all of it runs inline. */
+ *    thread, and a working-set run broadcasts too: the sweep as
+ *    processor-range shards, and the race checker.  On one CPU all
+ *    of it runs inline. */
 enum class Replicas : std::uint8_t { Off, On };
 
 inline bool

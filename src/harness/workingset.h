@@ -1,13 +1,15 @@
 /**
  * @file
- * Working-set sweep driver shared by the Figure-3 benches and
- * splash2run's --sweep mode: run one application and produce the
- * exact multi-configuration cache sweep (sim/sweep.h), the
- * reuse-distance analytical model (sim/reusedist.h), or both, under
- * both sources of the run pipeline (harness/experiment.h runPass) --
- * live execution and trace replay from disk -- or (for the model)
- * from a recorded ".rdp" profile sidecar with no execution or replay
- * at all.
+ * Working-set sweep driver shared by the Figure-3 and Table-2 benches
+ * and splash2run's --sweep mode: run one application through the
+ * multi-configuration cache sweep (sim/sweep.h) and produce its exact
+ * counters, the reuse-distance analytical model (sim/reusedist.h), or
+ * both, under both sources of the run pipeline (harness/experiment.h
+ * runPass) -- live execution and trace replay from disk -- or (for
+ * the model) from a recorded ".rdp" profile sidecar with no execution
+ * or replay at all.  The model is the sweep's fully associative
+ * column, so every mode runs the same sweep; `--sweep model` merely
+ * lists that one column.
  *
  * Sidecar life cycle mirrors the trace store's record-once rule: a
  * live or replayed model pass saves its profile next to the trace
@@ -24,7 +26,7 @@
 #include <vector>
 
 #include "harness/experiment.h"
-#include "sim/reusedist.h"
+#include "sim/sweep.h"
 
 namespace splash::harness {
 
@@ -32,9 +34,11 @@ namespace splash::harness {
 struct WorkingSetRun
 {
     RunStats stats;
-    /** The exact engine's counters (sweep mode != Model; otherwise
-     *  empty, and a miss query is fatal).  The sweep itself, tag
-     *  arrays and stacks, is freed when the run ends. */
+    /** The sweep's counters over the columns it simulated (only fully
+     *  associative under Model; empty when the model came from a
+     *  sidecar, and a query for a column not simulated is fatal).
+     *  The sweep itself, tag arrays and stacks, is freed when the run
+     *  ends. */
     sim::SweepResult exact;
     /** The analytical profile (sweep mode != Exact). */
     sim::ReuseDistProfile model;
@@ -56,7 +60,9 @@ wsMissRate(const WorkingSetRun& run, std::uint64_t size, int assoc,
 
 /** Run @p app once and produce the sweep(s) requested by
  *  @p simOpts.sweep over @p sc's operating points, plus the race
- *  verdict when --race is on.  @p sc.nprocs must equal @p nprocs. */
+ *  verdict when --race is on.  @p sc.nprocs must equal @p nprocs, and
+ *  under Both @p sc must list kFullyAssoc, the column the model
+ *  reads. */
 inline WorkingSetRun
 runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
                const AppConfig& cfg, const SimOpts& simOpts = {})
@@ -88,27 +94,21 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
             }
         }
     }
+    // Model mode simulates only the column the model reads.
+    sim::SweepConfig cols = sc;
+    if (!needExact)
+        cols.assocs = {sim::kFullyAssoc};
     const bool profileLive = needModel && !out.haveModel;
-    // Under --sweep both the exact sweep's Mattson stacks fill the
-    // profile; a profiler of its own runs only for --sweep model.
-    const bool profilerLive = profileLive && !needExact;
 
-    // Replicas::On with several CPUs: the exact sweep splits into at
-    // most one shard per processor, and the shards, the profiler and
-    // the race checker replay one broadcast, each on its own thread.
+    // Replicas::On with several CPUs: the sweep splits into at most
+    // one shard per processor, and the shards and the race checker
+    // replay one broadcast, each on its own thread.
     const int threads =
         simOpts.replicas == Replicas::On ? replicaThreads() : 1;
-    const int nshards = needExact ? std::min(threads, nprocs) : 0;
-    // Each shard fills its own processors' rows of its own profile.
-    std::vector<sim::ReuseDistProfile> rows(nshards);
+    const int nshards = std::min(threads, nprocs);
     std::vector<std::unique_ptr<sim::CacheSweep>> shards;
     for (int k = 0; k < nshards; ++k)
-        shards.push_back(std::make_unique<sim::CacheSweep>(
-            sc, profileLive ? &rows[k] : nullptr, k, nshards));
-    std::unique_ptr<sim::ReuseDistProfiler> prof;
-    if (profilerLive)
-        prof = std::make_unique<sim::ReuseDistProfiler>(sc.nprocs,
-                                                        sc.lineSize);
+        shards.push_back(std::make_unique<sim::CacheSweep>(cols, k, nshards));
     std::unique_ptr<sim::RaceChecker> race;
     if (raceOn)
         race = std::make_unique<sim::RaceChecker>(
@@ -119,8 +119,6 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
             std::vector<sim::RefSink*> sinks;
             for (auto& shard : shards)
                 sinks.push_back(shard.get());
-            if (prof)
-                sinks.push_back(prof.get());
             if (race)
                 sinks.push_back(race.get());
             if (threads == 1)
@@ -131,22 +129,15 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
     cast.reset();
     noteRace(&out.stats, race.get());
     // Keep the counters, free the tag arrays and stacks (about 50 MB
-    // per program at 32 processors) before the next run.  Each
-    // processor's profile row comes from the shard that owns it.
-    if (nshards > 0 && profileLive)
-        out.model = sim::ReuseDistProfile(sc.nprocs, sc.lineSize);
-    for (int k = 0; k < nshards; ++k) {
-        const sim::CacheSweep& shard = *shards[k];
-        out.exact += shard.result();
-        for (int p = shard.firstProc(); profileLive && p < shard.endProc();
-             ++p)
-            out.model.procs[p] = std::move(rows[k].procs[p]);
-        shards[k].reset();
+    // per program at 32 processors) before the next run.
+    for (auto& shard : shards) {
+        out.exact += shard->result();
+        if (profileLive)
+            out.model += shard->profile();
+        shard.reset();
     }
 
     if (profileLive) {
-        if (profilerLive)
-            out.model = prof->profile();
         out.model.exec = execProfileFrom(
             out.stats.perProc, out.stats.elapsed, out.stats.valid);
         out.haveModel = true;

@@ -5,9 +5,10 @@
  * The paper sweeps miss rate over power-of-two cache capacities from
  * 1 KB to 1 MB at 1-, 2-, and 4-way set associativity plus fully
  * associative LRU.  Exactly one definition of that grid exists --
- * here -- and the exact sweep (SweepConfig's defaults), the
- * reuse-distance model, and every CSV writer consume it, so the
- * committed results files can never drift from the simulated points.
+ * here -- and the sweep (SweepConfig's defaults), the reuse-distance
+ * model, and every CSV writer consume it, so the committed results
+ * files can never drift from the simulated points.  A caller that
+ * reads fewer columns lists fewer (Table 2 sweeps {4} only).
  */
 #ifndef SPLASH2_SIM_GRID_H
 #define SPLASH2_SIM_GRID_H
@@ -30,17 +31,9 @@ fig3Sizes()
     return sizes;
 }
 
-/** Figure-3 finite associativities (fully associative rides along in
- *  every sweep and is queried as assoc 0). */
-inline const std::vector<int>&
-fig3Assocs()
-{
-    static const std::vector<int> assocs = {1, 2, 4};
-    return assocs;
-}
-
-/** Column order of the per-size CSV/report rows: the finite ways
- *  first, then fully associative. */
+/** Figure-3 associativities, in the column order of the per-size
+ *  CSV/report rows: the finite ways first, then fully associative.
+ *  SweepConfig::assocs defaults to this list. */
 inline const std::vector<int>&
 fig3ReportAssocs()
 {

@@ -10,8 +10,8 @@
  * repeats exactly the same work N times; this component executes the
  * application ONCE and feeds N independent replicas from the single
  * stream.  A replica is any RefSink: a MemSystem per configuration,
- * a race detector, a reuse-distance profiler, or one processor-range
- * shard of the exact working-set sweep (sim/sweep.h).
+ * a race detector, or one processor-range shard of the working-set
+ * sweep (sim/sweep.h).
  *
  * Pipeline shape: single producer (the Env's instrumentation, via
  * RefSink::access), multiple consumers (one host worker thread per

@@ -8,6 +8,7 @@
 #include <cstring>
 
 #include "base/log.h"
+#include "sim/sweep.h"
 
 namespace splash::sim {
 
@@ -49,14 +50,6 @@ ReuseDistProfile::Row::Row()
 }
 
 bool
-ReuseDistProfile::Row::operator==(const Row& o) const
-{
-    return accesses == o.accesses && cold == o.cold &&
-           stale == o.stale && count == o.count &&
-           sumDist == o.sumDist;
-}
-
-bool
 ReuseDistProfile::operator==(const ReuseDistProfile& o) const
 {
     return nprocs == o.nprocs && lineSize == o.lineSize &&
@@ -87,6 +80,31 @@ ReuseDistProfile::clearCounts()
         std::fill(r.count.begin(), r.count.end(), 0);
         std::fill(r.sumDist.begin(), r.sumDist.end(), 0);
     }
+}
+
+ReuseDistProfile&
+ReuseDistProfile::operator+=(const ReuseDistProfile& o)
+{
+    if (procs.empty()) {
+        nprocs = o.nprocs;
+        lineSize = o.lineSize;
+        procs = o.procs;
+        return *this;
+    }
+    ensure(nprocs == o.nprocs && lineSize == o.lineSize,
+           "summed reuse-distance profiles cover different machines");
+    for (std::size_t p = 0; p < procs.size(); ++p) {
+        Row& r = procs[p];
+        const Row& q = o.procs[p];
+        r.accesses += q.accesses;
+        r.cold += q.cold;
+        r.stale += q.stale;
+        for (int i = 0; i < rdbucket::kBuckets; ++i) {
+            r.count[i] += q.count[i];
+            r.sumDist[i] += q.sumDist[i];
+        }
+    }
+    return *this;
 }
 
 std::uint64_t
@@ -451,49 +469,6 @@ std::string
 profilePathFor(const std::string& dirOrFile, const TraceMeta& m)
 {
     return tracestore::pathFor(dirOrFile, m) + ".rdp";
-}
-
-// ---------------------------------------------------------------------
-// ReuseDistProfiler
-
-ReuseDistProfiler::ReuseDistProfiler(int nprocs, int lineSize)
-    : lineShift_(log2i(lineSize)), stacks_(nprocs),
-      profile_(nprocs, lineSize)
-{
-    if (!isPow2(lineSize))
-        fatal("profiler line size must be a power of two");
-}
-
-void
-ReuseDistProfiler::access(const AccessRec& r)
-{
-    const int ls = 1 << lineShift_;
-    Addr first = alignDown(r.addr, ls);
-    Addr last = alignDown(r.addr + r.size - 1, ls);
-    const bool isWrite = r.type == AccessType::Write;
-    for (Addr line = first; line <= last; line += ls)
-        touchLine(r.proc, line, isWrite);
-}
-
-void
-ReuseDistProfiler::touchLine(ProcId p, Addr lineAddr, bool isWrite)
-{
-    std::uint64_t oldVer, newVer;
-    coh_.advance(lineAddr, p, isWrite, &oldVer, &newVer);
-    profile_.record(p,
-                    stacks_[p].touch(lineAddr, oldVer, newVer, isWrite));
-}
-
-void
-ReuseDistProfiler::resetStats()
-{
-    profile_.clearCounts();
-}
-
-ReuseDistProfile
-ReuseDistProfiler::profile() const
-{
-    return profile_;
 }
 
 } // namespace splash::sim

@@ -1,40 +1,36 @@
 /**
  * @file
- * Reuse-distance analytical fast path for the working-set sweep.
+ * Reuse-distance profiles: the working-set sweep's fully associative
+ * column, and the analytical fast path built on it.
  *
- * The exact Figure-3 engine (sim/sweep.h) walks every reference once
- * per application to simulate all 34 cache configurations.  This
- * component collapses that sweep into a post-processing step over a
- * compact profile: per-processor line-grain reuse-distance histograms
- * (exact small-distance bins, log2 buckets above) recorded by one
- * pass over the reference stream -- and from one profile, predicted
- * miss-rate curves for *every* capacity:
+ * The sweep (sim/sweep.h) records every line reference's Mattson
+ * stack distance into a compact profile: per-processor line-grain
+ * reuse-distance histograms (exact small-distance bins, log2 buckets
+ * above) plus cold and coherence-invalidated counts.  From one
+ * profile follow miss-rate curves for *every* capacity:
  *
- *  - Fully associative LRU: directly from the histogram CDF.  The
- *    profiler shares the exact sweep's StackDistance core and
- *    VersionCoherence invalidation model, and every bucket boundary
- *    is a power of two, so the prediction is bit-identical to the
- *    exact Mattson sweep at every power-of-two capacity -- including
- *    coherence misses on sharing streams.
- *  - Finite associativity: the standard binomial correction.  A
- *    random set-index spreads the d distinct lines touched between
- *    reuses over S sets, so a reuse at distance d misses in an A-way
- *    cache with probability P[Binomial(d, 1/S) >= A]; the model
- *    applies it per bucket at the bucket's mean distance.  This is
- *    where model error lives (the exact sweep's victim preference for
- *    coherence-stale lines is not modeled either); the committed
- *    error table (results/fig3_model_error.csv) quantifies it per
- *    application.
+ *  - Fully associative LRU: directly from the histogram CDF.  Every
+ *    bucket boundary is a power of two, so at power-of-two capacities
+ *    the count is exact -- this is how the sweep answers its
+ *    kFullyAssoc column.  "Exact" means exact for the stack model:
+ *    coherence misses are counted on sharing streams, but an
+ *    invalidated line keeps its stack position, so the count can
+ *    exceed that of a fully associative cache which frees the slot.
+ *  - Finite associativity (the model): the standard binomial
+ *    correction.  A random set-index spreads the d distinct lines
+ *    touched between reuses over S sets, so a reuse at distance d
+ *    misses in an A-way cache with probability P[Binomial(d, 1/S) >=
+ *    A]; the model applies it per bucket at the bucket's mean
+ *    distance.  This is where model error lives (the exact sweep's
+ *    victim preference for coherence-stale lines is not modeled
+ *    either); the committed error table
+ *    (results/fig3_model_error.csv) quantifies it per application.
  *
  * Profiles are tiny (a few hundred counters per processor,
  * independent of the reference count) and can be saved next to a
  * recorded trace as a ".rdp" sidecar, so a later `--sweep model` run
  * needs neither fiber execution nor trace replay: it loads the
  * sidecar and evaluates curves in microseconds.
- *
- * The profiler is a RefSink, so it attaches anywhere the trace
- * recorder or race detector does -- including as one replica of the
- * broadcast replay engine (sim/replay.h).
  */
 #ifndef SPLASH2_SIM_REUSEDIST_H
 #define SPLASH2_SIM_REUSEDIST_H
@@ -44,7 +40,7 @@
 #include <vector>
 
 #include "base/types.h"
-#include "sim/sweep.h"
+#include "sim/grid.h"
 #include "sim/trace.h"
 #include "sim/tracestore.h"
 
@@ -52,8 +48,9 @@ namespace splash::sim {
 
 /** Working-set sweep engine selection (--sweep):
  *  Exact = the Mattson + tag-array simulation (sim/sweep.h),
- *  Model = reuse-distance profile + analytical predictions,
- *  Both  = run both and report model-vs-exact error. */
+ *  Model = the fully associative column's profile + analytical
+ *          predictions,
+ *  Both  = the whole grid, reporting model-vs-exact error. */
 enum class SweepMode : std::uint8_t { Exact, Model, Both };
 
 inline const char*
@@ -76,7 +73,7 @@ parseSweepMode(const std::string& s, SweepMode* out)
     return true;
 }
 
-/** Histogram layout shared by the profiler and the profile.  Buckets
+/** Histogram layout of the profile.  Buckets
  *  are keyed by the capacity b = distance + 1 (in lines) a reuse
  *  needs to hit: one exact bin per b <= kExact, then one bucket per
  *  power-of-two range (2^(j-1), 2^j].  Every boundary is a power of
@@ -96,7 +93,7 @@ std::uint64_t bucketMax(int i);
 } // namespace rdbucket
 
 /** Snapshot of one profiling pass: everything the analytical sweep
- *  needs, decoupled from the (heavy) profiler state. */
+ *  needs, decoupled from the (heavy) stack state. */
 struct ReuseDistProfile
 {
     /** Per-processor histogram row. */
@@ -114,7 +111,7 @@ struct ReuseDistProfile
         Row();
         /** Misses at every capacity: cold + coherence-invalidated. */
         std::uint64_t coldOrStale() const { return cold + stale; }
-        bool operator==(const Row& o) const;
+        bool operator==(const Row& o) const = default;
     };
 
     ReuseDistProfile() = default;
@@ -137,6 +134,9 @@ struct ReuseDistProfile
     void record(ProcId p, std::uint64_t distance);
     /** Zero every row's counters (a measurement boundary). */
     void clearCounts();
+    /** Add another shard's rows (an empty profile takes @p o's);
+     *  exec is left alone, like SweepResult::operator+=. */
+    ReuseDistProfile& operator+=(const ReuseDistProfile& o);
 
     std::uint64_t accesses() const;
     /** Total misses at every capacity (cold + invalidated). */
@@ -146,14 +146,14 @@ struct ReuseDistProfile
      *  error report explains misfits with). */
     double staleFraction() const;
 
-    /** Predicted misses in a fully associative LRU cache of
-     *  @p sizeBytes.  Bit-identical to CacheSweep::misses(size, 0)
+    /** Misses in a fully associative LRU cache of @p sizeBytes: exact
      *  when @p sizeBytes / lineSize is a power of two (every bucket
-     *  boundary aligns); other capacities interpolate inside the one
-     *  straddled bucket. */
+     *  boundary aligns), which is the sweep's kFullyAssoc column;
+     *  other capacities interpolate inside the one straddled
+     *  bucket. */
     std::uint64_t faMisses(std::uint64_t sizeBytes) const;
 
-    /** Predicted miss rate at (@p sizeBytes, @p assoc); assoc 0 =
+    /** Predicted miss rate at (@p sizeBytes, @p assoc); kFullyAssoc =
      *  fully associative (exact, see faMisses), assoc >= 1 = binomial
      *  associativity correction at each bucket's mean distance. */
     double missRate(std::uint64_t sizeBytes, int assoc) const;
@@ -161,10 +161,6 @@ struct ReuseDistProfile
     /** Histogram equality (exec profile excluded: it describes the
      *  producing run, not the reuse behavior). */
     bool operator==(const ReuseDistProfile& o) const;
-    bool operator!=(const ReuseDistProfile& o) const
-    {
-        return !(*this == o);
-    }
 
     /** Serialize to @p path (atomic: staged + renamed), stamped with
      *  the producing run's identity @p meta and a CRC.  False with
@@ -185,41 +181,6 @@ struct ReuseDistProfile
  *  store @p dirOrFile: "<trace path>.rdp". */
 std::string profilePathFor(const std::string& dirOrFile,
                            const TraceMeta& m);
-
-/** The profiling pass: a RefSink accumulating per-processor
- *  reuse-distance histograms over the line-grain reference stream,
- *  with cross-processor invalidations modeled by the exact sweep's
- *  own VersionCoherence (so coherence misses are counted, not lost).
- *  It walks its own Mattson stacks, so it serves runs without an exact
- *  sweep; a CacheSweep given a profile fills it from the stacks it
- *  already walks.
- */
-class ReuseDistProfiler final : public RefSink
-{
-  public:
-    ReuseDistProfiler(int nprocs, int lineSize);
-
-    void access(const AccessRec& r) override;
-    /** Zero the histogram counters while keeping stack and coherence
-     *  contents (measurement boundary past cold start), mirroring
-     *  CacheSweep::resetStats. */
-    void resetStats() override;
-
-    /** Snapshot the histograms (exec profile left empty; drivers fill
-     *  it in before saving a sidecar). */
-    ReuseDistProfile profile() const;
-
-    int nprocs() const { return profile_.nprocs; }
-    int lineSize() const { return profile_.lineSize; }
-
-  private:
-    void touchLine(ProcId p, Addr lineAddr, bool isWrite);
-
-    int lineShift_;
-    VersionCoherence coh_;
-    std::vector<StackDistance> stacks_;
-    ReuseDistProfile profile_;
-};
 
 } // namespace splash::sim
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/log.h"
-#include "sim/reusedist.h"
 
 namespace splash::sim {
 
@@ -14,9 +13,8 @@ namespace {
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
 } // namespace
 
-CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile,
-                       int shard, int shards)
-    : cfg_(cfg), lineShift_(log2i(cfg.lineSize)), profile_(profile)
+CacheSweep::CacheSweep(const SweepConfig& cfg, int shard, int shards)
+    : cfg_(cfg), lineShift_(log2i(cfg.lineSize))
 {
     if (!isPow2(cfg_.lineSize))
         fatal("sweep line size must be a power of two");
@@ -25,18 +23,15 @@ CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile,
     nmine_ = static_cast<std::size_t>((shard + 1) * cfg_.nprocs / shards -
                                       first_);
     arrays_.resize(nmine_);
-    stacks_.resize(nmine_);
     accesses_.assign(nmine_, 0);
-    std::uint64_t max_lines = 0;
-    for (auto s : cfg_.sizes) {
+    for (auto s : cfg_.sizes)
         if (!isPow2(s) || s < static_cast<std::uint64_t>(cfg_.lineSize))
             fatal("sweep cache size must be a power of two >= line size");
-        max_lines = std::max(max_lines, s >> lineShift_);
-    }
-    for (std::size_t i = 0; i < nmine_; ++i) {
-        auto& cfgs = arrays_[i];
+    for (auto& cfgs : arrays_) {
         for (auto size : cfg_.sizes) {
             for (int assoc : cfg_.assocs) {
+                if (assoc == kFullyAssoc)
+                    continue;
                 TagArray ta;
                 std::uint64_t lines = size >> lineShift_;
                 ta.ways = std::min<std::uint64_t>(assoc, lines);
@@ -45,10 +40,11 @@ CacheSweep::CacheSweep(const SweepConfig& cfg, ReuseDistProfile* profile,
                 cfgs.push_back(std::move(ta));
             }
         }
-        stacks_[i].init(max_lines);
     }
-    if (profile_)
-        *profile_ = ReuseDistProfile(cfg_.nprocs, cfg_.lineSize);
+    if (std::ranges::count(cfg_.assocs, kFullyAssoc)) {
+        stacks_.resize(nmine_);
+        profile_ = ReuseDistProfile(cfg_.nprocs, cfg_.lineSize);
+    }
 }
 
 StackDistance::StackDistance()
@@ -130,25 +126,6 @@ StackDistance::touch(Addr line, std::uint64_t oldVer,
 }
 
 void
-CacheSweep::StackProfiler::init(std::uint64_t max_lines)
-{
-    maxLines = max_lines;
-    hist.assign(max_lines + 2, 0);
-}
-
-std::uint64_t
-CacheSweep::StackProfiler::touch(Addr line, std::uint64_t oldVer,
-                                 std::uint64_t newVer, bool isWrite)
-{
-    std::uint64_t d = core.touch(line, oldVer, newVer, isWrite);
-    if (d == StackDistance::kCold || d == StackDistance::kStale)
-        ++coldOrStale;
-    else
-        ++hist[std::min(d + 1, maxLines + 1)];
-    return d;
-}
-
-void
 VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
                           std::uint64_t* oldVer, std::uint64_t* newVer)
 {
@@ -217,10 +194,9 @@ CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
         set[0] = e;
     }
 
-    const std::uint64_t d =
-        stacks_[i].touch(lineAddr, old_ver, new_ver, is_write);
-    if (profile_)
-        profile_->record(p, d);
+    if (!stacks_.empty())
+        profile_.record(
+            p, stacks_[i].touch(lineAddr, old_ver, new_ver, is_write));
 }
 
 void
@@ -230,12 +206,7 @@ CacheSweep::resetStats()
     for (auto& cfgs : arrays_)
         for (auto& ta : cfgs)
             ta.misses = 0;
-    for (auto& st : stacks_) {
-        std::fill(st.hist.begin(), st.hist.end(), 0);
-        st.coldOrStale = 0;
-    }
-    if (profile_)
-        profile_->clearCounts();
+    profile_.clearCounts();
 }
 
 std::uint64_t
@@ -247,54 +218,25 @@ CacheSweep::accesses() const
     return t;
 }
 
-std::uint64_t
-CacheSweep::misses(std::uint64_t size, int assoc) const
-{
-    if (assoc == 0) {
-        // Fully associative: from the stack-distance histograms.
-        std::uint64_t cap_lines = size >> lineShift_;
-        std::uint64_t m = 0;
-        for (const auto& st : stacks_) {
-            m += st.coldOrStale;
-            for (std::uint64_t d = cap_lines + 1; d < st.hist.size(); ++d)
-                m += st.hist[d];
-        }
-        return m;
-    }
-    // Finite associativity: locate the config index.
-    int size_idx = -1, assoc_idx = -1;
-    for (size_t i = 0; i < cfg_.sizes.size(); ++i)
-        if (cfg_.sizes[i] == size)
-            size_idx = static_cast<int>(i);
-    for (size_t i = 0; i < cfg_.assocs.size(); ++i)
-        if (cfg_.assocs[i] == assoc)
-            assoc_idx = static_cast<int>(i);
-    if (size_idx < 0 || assoc_idx < 0)
-        fatal("requested sweep operating point was not simulated");
-    int idx = size_idx * static_cast<int>(cfg_.assocs.size()) + assoc_idx;
-    std::uint64_t m = 0;
-    for (const auto& cfgs : arrays_)
-        m += cfgs[idx].misses;
-    return m;
-}
-
-double
-CacheSweep::missRate(std::uint64_t size, int assoc) const
-{
-    std::uint64_t a = accesses();
-    return a ? double(misses(size, assoc)) / double(a) : 0.0;
-}
-
 SweepResult
 CacheSweep::result() const
 {
     SweepResult r;
     r.cfg_ = cfg_;
     r.accesses_ = accesses();
+    std::size_t col = 0;  // the next finite column's tag arrays
     for (std::uint64_t size : cfg_.sizes) {
-        for (int assoc : cfg_.assocs)
-            r.misses_.push_back(misses(size, assoc));
-        r.misses_.push_back(misses(size, kFullyAssoc));
+        for (int assoc : cfg_.assocs) {
+            std::uint64_t m = 0;
+            if (assoc == kFullyAssoc) {
+                m = profile_.faMisses(size);
+            } else {
+                for (const auto& cfgs : arrays_)
+                    m += cfgs[col].misses;
+                ++col;
+            }
+            r.misses_.push_back(m);
+        }
     }
     return r;
 }
@@ -302,16 +244,11 @@ CacheSweep::result() const
 std::uint64_t
 SweepResult::misses(std::uint64_t size, int assoc) const
 {
-    const std::size_t cols = cfg_.assocs.size() + 1;
-    for (std::size_t s = 0; s < cfg_.sizes.size(); ++s) {
-        if (cfg_.sizes[s] != size)
-            continue;
-        if (assoc == kFullyAssoc)
-            return misses_[s * cols + cols - 1];
-        for (std::size_t a = 0; a < cfg_.assocs.size(); ++a)
-            if (cfg_.assocs[a] == assoc)
+    const std::size_t cols = cfg_.assocs.size();
+    for (std::size_t s = 0; s < cfg_.sizes.size() && !misses_.empty(); ++s)
+        for (std::size_t a = 0; a < cols; ++a)
+            if (cfg_.sizes[s] == size && cfg_.assocs[a] == assoc)
                 return misses_[s * cols + a];
-    }
     fatal("requested sweep operating point was not simulated");
 }
 

@@ -7,9 +7,10 @@
  * configurations per processor.  Simulating them one at a time would
  * require 34 executions per application, so this component simulates
  * all of them simultaneously in a single pass over the reference
- * stream:
+ * stream.  SweepConfig::assocs lists the columns: a sweep simulates
+ * those and no others.
  *
- *  - Each finite-associativity configuration keeps only a tag array
+ *  - Each finite-associativity column keeps only a tag array per size
  *    of 16-byte {tag, version} ways, each set most recently used
  *    first.
  *  - Coherence is modeled with lazy version stamps: a per-line global
@@ -18,12 +19,14 @@
  *    cached tag whose stored version is stale counts as a coherence
  *    miss in *every* configuration -- which is exact, because
  *    invalidations are independent of cache geometry.
- *  - Fully-associative LRU caches of every size are captured at once
- *    with a Mattson stack-distance profile (Fenwick-tree
- *    implementation with periodic timestamp compaction; the tree's
- *    capacity adapts to the live line count so it stays cache
- *    resident).  The same stacks can fill a reuse-distance profile
- *    (sim/reusedist.h), so `--sweep both` walks them only once.
+ *  - The fully associative column (kFullyAssoc) is one Mattson
+ *    stack-distance walk per processor (Fenwick-tree implementation
+ *    with periodic timestamp compaction; the tree's capacity adapts
+ *    to the live line count so it stays cache resident) recorded into
+ *    the sweep's reuse-distance profile (sim/reusedist.h).  Every
+ *    bucket boundary of that profile is a power of two, so it yields
+ *    the stack's miss count at every power-of-two capacity without
+ *    rounding, and the same profile is the analytical model's input.
  *
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
@@ -33,8 +36,8 @@
  * version stamps are the only state shared between processors, and
  * every shard advances its own copy of them on every reference, so K
  * shards fed one stream (BroadcastReplay, sim/replay.h) count exactly
- * what one whole sweep counts -- their results sum.  The whole sweep
- * is the one-shard case.
+ * what one whole sweep counts -- their results and profiles sum.  The
+ * whole sweep is the one-shard case.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
@@ -45,11 +48,10 @@
 #include "base/types.h"
 #include "sim/grid.h"
 #include "sim/linetable.h"
+#include "sim/reusedist.h"
 #include "sim/trace.h"
 
 namespace splash::sim {
-
-struct ReuseDistProfile;
 
 /** Parameters of a sweep; the defaults are the Figure-3 grid
  *  (sim/grid.h). */
@@ -59,8 +61,10 @@ struct SweepConfig
     int lineSize = 64;
     /** Cache capacities in bytes (powers of two). */
     std::vector<std::uint64_t> sizes = fig3Sizes();
-    /** Finite associativities to simulate (full is always included). */
-    std::vector<int> assocs = fig3Assocs();
+    /** The columns to simulate at every size: way counts, and
+     *  kFullyAssoc for the Mattson stack.  A column not listed is
+     *  neither simulated nor queryable. */
+    std::vector<int> assocs = fig3ReportAssocs();
 };
 
 /** Version-stamp lazy coherence: a per-line global version is bumped
@@ -69,8 +73,7 @@ struct SweepConfig
  *  stale version has been coherence-invalidated -- at *every* cache
  *  geometry, because invalidations are independent of capacity and
  *  associativity.  The single piece of cross-configuration state of a
- *  sweep; shared by CacheSweep and the reuse-distance profiler
- *  (sim/reusedist.h) so the two can never drift. */
+ *  sweep, read by every column. */
 class VersionCoherence
 {
   public:
@@ -108,9 +111,8 @@ class VersionCoherence
 /** Mattson LRU stack-distance core for one processor's line stream
  *  (Fenwick-tree implementation with periodic timestamp compaction;
  *  the tree's capacity adapts to the live line count so it stays
- *  cache resident).  Consumers decide what to do with the distance:
- *  the exact sweep buckets it into a per-line histogram, the
- *  reuse-distance profiler into log2 bins. */
+ *  cache resident).  CacheSweep records each outcome in its
+ *  reuse-distance profile (ReuseDistProfile::record). */
 class StackDistance
 {
   public:
@@ -157,8 +159,9 @@ class SweepResult
   public:
     std::uint64_t accesses() const { return accesses_; }
 
-    /** Aggregate misses at a simulated operating point (@p assoc 0 =
-     *  fully associative); fatal for a point the sweep did not run. */
+    /** Aggregate misses at a simulated operating point (@p assoc
+     *  kFullyAssoc = fully associative); fatal for a point the sweep
+     *  did not run. */
     std::uint64_t misses(std::uint64_t size, int assoc) const;
 
     /** Aggregate miss rate at a simulated operating point. */
@@ -173,27 +176,21 @@ class SweepResult
 
     SweepConfig cfg_;
     std::uint64_t accesses_ = 0;
-    /** Per size, the misses at each of cfg_.assocs, then fully
-     *  associative. */
+    /** Per size, the misses at each of cfg_.assocs. */
     std::vector<std::uint64_t> misses_;
 };
 
 class CacheSweep final : public RefSink
 {
   public:
-    /** @param profile when set, the sweep's Mattson stacks also fill
-     *  this reuse-distance profile (sized here, zeroed by resetStats),
-     *  so a model needs no stack walk of its own.  The caller owns it;
-     *  it must outlive the sweep.
-     *  @param shard, @param shards simulate only the @p shard-th of
+    /** Simulate the columns @p cfg lists for the @p shard-th of
      *  @p shards contiguous processor ranges (default: all of them).
      *  Counters, tag arrays and stacks exist for those processors
      *  only, and only their profile rows fill; coherence still
      *  advances on every reference, which is what makes a shard
      *  exact. */
-    explicit CacheSweep(const SweepConfig& cfg,
-                        ReuseDistProfile* profile = nullptr,
-                        int shard = 0, int shards = 1);
+    explicit CacheSweep(const SweepConfig& cfg, int shard = 0,
+                        int shards = 1);
 
     /** Issue one reference from processor @p p. */
     void access(ProcId p, Addr addr, int size, AccessType type);
@@ -223,14 +220,28 @@ class CacheSweep final : public RefSink
     std::uint64_t accesses() const;
 
     /** Aggregate miss rate at capacity @p size bytes and associativity
-     *  @p assoc (0 = fully associative). */
-    double missRate(std::uint64_t size, int assoc) const;
+     *  @p assoc (kFullyAssoc = fully associative). */
+    double
+    missRate(std::uint64_t size, int assoc) const
+    {
+        return result().missRate(size, assoc);
+    }
 
     /** Aggregate misses at the given operating point. */
-    std::uint64_t misses(std::uint64_t size, int assoc) const;
+    std::uint64_t
+    misses(std::uint64_t size, int assoc) const
+    {
+        return result().misses(size, assoc);
+    }
 
     /** The counters at every operating point of the grid. */
     SweepResult result() const;
+
+    /** The fully associative column: one reuse-distance row per
+     *  processor of the machine, filled for the simulated ones (an
+     *  empty profile when cfg.assocs does not list kFullyAssoc).
+     *  Shards' profiles sum like their results. */
+    const ReuseDistProfile& profile() const { return profile_; }
 
     /** Zero miss/access counters while keeping cache contents (for
      *  measuring past cold start). */
@@ -258,21 +269,6 @@ class CacheSweep final : public RefSink
         std::uint64_t misses = 0;
     };
 
-    /** Per-processor stack profile: the shared StackDistance core
-     *  plus the exact sweep's per-line distance histogram. */
-    struct StackProfiler
-    {
-        StackDistance core;
-        std::vector<std::uint64_t> hist;  // distance histogram (in lines)
-        std::uint64_t coldOrStale = 0;
-        std::uint64_t maxLines = 0;
-
-        void init(std::uint64_t max_lines);
-        /** Returns StackDistance::touch's outcome. */
-        std::uint64_t touch(Addr line, std::uint64_t oldVer,
-                            std::uint64_t newVer, bool isWrite);
-    };
-
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
 
     SweepConfig cfg_;
@@ -282,11 +278,31 @@ class CacheSweep final : public RefSink
     int first_ = 0;
     std::size_t nmine_ = 0;
     VersionCoherence coh_;
-    /** arrays_[p - first_][configIndex] */
+    /** arrays_[p - first_][i]: the i-th finite column in (size,
+     *  assoc) order. */
     std::vector<std::vector<TagArray>> arrays_;
-    std::vector<StackProfiler> stacks_;
+    /** stacks_[p - first_]; empty unless kFullyAssoc is listed. */
+    std::vector<StackDistance> stacks_;
     std::vector<std::uint64_t> accesses_;
-    ReuseDistProfile* profile_;
+    ReuseDistProfile profile_;
+};
+
+/** The fully associative column alone: a sweep for callers that want
+ *  only the reuse-distance profile. */
+class ReuseDistProfiler final : public RefSink
+{
+  public:
+    ReuseDistProfiler(int nprocs, int lineSize)
+        : sweep_({nprocs, lineSize, {}, {kFullyAssoc}})
+    {
+    }
+
+    void access(const AccessRec& r) override { sweep_.access(r); }
+    void resetStats() override { sweep_.resetStats(); }
+    ReuseDistProfile profile() const { return sweep_.profile(); }
+
+  private:
+    CacheSweep sweep_;
 };
 
 } // namespace splash::sim

@@ -20,9 +20,9 @@
  *
  * RefSink is the one consumer interface: every simulator that reads
  * the stream -- MemSystem, CacheSweep, the broadcast replay, the
- * reuse-distance profiler, the race detector, the trace recorder --
- * is a RefSink, fed the same way by a live rt::Env or by a trace
- * replay (harness/experiment.h runPass).
+ * race detector, the trace recorder -- is a RefSink, fed the same way
+ * by a live rt::Env or by a trace replay (harness/experiment.h
+ * runPass).
  */
 #ifndef SPLASH2_SIM_TRACE_H
 #define SPLASH2_SIM_TRACE_H

@@ -507,7 +507,7 @@ main(int argc, char** argv)
     // Engine flags first: informational requests (--protocol list)
     // and bad engine values resolve without requiring --app.
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
         return eng.listRequested ? 0 : 2;
     std::string name = opt.getS("app", "");
     std::vector<App*> apps;
@@ -630,7 +630,7 @@ main(int argc, char** argv)
     // With --sweep: the Figure-3 working-set engine instead of the
     // single-point memory-system characterization.  The line size is
     // the one cache parameter the sweep honors; --cachekb and --assoc
-    // are the grid's axes and are ignored.
+    // are the grid's axes, and checkModeConflicts rejects them.
     std::vector<WorkingSetRun> sweeps(apps.size());
     std::vector<RunStats> results(apps.size());
     Runner runner(eng.jobs);

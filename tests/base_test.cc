@@ -95,4 +95,15 @@ TEST(SweepErrors, RejectsUnknownOperatingPoint)
     sw.access(0, 0x1000, 8, AccessType::Read);
     EXPECT_DEATH((void)sw.misses(3000, 1), "operating point");
     EXPECT_DEATH((void)sw.misses(1024, 8), "operating point");
+    // A column the sweep does not list is no operating point either,
+    // fully associative included.
+    sc.assocs = {4};
+    sim::CacheSweep fourWay(sc);
+    fourWay.access(0, 0x1000, 8, AccessType::Read);
+    EXPECT_EQ(fourWay.misses(1024, 4), 1u);
+    EXPECT_DEATH((void)fourWay.misses(1024, 1), "operating point");
+    EXPECT_DEATH((void)fourWay.misses(1024, sim::kFullyAssoc),
+                 "operating point");
+    EXPECT_DEATH((void)fourWay.result().missRate(1024, sim::kFullyAssoc),
+                 "operating point");
 }

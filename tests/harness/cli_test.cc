@@ -33,11 +33,13 @@ optionsFor(std::vector<std::string> words)
     return Options(static_cast<int>(argv.size()), argv.data());
 }
 
-/** Run parseEngineOpts over a synthetic command line. */
+/** Run parseEngineOpts and parseSweepFlag over a synthetic command
+ *  line, the way the two sweeping binaries do. */
 bool
 parse(std::vector<std::string> words, EngineOpts* out)
 {
-    return parseEngineOpts(optionsFor(std::move(words)), out);
+    const Options opt = optionsFor(std::move(words));
+    return parseEngineOpts(opt, out) && parseSweepFlag(opt, out);
 }
 
 /** Parse @p words, then run the mode-conflict matrix over them the
@@ -49,7 +51,8 @@ parseAndCheck(std::vector<std::string> words, std::string* err = nullptr)
     const Options opt = optionsFor(std::move(words));
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
-    bool ok = parseEngineOpts(opt, &eng) && checkModeConflicts(opt, eng);
+    bool ok = parseEngineOpts(opt, &eng) && parseSweepFlag(opt, &eng) &&
+              checkModeConflicts(opt, eng);
     std::string captured = ::testing::internal::GetCapturedStderr();
     if (err)
         *err = captured;
@@ -305,6 +308,9 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
     // The working-set sweep models cache capacity only.
     EXPECT_FALSE(parseAndCheck({"--interconnect", "bus", "--sweep",
                                 "exact"}));
+    // The sweep's grid fixes capacity and associativity.
+    EXPECT_FALSE(parseAndCheck({"--sweep", "exact", "--cachekb", "64"}));
+    EXPECT_FALSE(parseAndCheck({"--assoc", "2", "--sweep", "model"}));
     // The coherence checker needs a memory system to audit.
     EXPECT_FALSE(parseAndCheck({"--check", "100", "--sweep", "exact"}));
     EXPECT_FALSE(parseAndCheck({"--sweep", "model", "--check", "1"}));
@@ -328,6 +334,8 @@ TEST(EngineOpts, ModeConflictMatrixRejected)
     EXPECT_TRUE(parseAndCheck({"--check", "100"}));
     EXPECT_TRUE(parseAndCheck({"--check", "0", "--sweep", "exact"}));
     EXPECT_TRUE(parseAndCheck({"--sweep", "both", "--race", "word"}));
+    EXPECT_TRUE(parseAndCheck({"--sweep", "both", "--line", "128"}));
+    EXPECT_TRUE(parseAndCheck({"--cachekb", "64", "--assoc", "2"}));
 }
 
 // All contradictory combinations -- including --record with --replay,
@@ -342,6 +350,8 @@ TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
         {"--interconnect", "bus", "--sweep", "both"},
         {"--inject", "ghost-exclusive"},
         {"--check", "100", "--sweep", "exact"},
+        {"--sweep", "both", "--cachekb", "64"},
+        {"--sweep", "exact", "--assoc", "2"},
         {"--check", "100", "--nomem"},
         {"--record", dir + "cli_conflict_store", "--replay", dir},
     };
@@ -392,7 +402,8 @@ TEST(OptionsDeathTest, NonNumericDoubleIsFatal)
 }
 
 // A flag no lookup asks for is an error, not a silent no-op: a typo
-// such as --replica would otherwise run the default.  The retired
+// such as --replica would otherwise run the default, and --sweep
+// would change nothing on a binary that runs no sweep.  The retired
 // --sweep-threads stays accepted, because existing benchmark command
 // lines pass `--sweep-threads 1` on every run.
 TEST(Options, FlagsNothingReadsAreRejected)
@@ -408,6 +419,8 @@ TEST(Options, FlagsNothingReadsAreRejected)
     EXPECT_EQ(err, "unknown flag --bogus-flag\n");
     EXPECT_FALSE(engineFlagsOnly({"--quick", "--seed", "7"}, &err));
     EXPECT_EQ(err, "unknown flag --quick\nunknown flag --seed\n");
+    EXPECT_FALSE(engineFlagsOnly({"--sweep", "model"}, &err));
+    EXPECT_EQ(err, "unknown flag --sweep\n");
     // `--key=value` is not this parser's syntax, and a bare word is no
     // flag at all.
     EXPECT_FALSE(engineFlagsOnly({"--jobs=2"}, &err));
@@ -459,7 +472,9 @@ runBinary(const std::string& cmd, std::string* err)
 } // namespace
 
 // End to end: splash2run and all twelve figure/table benches exit 2
-// with the diagnostic before simulating anything.
+// with the diagnostic before simulating anything; so does every bench
+// but fig3_working_sets given --sweep, which only it and splash2run
+// read.
 TEST(UnknownFlags, EveryBinaryExitsTwo)
 {
     std::vector<std::pair<std::string, std::string>> cases = {
@@ -473,16 +488,26 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
           "fig4_traffic", "fig5_ocean_scaling", "fig6_small_cache",
           "fig7_miss_classification", "table1_characterization",
           "table2_working_sets", "table3_comm_comp", "ablation_protocol",
-          "interconnect_traffic"})
-        cases.push_back({std::string("bench/") + b + " --quick --bogus",
-                         "--bogus"});
+          "interconnect_traffic"}) {
+        const std::string bin = std::string("bench/") + b;
+        cases.push_back({bin + " --quick --bogus", "--bogus"});
+        if (bin != "bench/fig3_working_sets")
+            cases.push_back({bin + " --quick --sweep model", "--sweep"});
+    }
     for (const auto& [cmd, flag] : cases) {
         std::string err;
         EXPECT_EQ(runBinary(cmd, &err), 2) << cmd;
         EXPECT_EQ(err, "unknown flag " + flag + "\n") << cmd;
     }
-    // The accepted spellings still run.
+    // A cache geometry flag beside --sweep is a conflict, not ignored.
     std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--sweep exact --cachekb 64 --assoc 2",
+                        &err),
+              2);
+    EXPECT_EQ(err.rfind("conflicting flags: --cachekb and --sweep", 0), 0u)
+        << err;
+    // The accepted spellings still run.
     EXPECT_EQ(runBinary("src/splash2run --list", &err), 0);
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
                         "--jobs 1 --replicas off --sweep-threads 1",

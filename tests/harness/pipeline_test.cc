@@ -2,8 +2,9 @@
 // source (live execution, live with --record, --replay of that
 // recording), both --replicas modes, and every kind of sink set (one
 // MemSystem fed directly, six line sizes through a broadcast, the
-// exact plus model working-set sweep, the word-granularity race
-// detector) must produce the statistics of the serial live oracle.
+// exact plus model working-set sweep, the model-only sweep, the
+// word-granularity race detector) must produce the statistics of the
+// serial live oracle.
 // A second case pins the reuse-distance fast path: a model sweep
 // replayed from a recorded profile sidecar.
 #include <dirent.h>
@@ -34,6 +35,7 @@ struct Outputs
     std::vector<RunStats> one;  ///< one MemSystem
     std::vector<RunStats> six;  ///< six line sizes
     WorkingSetRun sweep;        ///< exact + model sweep
+    WorkingSetRun model;        ///< --sweep model
     RunStats race;              ///< word-granularity race detector
 };
 
@@ -50,6 +52,8 @@ runAll(App& app, const AppConfig& cfg, SimOpts so)
     sc.nprocs = kProcs;
     so.sweep = sim::SweepMode::Both;
     out.sweep = runWorkingSets(app, kProcs, sc, cfg, so);
+    so.sweep = sim::SweepMode::Model;
+    out.model = runWorkingSets(app, kProcs, sc, cfg, so);
     so.race = sim::RaceGranularity::Word;
     out.race = runPram(app, kProcs, cfg, so);
     return out;
@@ -70,6 +74,10 @@ expectSameOutputs(const Outputs& want, const Outputs& got)
                 EXPECT_EQ(wsMissRate(want.sweep, size, assoc, model),
                           wsMissRate(got.sweep, size, assoc, model))
                     << size << "B " << assoc << "-way model " << model;
+    // The model-only sweep (threaded shards under --replicas on, the
+    // sidecar on replay) records the --sweep both profile.
+    expectSameRun(want.sweep.stats, got.model.stats);
+    EXPECT_TRUE(got.model.model == want.sweep.model);
     expectSameRun(want.race, got.race);
     ASSERT_TRUE(got.race.raceChecked);
     const sim::RaceOutcome& a = want.race.race;

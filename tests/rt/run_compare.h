@@ -13,7 +13,7 @@
 
 #include "harness/app.h"
 #include "harness/experiment.h"
-#include "sim/reusedist.h"
+#include "sim/sweep.h"
 
 namespace splash::testing {
 
@@ -48,23 +48,19 @@ characterize(const std::string& name, long n,
     return harness::withMem(std::move(r), mem);
 }
 
-/** The exact sweep of @p sc split into @p k processor-range shards
- *  behind a threaded broadcast: the engine --replicas on runs.  Feed
- *  sink(); result() and profile() flush it first. */
+/** The sweep of @p sc split into @p k processor-range shards behind
+ *  a threaded broadcast: the engine --replicas on runs.  Feed sink();
+ *  result() and profile() flush it first. */
 class SweepShards
 {
   public:
-    /** @param profiled each shard fills its processors' rows of a
-     *  reuse-distance profile (--sweep both). */
-    SweepShards(const sim::SweepConfig& sc, int k, bool profiled = false,
+    SweepShards(const sim::SweepConfig& sc, int k,
                 std::size_t chunkRecords =
                     sim::BroadcastReplay::kChunkRecords)
-        : rows_(k)
     {
         std::vector<sim::RefSink*> sinks;
         for (int i = 0; i < k; ++i) {
-            shards_.push_back(std::make_unique<sim::CacheSweep>(
-                sc, profiled ? &rows_[i] : nullptr, i, k));
+            shards_.push_back(std::make_unique<sim::CacheSweep>(sc, i, k));
             sinks.push_back(shards_.back().get());
         }
         cast_ = std::make_unique<sim::BroadcastReplay>(sinks, true,
@@ -84,21 +80,18 @@ class SweepShards
         return r;
     }
 
-    /** Each processor's profile row from the shard that owns it. */
+    /** The shards' fully associative profiles, summed. */
     sim::ReuseDistProfile
     profile()
     {
         cast_->flush();
-        sim::ReuseDistProfile p = rows_[0];
-        for (std::size_t i = 1; i < shards_.size(); ++i)
-            for (int q = shards_[i]->firstProc(); q < shards_[i]->endProc();
-                 ++q)
-                p.procs[q] = rows_[i].procs[q];
+        sim::ReuseDistProfile p;
+        for (const auto& s : shards_)
+            p += s->profile();
         return p;
     }
 
   private:
-    std::vector<sim::ReuseDistProfile> rows_;
     std::vector<std::unique_ptr<sim::CacheSweep>> shards_;
     /** Declared last, so it is destroyed before the shards it feeds. */
     std::unique_ptr<sim::BroadcastReplay> cast_;
@@ -111,7 +104,7 @@ expectSameSweep(const sim::CacheSweep& want, const sim::SweepResult& got,
 {
     EXPECT_EQ(want.accesses(), got.accesses()) << what;
     for (std::uint64_t size : want.config().sizes)
-        for (int assoc : {1, 2, 4, 0})
+        for (int assoc : want.config().assocs)
             EXPECT_EQ(want.misses(size, assoc), got.misses(size, assoc))
                 << what << ", " << size << "B " << assoc << "-way";
 }

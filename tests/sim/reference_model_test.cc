@@ -296,8 +296,7 @@ TEST_P(ReferenceFuzz, ShardedSweepStatExact)
     for (const AccessRec& r : recs)
         whole.access(r);
     for (int k : {2, 3, 4}) {
-        splash::testing::SweepShards shards(sc, k, false,
-                                            /*chunkRecords=*/512);
+        splash::testing::SweepShards shards(sc, k, /*chunkRecords=*/512);
         for (const AccessRec& r : recs)
             shards.sink().access(r);
         splash::testing::expectSameSweep(whole, shards.result(),

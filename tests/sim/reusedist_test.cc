@@ -1,7 +1,7 @@
 // Tests for the reuse-distance analytical fast path: histogram bucket
 // geometry, hand-computable predictions on synthetic streams, the
-// bit-for-bit fully-associative differential against the exact Mattson
-// sweep (and the profile the sweep fills from its own stacks), profile
+// differential of a sweep of the fully associative column alone
+// (--sweep model) against the full grid's profile, profile
 // serialization, and the profiler as a broadcast replica.
 #include <gtest/gtest.h>
 
@@ -192,10 +192,20 @@ TEST(ReuseDistModel, ProducerConsumerInvalidation)
 }
 
 // ----------------------------------------------------------------------
-// Differential: fully-associative predictions are bit-identical to the
-// exact Mattson sweep at every power-of-two capacity -- on sharing
-// streams too, because profiler and sweep share StackDistance and
-// VersionCoherence.
+// Differential: a sweep of the fully associative column alone, which
+// --sweep model runs, records the full grid's profile and fully
+// associative counts exactly -- on sharing streams too, because every
+// column reads the same coherence stamps.  (The fully associative
+// column's independent oracle is SweepVsMemSystem.)
+
+/** The sweep --sweep model runs for @p sc: its only column is fully
+ *  associative. */
+SweepConfig
+modelColumns(SweepConfig sc)
+{
+    sc.assocs = {kFullyAssoc};
+    return sc;
+}
 
 void
 expectFaBitIdentical(const std::vector<AccessRec>& recs, int nprocs)
@@ -203,21 +213,23 @@ expectFaBitIdentical(const std::vector<AccessRec>& recs, int nprocs)
     SweepConfig sc;
     sc.nprocs = nprocs;
     sc.lineSize = kLine;
-    ReuseDistProfile filled;  // by the sweep's own stacks
-    CacheSweep sweep(sc, &filled);
-    ReuseDistProfiler prof(nprocs, kLine);
+    CacheSweep sweep(sc);
+    CacheSweep fa(modelColumns(sc));
     for (const AccessRec& r : recs) {
-        sweep.access(r.proc, r.addr, r.size, r.type);
-        prof.access(r);
+        sweep.access(r);
+        fa.access(r);
     }
-    const ReuseDistProfile p = prof.profile();
+    const ReuseDistProfile& p = fa.profile();
     ASSERT_EQ(p.accesses(), sweep.accesses());
     for (std::uint64_t size : fig3Sizes()) {
-        EXPECT_EQ(p.faMisses(size), sweep.misses(size, 0)) << size;
-        EXPECT_DOUBLE_EQ(p.missRate(size, 0), sweep.missRate(size, 0))
+        EXPECT_EQ(fa.misses(size, kFullyAssoc),
+                  sweep.misses(size, kFullyAssoc))
+            << size;
+        EXPECT_DOUBLE_EQ(p.missRate(size, kFullyAssoc),
+                         sweep.missRate(size, kFullyAssoc))
             << size;
     }
-    EXPECT_TRUE(filled == p);
+    EXPECT_TRUE(sweep.profile() == p);
 }
 
 TEST(ReuseDistDifferential, FaMatchesExactSweepPrivateStreams)
@@ -239,34 +251,34 @@ TEST(ReuseDistDifferential, FaMatchesExactSweepSharedStreams)
 
 TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
 {
-    // resetStats is the measurement boundary in both engines: zeroed
-    // counters, warm stacks and coherence state.  A profile the sweep
-    // fills (whole, or row by row from processor-range shards) is
-    // zeroed at the same boundary.
+    // resetStats is the measurement boundary of every column: zeroed
+    // counters, warm stacks and coherence state.  The profile (whole,
+    // or summed over processor-range shards) is zeroed at the same
+    // boundary.
     auto recs = randomStream(4, 20000, 200, 55, false);
     SweepConfig sc;
     sc.nprocs = 4;
     sc.lineSize = kLine;
-    ReuseDistProfile filled;
-    CacheSweep sweep(sc, &filled);
-    ReuseDistProfiler prof(4, kLine);
+    CacheSweep sweep(sc);
+    CacheSweep fa(modelColumns(sc));
     for (std::size_t i = 0; i < recs.size(); ++i) {
         if (i == recs.size() / 2) {
             sweep.resetStats();
-            prof.resetStats();
+            fa.resetStats();
         }
-        sweep.access(recs[i].proc, recs[i].addr, recs[i].size,
-                     recs[i].type);
-        prof.access(recs[i]);
+        sweep.access(recs[i]);
+        fa.access(recs[i]);
     }
-    const ReuseDistProfile p = prof.profile();
+    const ReuseDistProfile& p = fa.profile();
     ASSERT_EQ(p.accesses(), sweep.accesses());
     for (std::uint64_t size : fig3Sizes())
-        EXPECT_EQ(p.faMisses(size), sweep.misses(size, 0)) << size;
-    EXPECT_TRUE(filled == p);
+        EXPECT_EQ(fa.misses(size, kFullyAssoc),
+                  sweep.misses(size, kFullyAssoc))
+            << size;
+    EXPECT_TRUE(sweep.profile() == p);
 
     for (int k : {2, 4}) {
-        splash::testing::SweepShards shards(sc, k, /*profiled=*/true,
+        splash::testing::SweepShards shards(modelColumns(sc), k,
                                             /*chunkRecords=*/256);
         for (std::size_t i = 0; i < recs.size(); ++i) {
             if (i == recs.size() / 2)
@@ -279,19 +291,20 @@ TEST(ReuseDistDifferential, FaMatchesAfterResetStats)
 
 TEST(ReuseDistDifferential, UnalignedAccessesSplitLikeSweep)
 {
-    // Line-spanning references count once per touched line in both
-    // engines.
+    // Line-spanning references count once per touched line in every
+    // column list.
     SweepConfig sc;
     sc.nprocs = 1;
     sc.lineSize = kLine;
     CacheSweep sweep(sc);
-    ReuseDistProfiler prof(1, kLine);
+    CacheSweep fa(modelColumns(sc));
     AccessRec r = rec(0, kLine - 2, AccessType::Read);
     r.size = 8;  // spans two lines
-    sweep.access(r.proc, r.addr, r.size, r.type);
-    prof.access(r);
-    EXPECT_EQ(prof.profile().accesses(), 2u);
-    EXPECT_EQ(prof.profile().accesses(), sweep.accesses());
+    sweep.access(r);
+    fa.access(r);
+    EXPECT_EQ(fa.profile().accesses(), 2u);
+    EXPECT_EQ(fa.accesses(), sweep.accesses());
+    EXPECT_TRUE(fa.profile() == sweep.profile());
 }
 
 // ----------------------------------------------------------------------

@@ -1,7 +1,9 @@
 // Tests for the single-pass multi-configuration cache sweep, including
-// cross-validation against the full MemSystem simulator, exactness of
-// processor-range shards on a threaded broadcast, and reproduction of
-// the committed Figure 3 curves.
+// cross-validation against the full MemSystem simulator (every
+// column, fully associative too), column lists that leave the listed
+// columns' counts unchanged, exactness of processor-range shards on a
+// threaded broadcast, and reproduction of the committed Figure 3
+// curves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -52,7 +54,8 @@ rec(ProcId p, Addr a, int size, AccessType t)
 }
 
 std::vector<Access>
-randomStream(int nprocs, int n, std::uint64_t lines, std::uint64_t seed)
+randomStream(int nprocs, int n, std::uint64_t lines, std::uint64_t seed,
+             bool readOnly = false)
 {
     std::vector<Access> out;
     out.reserve(n);
@@ -62,7 +65,8 @@ randomStream(int nprocs, int n, std::uint64_t lines, std::uint64_t seed)
         Access acc;
         acc.p = static_cast<ProcId>((x >> 60) % nprocs);
         acc.a = 0x200000 + ((x >> 30) % lines) * 64 + ((x >> 20) % 8) * 8;
-        acc.t = ((x >> 13) & 3) == 0 ? AccessType::Write : AccessType::Read;
+        acc.t = ((x >> 13) & 3) == 0 && !readOnly ? AccessType::Write
+                                                  : AccessType::Read;
         out.push_back(acc);
     }
     return out;
@@ -162,7 +166,11 @@ TEST(Sweep, UpgradeOfSharedLineIsAHit)
 
 // Cross-validation: for any operating point present in both simulators
 // (same size/assoc/line, LRU, MESI), total misses must agree exactly on
-// the same deterministic stream.
+// the same deterministic stream.  A fully associative MemSystem (assoc
+// 0, Cache's list mode) is an LRU independent of the Mattson stack, but
+// it agrees only without invalidations: an invalidated line keeps its
+// stack position, while MemSystem frees its slot.  So the fully
+// associative cases at P > 1 run the read-only variant of the stream.
 class SweepVsMemSystem
     : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>>
 {};
@@ -170,6 +178,7 @@ class SweepVsMemSystem
 TEST_P(SweepVsMemSystem, MissCountsAgree)
 {
     auto [nprocs, assoc, size] = GetParam();
+    const bool readOnly = assoc == kFullyAssoc && nprocs > 1;
 
     SweepConfig sc;
     sc.nprocs = nprocs;
@@ -182,7 +191,8 @@ TEST_P(SweepVsMemSystem, MissCountsAgree)
     mc.cache.lineSize = 64;
     MemSystem mem(mc);
 
-    for (const auto& acc : randomStream(nprocs, 60000, 1500, size + assoc)) {
+    for (const auto& acc :
+         randomStream(nprocs, 60000, 1500, size + assoc, readOnly)) {
         sw.access(acc.p, acc.a, 8, acc.t);
         mem.access(acc.p, acc.a, 8, acc.t);
     }
@@ -196,6 +206,37 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t(1) << 10,
                                          std::uint64_t(1) << 13,
                                          std::uint64_t(1) << 16)));
+
+INSTANTIATE_TEST_SUITE_P(
+    FullyAssociative, SweepVsMemSystem,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(kFullyAssoc),
+                       ::testing::Values(std::uint64_t(1) << 10,
+                                         std::uint64_t(1) << 13,
+                                         std::uint64_t(1) << 16)));
+
+// A sweep simulates only the columns it lists, and listing fewer never
+// changes a listed column: Table 2 sweeps {4} alone.  Each column sees
+// the same coherence stamps whatever else is simulated, so the counts
+// match the full grid's even under heavy invalidation.
+TEST(SweepColumns, FourWayAloneMatchesFullGrid)
+{
+    SweepConfig sc;
+    sc.nprocs = 8;
+    CacheSweep full(sc);
+    sc.assocs = {4};
+    CacheSweep fourWay(sc);
+    // 8 processors on a 300-line pool: most references invalidate.
+    for (const auto& acc : randomStream(8, 60000, 300, 31)) {
+        full.access(acc.p, acc.a, 8, acc.t);
+        fourWay.access(acc.p, acc.a, 8, acc.t);
+    }
+    EXPECT_EQ(fourWay.accesses(), full.accesses());
+    for (std::uint64_t size : sc.sizes)
+        EXPECT_EQ(fourWay.misses(size, 4), full.misses(size, 4)) << size;
+    EXPECT_TRUE(fourWay.profile().procs.empty())
+        << "no stack walk without the fully associative column";
+}
 
 TEST(Sweep, CompactionPreservesCounts)
 {
@@ -249,7 +290,7 @@ TEST(SweepShards, MatchWholeSweepForAnyShardCount)
 
     for (int k : {2, 3, 4}) {
         // Tiny chunks force constant publish/recycle cycling.
-        SweepShards shards(sc, k, false, /*chunkRecords=*/256);
+        SweepShards shards(sc, k, /*chunkRecords=*/256);
         for (const auto& acc : stream)
             shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
         expectSameSweep(whole, shards.result(),
@@ -274,7 +315,7 @@ TEST(SweepShards, ShardCountClampedToProcessorCount)
             shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
         expectSameSweep(whole, shards.result(),
                         "P=" + std::to_string(nprocs));
-        CacheSweep last(sc, nullptr, k - 1, k);
+        CacheSweep last(sc, k - 1, k);
         EXPECT_EQ(last.firstProc(), nprocs - 1);
         EXPECT_EQ(last.endProc(), nprocs);
     }
@@ -289,7 +330,7 @@ TEST(SweepShards, ResetStatsMidStreamMatchesWholeSweep)
     auto stream = randomStream(4, 30000, 1200, 99);
 
     CacheSweep whole(sc);
-    SweepShards shards(sc, 3, false, /*chunkRecords=*/512);
+    SweepShards shards(sc, 3, /*chunkRecords=*/512);
     for (std::size_t i = 0; i < stream.size(); ++i) {
         if (i == stream.size() / 2) {
             whole.resetStats();
@@ -317,18 +358,18 @@ TEST(SweepShards, LineSpanningAccessCountsOncePerLine)
 
 TEST(SweepShards, ProfileRowsEqualWholeSweep)
 {
-    // --sweep both: each shard's stacks fill its own processors' rows.
+    // Each shard's stacks fill its own processors' rows; the shards'
+    // profiles sum to the whole sweep's.
     SweepConfig sc;
     sc.nprocs = 8;
-    ReuseDistProfile filled;
-    CacheSweep whole(sc, &filled);
+    CacheSweep whole(sc);
     auto stream = randomStream(8, 40000, 600, 2024);
-    SweepShards shards(sc, 3, /*profiled=*/true, /*chunkRecords=*/512);
+    SweepShards shards(sc, 3, /*chunkRecords=*/512);
     for (const auto& acc : stream) {
         whole.access(acc.p, acc.a, 8, acc.t);
         shards.sink().access(rec(acc.p, acc.a, 8, acc.t));
     }
-    EXPECT_TRUE(shards.profile() == filled);
+    EXPECT_TRUE(shards.profile() == whole.profile());
 }
 
 // ----------------------------------------------------------------------
