@@ -19,10 +19,10 @@
 
 namespace splash::rt {
 
-SharedHeap::SharedHeap(int nprocs, int lineSize)
-    : nprocs_(nprocs), lineShift_(log2i(lineSize))
+SharedHeap::SharedHeap(int nprocs, int lineSize) : nprocs_(nprocs)
 {
     ensure(isPow2(lineSize), "line size must be a power of two");
+    placement_.reset(nprocs, lineSize);
 }
 
 SharedHeap::~SharedHeap()
@@ -77,20 +77,7 @@ SharedHeap::setHome(const void* p, std::size_t bytes, ProcId home)
     Addr start = toSim(reinterpret_cast<Addr>(p));
     if (preMutate_)
         preMutate_(start, bytes, home);
-    homes_[start] = Span{start + bytes, home};
-}
-
-ProcId
-SharedHeap::homeOf(Addr lineAddr) const
-{
-    auto it = homes_.upper_bound(lineAddr);
-    if (it != homes_.begin()) {
-        --it;
-        if (lineAddr < it->second.end)
-            return it->second.home;
-    }
-    // Unplaced data: interleave lines round-robin across nodes.
-    return static_cast<ProcId>((lineAddr >> lineShift_) % nprocs_);
+    placement_.apply(start, bytes, home);
 }
 
 } // namespace splash::rt

@@ -31,7 +31,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <map>
 
 #include "base/types.h"
 #include "sim/directory.h"
@@ -66,7 +65,11 @@ class SharedHeap : public sim::HomeResolver
 
     /** HomeResolver: home node of the line containing @p lineAddr
      *  (a *simulated* address). */
-    ProcId homeOf(Addr lineAddr) const override;
+    ProcId
+    homeOf(Addr lineAddr) const override
+    {
+        return placement_.homeOf(lineAddr);
+    }
 
     /** Translate a host address into the simulated address space.
      *  Addresses outside the arena pass through unchanged (private or
@@ -94,19 +97,12 @@ class SharedHeap : public sim::HomeResolver
     std::size_t bytesAllocated() const { return allocated_; }
 
   private:
-    struct Span
-    {
-        Addr end;
-        ProcId home;
-    };
-
     int nprocs_;
-    int lineShift_;
     std::size_t allocated_ = 0;
     Addr base_ = 0;           ///< host base of the mmap reservation
     std::size_t cursor_ = 0;  ///< next free arena offset
     std::function<void(Addr, std::size_t, ProcId)> preMutate_;
-    std::map<Addr, Span> homes_;  // key: simulated span start address
+    sim::ReplayPlacement placement_;  ///< spans in simulated addresses
 };
 
 } // namespace splash::rt

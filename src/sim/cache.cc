@@ -10,6 +10,7 @@ Cache::Cache(const CacheConfig& cfg, const Protocol& proto) : cfg_(cfg)
     for (int i = 0; i < kNumLineStates; ++i)
         writeNext_[i] = proto.silentWriteNext[i];
     ways_ = cfg_.assoc == 0 ? cfg_.numLines() : cfg_.assoc;
+    lineShift_ = log2i(cfg_.lineSize);
     numSets_ = cfg_.numLines() / ways_;
     big_ = ways_ > 16;
     if (!big_)
@@ -31,43 +32,26 @@ Cache::probeForBig(Addr lineAddr, AccessType type)
     return st;
 }
 
-Cache::Way*
+Addr*
 Cache::findWay(Addr lineAddr)
 {
-    Way* base = &sets_[setIndex(lineAddr) * ways_];
+    Addr* base = &sets_[setIndex(lineAddr) * ways_];
     for (int w = 0; w < ways_; ++w) {
-        if (base[w].state != LineState::Invalid && base[w].tag == lineAddr)
+        if (holds(base[w], lineAddr))
             return &base[w];
     }
     return nullptr;
 }
 
-const Cache::Way*
+const Addr*
 Cache::findWay(Addr lineAddr) const
 {
-    const Way* base = &sets_[setIndex(lineAddr) * ways_];
+    const Addr* base = &sets_[setIndex(lineAddr) * ways_];
     for (int w = 0; w < ways_; ++w) {
-        if (base[w].state != LineState::Invalid && base[w].tag == lineAddr)
+        if (holds(base[w], lineAddr))
             return &base[w];
     }
     return nullptr;
-}
-
-LineState
-Cache::probe(Addr lineAddr)
-{
-    if (big_) {
-        auto it = index_.find(lineAddr);
-        if (it == index_.end())
-            return LineState::Invalid;
-        lru_.splice(lru_.begin(), lru_, it->second);
-        return it->second->second;
-    }
-    Way* w = findWay(lineAddr);
-    if (!w)
-        return LineState::Invalid;
-    w->lastUse = ++useClock_;
-    return w->state;
 }
 
 LineState
@@ -77,8 +61,8 @@ Cache::peek(Addr lineAddr) const
         auto it = index_.find(lineAddr);
         return it == index_.end() ? LineState::Invalid : it->second->second;
     }
-    const Way* w = findWay(lineAddr);
-    return w ? w->state : LineState::Invalid;
+    const Addr* w = findWay(lineAddr);
+    return w ? stateOf(*w) : LineState::Invalid;
 }
 
 void
@@ -91,9 +75,9 @@ Cache::setState(Addr lineAddr, LineState st)
         it->second->second = st;
         return;
     }
-    Way* w = findWay(lineAddr);
+    Addr* w = findWay(lineAddr);
     ensure(w != nullptr, "setState on absent line");
-    w->state = st;
+    *w = lineAddr | static_cast<Addr>(st);
 }
 
 Cache::Victim
@@ -116,27 +100,19 @@ Cache::fill(Addr lineAddr, LineState st)
         return v;
     }
     ensure(findWay(lineAddr) == nullptr, "fill of already-present line");
-    Way* base = &sets_[setIndex(lineAddr) * ways_];
-    Way* slot = nullptr;
-    for (int w = 0; w < ways_; ++w) {
-        if (base[w].state == LineState::Invalid) {
-            slot = &base[w];
-            break;
-        }
-    }
-    if (!slot) {
-        slot = &base[0];
-        for (int w = 1; w < ways_; ++w) {
-            if (base[w].lastUse < slot->lastUse)
-                slot = &base[w];
-        }
+    Addr* base = &sets_[setIndex(lineAddr) * ways_];
+    // The first empty way, else the last (least recently used) one.
+    int slot = 0;
+    while (slot < ways_ - 1 && base[slot] != 0)
+        ++slot;
+    if (base[slot] != 0) {
         v.valid = true;
-        v.lineAddr = slot->tag;
-        v.state = slot->state;
+        v.lineAddr = base[slot] & ~kStateMask;
+        v.state = stateOf(base[slot]);
     }
-    slot->tag = lineAddr;
-    slot->state = st;
-    slot->lastUse = ++useClock_;
+    for (; slot > 0; --slot)
+        base[slot] = base[slot - 1];
+    base[0] = lineAddr | static_cast<Addr>(st);
     return v;
 }
 
@@ -151,9 +127,9 @@ Cache::invalidate(Addr lineAddr)
         index_.erase(it);
         return;
     }
-    Way* w = findWay(lineAddr);
+    Addr* w = findWay(lineAddr);
     if (w)
-        w->state = LineState::Invalid;
+        *w = 0;
 }
 
 std::uint64_t
@@ -162,8 +138,8 @@ Cache::residentLines() const
     if (big_)
         return index_.size();
     std::uint64_t n = 0;
-    for (const auto& w : sets_) {
-        if (w.state != LineState::Invalid)
+    for (Addr w : sets_) {
+        if (w != 0)
             ++n;
     }
     return n;

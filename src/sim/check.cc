@@ -97,11 +97,11 @@ CoherenceChecker::checkOneLine(Addr line, const DirEntry* d,
         report(out, n, "multiple-modified", line,
                fmt("%d caches hold line 0x%" PRIxPTR " Modified",
                    modified, line));
-    if (d && d->empty())
+    if (d && d->empty() && (d->dirty || d->owner != -1))
         report(out, n, "dir-entry-empty", line,
                fmt("directory entry for line 0x%" PRIxPTR
-                   " has no sharers but was not erased",
-                   line));
+                   " has no sharers but is %s with owner %d",
+                   line, d->dirty ? "dirty" : "clean", d->owner));
     if (d && d->dirty) {
         if (d->owner < 0 || d->owner >= cfg.nprocs ||
             !d->isSharer(d->owner) ||
@@ -185,9 +185,7 @@ CoherenceChecker::checkLine(Addr lineAddr,
         checkOneLineBus(lineAddr, out, n);
         return n;
     }
-    auto it = mem_.dir_.find(lineAddr);
-    checkOneLine(lineAddr, it == mem_.dir_.end() ? nullptr : &it->second,
-                 out, n);
+    checkOneLine(lineAddr, mem_.dir_.find(lineAddr), out, n);
     return n;
 }
 
@@ -253,13 +251,14 @@ CoherenceChecker::checkAll(std::vector<Violation>* out) const
         n += checkTraffic(out);
         return n;
     }
+    // Every entry, those with no sharers included (uncached lines).
     std::uint64_t reachable = 0;
-    for (const auto& [line, d] : mem_.dir_) {
+    mem_.dir_.forEach([&](Addr line, const DirEntry& d) {
         checkOneLine(line, &d, out, n);
         for (int p = 0; p < mem_.cfg_.nprocs; ++p)
             if (mem_.caches_[p].peek(line) != LineState::Invalid)
                 ++reachable;
-    }
+    });
     // Catch cached lines with no directory entry at all: every
     // resident line must be visible through some entry above.
     std::uint64_t resident = 0;

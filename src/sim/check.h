@@ -31,7 +31,9 @@
  *    is the sole sharer (reconcileDir repairs the entry at the next
  *    consult).  Any wider desync -- or any such copy under a protocol
  *    without clean-exclusive -- is corruption.
- *  - dir-entry-empty: entries with no sharers are erased eagerly.
+ *  - dir-entry-empty: directory entries are never erased; an entry
+ *    with no sharers stands for an uncached line, so it must be clean
+ *    (not dirty) and name no owner (owner == -1).
  *  - resident-count:  per line, the number of cached copies matches
  *    the sharer count (equality with hints, <= without).
  *  - traffic-conservation: every byte of data traffic was produced by
@@ -105,7 +107,7 @@ class CoherenceChecker
     std::size_t checkTraffic(std::vector<Violation>* out = nullptr) const;
 
   private:
-    /** Per-line rules; @p d is null when no directory entry exists. */
+    /** Per-line rules; @p d is null when the line was never cached. */
     void checkOneLine(Addr line, const DirEntry* d,
                       std::vector<Violation>* out, std::size_t& n) const;
     /** Per-line rules for the snoopy bus (no directory to consult). */

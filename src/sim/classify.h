@@ -15,22 +15,25 @@
  *    was written by another processor since the copy was lost, otherwise
  *    *false sharing*.
  *
- * Word granularity is 8 bytes.  Every write bumps per-word version
- * counters on the line; when a processor is invalidated we snapshot the
- * counters, and at re-miss time we compare the accessed words against
- * the snapshot.  The snapshot is taken *before* the triggering write is
- * recorded, so the write that caused the invalidation participates in
- * the comparison.
+ * Word granularity is 8 bytes.  A write clock advances once per
+ * recorded write, and every written word keeps the clock value of its
+ * latest write.  A loss is one clock value per (processor, line): the
+ * clock at the moment of invalidation, or kReplaced.  At re-miss time
+ * an accessed word whose last write is later than the loss clock was
+ * written since the copy was lost.  The loss is recorded *before* the
+ * triggering write, so the write that caused the invalidation
+ * participates in the comparison.
  */
 #ifndef SPLASH2_SIM_CLASSIFY_H
 #define SPLASH2_SIM_CLASSIFY_H
 
+#include <cstddef>
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/log.h"
 #include "base/types.h"
+#include "sim/linetable.h"
 #include "sim/stats.h"
 
 namespace splash::sim {
@@ -41,29 +44,27 @@ class MissClassifier
     /** @param nprocs number of processors; @param lineSize in bytes. */
     MissClassifier(int nprocs, int lineSize);
 
-    /** Record that processor @p p wrote [addr, addr+size). Call after any
+    /** Record a write of [addr, addr+size). Call after any
      *  invalidations triggered by this write have been reported.
      *  Inline and memoized on the last written line: it runs on the
      *  write-hit fast path, where consecutive writes usually land on
-     *  the same line.  Safe because map values are node-stable and
-     *  never erased. */
+     *  the same line.  The memo is a pool index, not a pointer,
+     *  because the pool grows. */
     void
     recordWrite(Addr addr, int size)
     {
         Addr line = lineOf(addr);
-        std::vector<std::uint64_t>* vers = lastVers_;
-        if (line != lastLine_ || !vers) [[unlikely]] {
-            vers = &wordVersion_[line];
-            if (vers->empty())
-                vers->assign(wordsPerLine_, 0);
+        if (line != lastLine_) [[unlikely]] {
+            lastWords_ = wordsOf(line);
             lastLine_ = line;
-            lastVers_ = vers;
         }
         int first = static_cast<int>((addr - line) / kWordBytes);
         int last = static_cast<int>((addr + size - 1 - line) / kWordBytes);
         ensure(last < wordsPerLine_, "write spans past line end");
+        ++clock_;
+        std::uint64_t* words = &writeClock_[lastWords_];
         for (int w = first; w <= last; ++w)
-            ++(*vers)[w];
+            words[w] = clock_;
     }
 
     /** Processor @p p lost its copy of @p lineAddr to a coherence
@@ -79,28 +80,29 @@ class MissClassifier
 
   private:
     static constexpr int kWordBytes = 8;
+    /** Loss value of a replacement (no write clock reaches it). */
+    static constexpr std::uint64_t kReplaced = ~std::uint64_t{0};
 
-    enum class LossCause : std::uint8_t { Invalidated, Replaced };
-
-    struct LostCopy
-    {
-        LossCause cause;
-        /** Word versions at the time the copy was lost (empty for
-         *  replacement losses and for never-written lines). */
-        std::vector<std::uint64_t> snapshot;
-    };
+    /** Pool index of @p line's first word, claimed zeroed on first use. */
+    std::size_t wordsOf(Addr line);
 
     int wordsPerLine_;
     int lineSize_;
 
-    /** Current per-word write version of every line ever written. */
-    std::unordered_map<Addr, std::vector<std::uint64_t>> wordVersion_;
-    /** recordWrite memo: the last line written and its version vector. */
-    Addr lastLine_ = 0;
-    std::vector<std::uint64_t>* lastVers_ = nullptr;
+    /** Writes recorded so far; a word's entry is the clock value of its
+     *  latest write (0: never written). */
+    std::uint64_t clock_ = 0;
+    /** Per-word last-write clocks, wordsPerLine_ per written line. */
+    std::vector<std::uint64_t> writeClock_;
+    /** Written line -> 1 + its slot in writeClock_ (0: none yet). */
+    LineTable<std::uint32_t> slot_;
+    /** recordWrite memo: the last line written and its pool index. */
+    Addr lastLine_ = ~Addr{0};
+    std::size_t lastWords_ = 0;
 
-    /** Per-processor record of how each line was last lost. */
-    std::vector<std::unordered_map<Addr, LostCopy>> lost_;
+    /** Per-processor loss of each line: the write clock when the copy
+     *  was invalidated, or kReplaced. */
+    std::vector<LineTable<std::uint64_t>> lost_;
 
     Addr lineOf(Addr a) const { return alignDown(a, lineSize_); }
 };

@@ -11,6 +11,7 @@
 #define SPLASH2_SIM_DIRECTORY_H
 
 #include <cstdint>
+#include <map>
 
 #include "base/log.h"
 #include "base/types.h"
@@ -93,6 +94,54 @@ class InterleavedHome : public HomeResolver
   private:
     int nprocs_;
     int lineShift_;
+};
+
+/** Home placement by address span, with the line-interleaved fallback
+ *  of InterleavedHome for unplaced lines.  rt::SharedHeap keeps the
+ *  live placement in one (SharedHeap::setHome); a replay rebuilds one
+ *  from the recorded placement events, in stream order, so replayed
+ *  MemSystem replicas resolve homes without the runtime.  A span
+ *  applied at an existing start address replaces that span. */
+class ReplayPlacement final : public HomeResolver
+{
+  public:
+    void
+    reset(int nprocs, int lineSize = 64)
+    {
+        nprocs_ = nprocs;
+        lineShift_ = log2i(static_cast<std::uint64_t>(lineSize));
+        homes_.clear();
+    }
+
+    /** [start, start+bytes) is homed at node @p home. */
+    void
+    apply(Addr start, std::uint64_t bytes, ProcId home)
+    {
+        homes_[start] = Span{start + bytes, home};
+    }
+
+    ProcId
+    homeOf(Addr lineAddr) const override
+    {
+        auto it = homes_.upper_bound(lineAddr);
+        if (it != homes_.begin()) {
+            --it;
+            if (lineAddr < it->second.end)
+                return it->second.home;
+        }
+        // Unplaced data: interleave lines round-robin across nodes.
+        return static_cast<ProcId>((lineAddr >> lineShift_) % nprocs_);
+    }
+
+  private:
+    struct Span
+    {
+        Addr end;
+        ProcId home;
+    };
+    int nprocs_ = 1;
+    int lineShift_ = 6;
+    std::map<Addr, Span> homes_;  ///< keyed by span start
 };
 
 } // namespace splash::sim

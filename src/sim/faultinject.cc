@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -42,18 +43,21 @@ sortTargets(std::vector<Target>& v)
 }
 
 /** Collect (line, proc) pairs satisfying @p pred over every directory
- *  entry, in deterministic sorted order.  unordered_map iteration
- *  order is not stable across runs/platforms, hence the sort. */
+ *  entry with sharers, in sorted order: the table's slot order depends
+ *  on its growth history, not on the line.  Entries with no sharers
+ *  stand for uncached lines and offer no target. */
 template <typename Pred>
 std::vector<Target>
-candidates(const std::unordered_map<Addr, DirEntry>& dir, int nprocs,
-           Pred pred)
+candidates(const LineTable<DirEntry>& dir, int nprocs, Pred pred)
 {
     std::vector<Target> v;
-    for (const auto& [line, d] : dir)
+    dir.forEach([&](Addr line, const DirEntry& d) {
+        if (d.empty())
+            return;
         for (ProcId p = 0; p < nprocs; ++p)
             if (pred(line, d, p))
                 v.push_back({line, p});
+    });
     sortTargets(v);
     return v;
 }

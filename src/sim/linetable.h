@@ -2,9 +2,10 @@
  * @file
  * Open-addressed table keyed by line (or granule) address.
  *
- * The working-set sweep and the race detector look up per-line state
- * on every reference: the version stamp, a Mattson stack's last-touch
- * time, a race shadow word.  A node-based hash map pays an allocation
+ * The working-set sweep, the race detector and the memory system look
+ * up per-line state on every reference: the version stamp, a Mattson
+ * stack's last-touch time, a race shadow word, a directory entry, a
+ * miss classifier's loss clock.  A node-based hash map pays an allocation
  * per line and a pointer chase per lookup; this table stores the
  * values inline in one power-of-two array, probed linearly from a
  * multiplicative hash.  Entries are never erased, so a slot once
@@ -30,11 +31,18 @@ class LineTable
   public:
     LineTable() { resize(kInitialSlots); }
 
-    /** The value stored under @p key, or nullptr. */
+    /** The value stored under @p key, or nullptr.  The pointer is
+     *  valid until the next insertion. */
     const V*
     find(Addr key) const
     {
         const Slot& s = slots_[probe(key)];
+        return s.key == key ? &s.value : nullptr;
+    }
+    V*
+    find(Addr key)
+    {
+        Slot& s = slots_[probe(key)];
         return s.key == key ? &s.value : nullptr;
     }
 
@@ -64,6 +72,14 @@ class LineTable
     forEach(F&& f)
     {
         for (Slot& s : slots_)
+            if (s.key != kEmpty)
+                f(s.key, s.value);
+    }
+    template <typename F>
+    void
+    forEach(F&& f) const
+    {
+        for (const Slot& s : slots_)
             if (s.key != kEmpty)
                 f(s.key, s.value);
     }

@@ -294,6 +294,9 @@ MemSystem::runDirTransition(ProcId p, Addr lineAddr, ProtoEvent ev,
     ProcId home = homeOf(lineAddr);
     packet(p, p, home);  // request to the home
 
+    // A LineTable reference dies at the next insertion, so nothing in
+    // this transaction may insert: evictVictim looks its entry up with
+    // find().
     auto& d = dir_[lineAddr];
     reconcileDir(lineAddr, d);
     DirGroup g = d.empty() ? DirGroup::Uncached
@@ -407,9 +410,9 @@ MemSystem::evictVictim(ProcId p, const Cache::Victim& v)
         return;
     }
     ProcId home = homeOf(v.lineAddr);
-    auto it = dir_.find(v.lineAddr);
-    ensure(it != dir_.end(), "evicted line missing from directory");
-    DirEntry& d = it->second;
+    DirEntry* e = dir_.find(v.lineAddr);
+    ensure(e != nullptr, "evicted line missing from directory");
+    DirEntry& d = *e;
 
     if (stateIn(proto_.ownerStates, v.state)) {
         // Evicting an owner state (M, and O/Sm where the protocol has
@@ -426,8 +429,6 @@ MemSystem::evictVictim(ProcId p, const Cache::Victim& v)
     // Without hints the stale sharer bit stays set until the next
     // invalidation discovers the copy is gone.
     classifier_.noteReplaced(p, v.lineAddr);
-    if (d.empty())
-        dir_.erase(it);
 }
 
 void
@@ -553,8 +554,8 @@ MemSystem::lineState(ProcId p, Addr addr) const
 const DirEntry*
 MemSystem::dirEntry(Addr addr) const
 {
-    auto it = dir_.find(lineOf(addr));
-    return it == dir_.end() ? nullptr : &it->second;
+    const DirEntry* d = dir_.find(lineOf(addr));
+    return d && !d->empty() ? d : nullptr;
 }
 
 bool

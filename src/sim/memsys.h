@@ -41,7 +41,6 @@
 #define SPLASH2_SIM_MEMSYS_H
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/log.h"
@@ -51,6 +50,7 @@
 #include "sim/classify.h"
 #include "sim/config.h"
 #include "sim/directory.h"
+#include "sim/linetable.h"
 #include "sim/stats.h"
 #include "sim/trace.h"
 
@@ -77,8 +77,9 @@ class MemSystem final : public RefSink
      *
      *  Inlined hit fast path: a read hit in any valid state and a
      *  write hit in one of the protocol's silent-hit states touch only
-     *  the requester's tag array (LRU + the protocol's silent write
-     *  promotion), the word-version vector, and the per-processor
+     *  the requester's tag array (the hit way moves to the front of its
+     *  set; writes take the protocol's silent promotion), the
+     *  classifier's per-word write clock, and the per-processor
      *  counters.  Directory lookup, home resolution, and traffic
      *  accounting happen only on the slow paths; the directory's dirty
      *  bit is reconciled lazily (see reconcileDir). */
@@ -227,7 +228,9 @@ class MemSystem final : public RefSink
     const HomeResolver* homes_;
     InterleavedHome defaultHomes_;
     std::vector<Cache> caches_;
-    std::unordered_map<Addr, DirEntry> dir_;
+    /** Full-map directory.  Entries are never erased: one with no
+     *  sharers stands for an uncached line (clean, no owner). */
+    LineTable<DirEntry> dir_;
     MissClassifier classifier_;
     std::vector<MemStats> stats_;
 

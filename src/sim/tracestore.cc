@@ -248,35 +248,6 @@ TraceMeta::fileName() const
 }
 
 // ---------------------------------------------------------------------
-// ReplayPlacement (mirrors rt::SharedHeap span semantics).
-
-void
-ReplayPlacement::reset(int nprocs, int lineSize)
-{
-    nprocs_ = nprocs;
-    lineShift_ = log2i(static_cast<std::uint64_t>(lineSize));
-    homes_.clear();
-}
-
-void
-ReplayPlacement::apply(Addr start, std::uint64_t bytes, ProcId home)
-{
-    homes_[start] = Span{start + bytes, home};
-}
-
-ProcId
-ReplayPlacement::homeOf(Addr lineAddr) const
-{
-    auto it = homes_.upper_bound(lineAddr);
-    if (it != homes_.begin()) {
-        --it;
-        if (lineAddr < it->second.end)
-            return it->second.home;
-    }
-    return static_cast<ProcId>((lineAddr >> lineShift_) % nprocs_);
-}
-
-// ---------------------------------------------------------------------
 // TraceWriter.
 
 TraceWriter::TraceWriter(std::string path, const TraceMeta& meta,
@@ -662,7 +633,7 @@ TraceReader::replay(RefSink* sink, std::string* err)
                     return fail(c, "first record names no processor");
                 }
                 if ((f & kNewSize) != 0) {
-                    if (!getVarint(&p, end, &v) || v > UINT32_MAX)
+                    if (!getVarint(&p, end, &v) || v > INT32_MAX)
                         return fail(c, "record size out of range");
                     st->size = static_cast<std::int32_t>(v);
                 }

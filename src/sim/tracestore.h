@@ -17,7 +17,8 @@
  *  - every SyncRec at its exact stream position (race-detector edges),
  *  - statistics-reset events (measurement boundaries),
  *  - placement events (SharedHeap::setHome spans) so home resolution
- *    can be rebuilt without the runtime (ReplayPlacement),
+ *    can be rebuilt without the runtime (ReplayPlacement,
+ *    sim/directory.h),
  *  - the execution profile (per-processor ProcStats image + PRAM
  *    elapsed + validation verdict) in a footer, so PRAM-only figures
  *    replay too.
@@ -57,7 +58,6 @@
 #include <array>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -146,28 +146,6 @@ struct ExecProfile
     bool valid = true;  ///< application self-check outcome
     Tick elapsed = 0;   ///< PRAM time of the measured window
     std::vector<Row> procs;
-};
-
-/** Stream-ordered replica of SharedHeap's home placement, rebuilt
- *  from recorded placement events so replayed MemSystem replicas
- *  resolve homes without the runtime (same span-map semantics and
- *  line-interleaved fallback as rt::SharedHeap). */
-class ReplayPlacement final : public HomeResolver
-{
-  public:
-    void reset(int nprocs, int lineSize = 64);
-    void apply(Addr start, std::uint64_t bytes, ProcId home);
-    ProcId homeOf(Addr lineAddr) const override;
-
-  private:
-    struct Span
-    {
-        Addr end;
-        ProcId home;
-    };
-    int nprocs_ = 1;
-    int lineShift_ = 6;
-    std::map<Addr, Span> homes_;
 };
 
 /** Record path: a RefSink that writes the stream to disk.  Attach via

@@ -1,6 +1,7 @@
 // Unit tests for the set-associative LRU cache tag array.
 #include <gtest/gtest.h>
 
+#include <tuple>
 #include <vector>
 
 #include "sim/cache.h"
@@ -25,9 +26,9 @@ smallCache(std::uint64_t size, int assoc, int line = 64)
 TEST(Cache, MissThenHit)
 {
     Cache c(smallCache(1024, 2));
-    EXPECT_EQ(c.probe(0), LineState::Invalid);
+    EXPECT_EQ(c.probeFor(0, AccessType::Read), LineState::Invalid);
     c.fill(0, LineState::Shared);
-    EXPECT_EQ(c.probe(0), LineState::Shared);
+    EXPECT_EQ(c.probeFor(0, AccessType::Read), LineState::Shared);
 }
 
 TEST(Cache, LruEvictsLeastRecentlyUsed)
@@ -38,7 +39,8 @@ TEST(Cache, LruEvictsLeastRecentlyUsed)
     Addr a = 0, b = 8 * 64, d = 16 * 64;  // all set 0
     c.fill(a, LineState::Shared);
     c.fill(b, LineState::Shared);
-    EXPECT_EQ(c.probe(a), LineState::Shared);  // a becomes MRU
+    // a becomes MRU.
+    EXPECT_EQ(c.probeFor(a, AccessType::Read), LineState::Shared);
     auto v = c.fill(d, LineState::Shared);     // must evict b
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.lineAddr, b);
@@ -62,7 +64,7 @@ TEST(Cache, InvalidateRemovesLine)
     Cache c(smallCache(1024, 4));
     c.fill(64, LineState::Exclusive);
     c.invalidate(64);
-    EXPECT_EQ(c.probe(64), LineState::Invalid);
+    EXPECT_EQ(c.probeFor(64, AccessType::Read), LineState::Invalid);
     EXPECT_EQ(c.residentLines(), 0u);
 }
 
@@ -97,7 +99,8 @@ TEST(Cache, FullyAssociativeLruOrder)
     Cache c(smallCache(256, 0));  // 4 lines
     for (Addr i = 0; i < 4; ++i)
         c.fill(i * 64, LineState::Shared);
-    EXPECT_EQ(c.probe(0), LineState::Shared);  // 0 MRU; LRU is 1
+    // 0 becomes MRU; the LRU line is 1.
+    EXPECT_EQ(c.probeFor(0, AccessType::Read), LineState::Shared);
     auto v = c.fill(4 * 64, LineState::Shared);
     ASSERT_TRUE(v.valid);
     EXPECT_EQ(v.lineAddr, 64u);
@@ -120,7 +123,7 @@ TEST(Cache, DirectMappedEquivalence)
             ++expected_misses;
             shadow[set] = line;
         }
-        if (c.probe(line) == LineState::Invalid) {
+        if (c.probeFor(line, AccessType::Read) == LineState::Invalid) {
             ++misses;
             c.fill(line, LineState::Shared);
         }
@@ -155,3 +158,173 @@ INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Combine(::testing::Values(1, 4, 16, 64),
                        ::testing::Values(1, 2, 4, 8, 0)));
+
+namespace {
+
+/** Timestamp LRU: the way array the one-word MRU sets replaced.  A hit
+ *  or a fill stamps its way from a use clock; the victim is the first
+ *  invalid way in storage order, else the way with the oldest stamp.
+ *  setState and invalidate leave the stamps alone. */
+class StampLru
+{
+  public:
+    StampLru(const CacheConfig& cfg, const Protocol& proto)
+        : lineSize_(cfg.lineSize), ways_(cfg.assoc),
+          sets_(cfg.numLines() / cfg.assoc), proto_(proto),
+          way_(cfg.numLines())
+    {}
+
+    LineState
+    probeFor(Addr line, AccessType type)
+    {
+        Way* w = find(line);
+        if (!w)
+            return LineState::Invalid;
+        w->lastUse = ++clock_;
+        LineState st = w->state;
+        if (type == AccessType::Write)
+            w->state = proto_.silentWriteNext[static_cast<int>(st)];
+        return st;
+    }
+
+    LineState
+    peek(Addr line)
+    {
+        Way* w = find(line);
+        return w ? w->state : LineState::Invalid;
+    }
+
+    void setState(Addr line, LineState st) { find(line)->state = st; }
+
+    void
+    invalidate(Addr line)
+    {
+        if (Way* w = find(line))
+            w->state = LineState::Invalid;
+    }
+
+    Cache::Victim
+    fill(Addr line, LineState st)
+    {
+        Way* base = &way_[set(line) * ways_];
+        Way* slot = nullptr;
+        for (int i = 0; i < ways_ && !slot; ++i)
+            if (base[i].state == LineState::Invalid)
+                slot = &base[i];
+        Cache::Victim v;
+        if (!slot) {
+            slot = &base[0];
+            for (int i = 1; i < ways_; ++i)
+                if (base[i].lastUse < slot->lastUse)
+                    slot = &base[i];
+            v.valid = true;
+            v.lineAddr = slot->tag;
+            v.state = slot->state;
+        }
+        *slot = {line, st, ++clock_};
+        return v;
+    }
+
+    std::uint64_t
+    residentLines() const
+    {
+        std::uint64_t n = 0;
+        for (const Way& w : way_)
+            n += w.state != LineState::Invalid;
+        return n;
+    }
+
+  private:
+    struct Way
+    {
+        Addr tag = 0;
+        LineState state = LineState::Invalid;
+        std::uint64_t lastUse = 0;
+    };
+
+    std::size_t set(Addr line) const { return (line / lineSize_) % sets_; }
+
+    Way*
+    find(Addr line)
+    {
+        Way* base = &way_[set(line) * ways_];
+        for (int i = 0; i < ways_; ++i)
+            if (base[i].state != LineState::Invalid && base[i].tag == line)
+                return &base[i];
+        return nullptr;
+    }
+
+    int lineSize_;
+    int ways_;
+    std::size_t sets_;
+    const Protocol& proto_;
+    std::vector<Way> way_;
+    std::uint64_t clock_ = 0;
+};
+
+} // namespace
+
+// Differential: the one-word MRU sets against timestamp LRU under
+// random probes, fills, invalidations and state changes.  Four sets
+// and three times as many lines as ways per set keep every set under
+// pressure; line 0 is in the pool (its way is 0 | state).
+class CacheVsStampLru
+    : public ::testing::TestWithParam<std::tuple<int, int, ProtocolKind>>
+{};
+
+TEST_P(CacheVsStampLru, EveryResultMatches)
+{
+    auto [assoc, line, kind] = GetParam();
+    const Protocol& proto = protocol(kind);
+    const int kSets = 4;
+    CacheConfig cfg = smallCache(std::uint64_t(assoc) * kSets * line,
+                                 assoc, line);
+    Cache c(cfg, proto);
+    StampLru ref(cfg, proto);
+    std::vector<LineState> fillStates;
+    for (int s = 1; s < kNumLineStates; ++s)
+        if (stateIn(proto.legalStates, static_cast<LineState>(s)))
+            fillStates.push_back(static_cast<LineState>(s));
+    const std::uint64_t lines = std::uint64_t(assoc) * kSets * 3;
+    std::uint64_t x = 0x9E3779B97F4A7C15ull ^ std::uint64_t(assoc * line);
+    auto next = [&] {
+        x = x * 6364136223846793005ull + 1442695040888963407ull;
+        return x >> 33;
+    };
+    for (int i = 0; i < 40000; ++i) {
+        const Addr a = static_cast<Addr>(next() % lines) * line;
+        const unsigned op = next() % 16;
+        SCOPED_TRACE(::testing::Message() << "op " << i << " line 0x"
+                                          << std::hex << a);
+        if (op < 12) {
+            AccessType t = op < 8 ? AccessType::Read : AccessType::Write;
+            LineState got = c.probeFor(a, t);
+            ASSERT_EQ(got, ref.probeFor(a, t));
+            if (got == LineState::Invalid) {
+                LineState st = fillStates[next() % fillStates.size()];
+                Cache::Victim v = c.fill(a, st), w = ref.fill(a, st);
+                ASSERT_EQ(v.valid, w.valid);
+                ASSERT_EQ(v.lineAddr, w.lineAddr);
+                ASSERT_EQ(v.state, w.state);
+            }
+        } else if (ref.peek(a) != LineState::Invalid) {
+            if (op < 14) {
+                c.invalidate(a);
+                ref.invalidate(a);
+            } else {
+                LineState st = fillStates[next() % fillStates.size()];
+                c.setState(a, st);
+                ref.setState(a, st);
+            }
+        }
+        ASSERT_EQ(c.peek(a), ref.peek(a));
+        ASSERT_EQ(c.residentLines(), ref.residentLines());
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheVsStampLru,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8, 16),
+                       ::testing::Values(8, 64, 256),
+                       ::testing::Values(ProtocolKind::MESI,
+                                         ProtocolKind::MOESI)));

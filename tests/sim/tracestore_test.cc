@@ -630,6 +630,81 @@ TEST(TraceStore, ResealedPayloadFlipsAreRejectedOrExact)
     EXPECT_GT(exact, 0);
 }
 
+/** A record size the writer never emits -- above INT32_MAX, which
+ *  AccessRec::size cannot hold -- must be refused even behind a valid
+ *  CRC, not delivered as a negative size.  The one-chunk trace carries
+ *  a 2^30-byte record and a 0-byte one (touchRead(p, 0) is legal live
+ *  input); the first record's size varint is re-encoded in place and
+ *  the chunk CRC re-sealed. */
+TEST(TraceStore, RejectsRecordSizeAboveInt32)
+{
+    const std::string dir = tempDir();
+    const TraceMeta m = testMeta(2);
+    const std::string path = tracestore::pathFor(dir, m);
+    {
+        TraceWriter w(path, m);
+        AccessRec r;
+        r.proc = 0;
+        r.addr = 0x100000000ull;
+        r.size = 1 << 30;
+        w.access(r);
+        r.size = 0;
+        w.access(r);
+        ExecProfile e;
+        e.procs.assign(m.nprocs, ExecProfile::Row{});
+        std::string err;
+        ASSERT_TRUE(w.finalize(e, &err)) << err;
+    }
+    const auto whole = slurp(path);
+    // The chunk frame follows the 128-byte header; its payload starts
+    // with the record's flag byte, the processor varint (0) and the
+    // five-byte size varint 80 80 80 80 04.
+    const std::size_t frame = 128, payload = frame + 20;
+    std::uint32_t payloadN = 0;
+    std::memcpy(&payloadN, whole.data() + frame + 12, 4);
+    ASSERT_EQ(whole[payload + 1], 0x00);
+    ASSERT_EQ(whole[payload + 6], 0x04);
+    auto withSize = [&](std::uint8_t top, std::uint8_t low) {
+        auto bad = whole;
+        for (int i = 2; i < 6; ++i)
+            bad[payload + i] = low;
+        bad[payload + 6] = top;
+        const std::uint32_t crc =
+            crc32(bad.data() + frame, 16,
+                  crc32(bad.data() + payload, payloadN));
+        std::memcpy(bad.data() + frame + 16, &crc, 4);
+        return bad;
+    };
+    struct Case
+    {
+        std::uint8_t top, low;
+        bool ok;
+        std::int32_t size;
+    };
+    const std::string t = path + ".size";
+    for (const Case& c : {Case{0x04, 0x80, true, 1 << 30},
+                          Case{0x07, 0xff, true, INT32_MAX},
+                          Case{0x08, 0x80, false, 0},
+                          Case{0x0f, 0xff, false, 0}}) {
+        spit(t, withSize(c.top, c.low));
+        std::string err;
+        auto rd = TraceReader::open(t, &err);
+        ASSERT_NE(rd, nullptr) << err;
+        Journal got;
+        const bool ok = rd->replay(&got, &err);
+        ASSERT_EQ(ok, c.ok) << "top byte " << int(c.top) << ": " << err;
+        if (!ok) {
+            EXPECT_NE(err.find("record size out of range"),
+                      std::string::npos)
+                << err;
+            continue;
+        }
+        ASSERT_EQ(got.recs.size(), 2u);
+        EXPECT_EQ(got.recs[0].size, c.size);
+        EXPECT_EQ(got.recs[1].size, 0);
+    }
+}
+
 TEST(TraceStore, StoreIdentityAndMismatchDiagnostics)
 {
     const std::string dir = tempDir();
