@@ -131,7 +131,8 @@ sweepStep(sim::RefSink& sink, std::uint64_t& x)
 
 } // namespace
 
-/** Serial online sweep: all 34 configurations updated per reference. */
+/** Serial online sweep: the 13 set arrays behind the 33 finite
+ *  configurations, plus the Mattson stack, updated per reference. */
 static void
 BM_SweepAccess(benchmark::State& state)
 {

@@ -18,7 +18,7 @@
  *                     splash2run and fig3_working_sets only.  model
  *                     predicts the Figure-3 curves from the sweep's
  *                     fully associative profile instead of simulating
- *                     33 tag arrays; both runs the two and reports
+ *                     the finite columns; both runs the two and reports
  *                     model-vs-exact error
  *   --check N         coherence invariant checker sampling period: a
  *                     full directory/cache cross-validation every N

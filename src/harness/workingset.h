@@ -37,7 +37,7 @@ struct WorkingSetRun
     /** The sweep's counters over the columns it simulated (only fully
      *  associative under Model; empty when the model came from a
      *  sidecar, and a query for a column not simulated is fatal).
-     *  The sweep itself, tag arrays and stacks, is freed when the run
+     *  The sweep itself, set arrays and stacks, is freed when the run
      *  ends. */
     sim::SweepResult exact;
     /** The analytical profile (sweep mode != Exact). */
@@ -128,8 +128,8 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         });
     cast.reset();
     noteRace(&out.stats, race.get());
-    // Keep the counters, free the tag arrays and stacks (about 50 MB
-    // per program at 32 processors) before the next run.
+    // Keep the counters, free the set arrays and stacks (about 17 MB
+    // of set arrays per program at 32 processors) before the next run.
     for (auto& shard : shards) {
         out.exact += shard->result();
         if (profileLive)

@@ -10,38 +10,51 @@
  * stream.  SweepConfig::assocs lists the columns: a sweep simulates
  * those and no others.
  *
- *  - Each finite-associativity column keeps only a tag array per size
- *    of 16-byte {tag, version} ways, each set most recently used
- *    first.
- *  - Coherence is modeled with lazy version stamps: a per-line global
- *    version is bumped whenever a write must invalidate other copies
- *    (writer changed, or somebody else read since the last write).  A
- *    cached tag whose stored version is stale counts as a coherence
- *    miss in *every* configuration -- which is exact, because
- *    invalidations are independent of cache geometry.
+ *  - The finite-associativity columns share one set array per
+ *    distinct set count (13 for the Figure-3 grid at 64-byte lines),
+ *    as deep as the largest way count at that set count.  LRU caches
+ *    with the same sets are nested (Mattson et al., IBM Systems
+ *    Journal 1970; Hill & Smith, IEEE TC 1989): each holds a most
+ *    recently used prefix of the next larger one's lines.  So a set
+ *    keeps the largest cache's lines most recently used first, each
+ *    way one word: the line address with its level -- the smallest
+ *    listed way count whose cache holds the line -- in the low three
+ *    bits (lines are at least 8 bytes).  A reference probes 13 sets,
+ *    not one per column.
+ *  - Coherence is eager: a per-line version is bumped whenever a
+ *    write must invalidate other copies (another processor referenced
+ *    the line since the last bump), and the bump empties the line's
+ *    way in every set array of each processor that referenced it
+ *    since the previous bump.  Those are exactly the copies the bump
+ *    makes stale, at every geometry, because invalidations are
+ *    independent of capacity and associativity.
  *  - The fully associative column (kFullyAssoc) is one Mattson
  *    stack-distance walk per processor (Fenwick-tree implementation
  *    with periodic timestamp compaction; the tree's capacity adapts
  *    to the live line count so it stays cache resident) recorded into
- *    the sweep's reuse-distance profile (sim/reusedist.h).  Every
- *    bucket boundary of that profile is a power of two, so it yields
- *    the stack's miss count at every power-of-two capacity without
- *    rounding, and the same profile is the analytical model's input.
+ *    the sweep's reuse-distance profile (sim/reusedist.h).  The stack
+ *    keeps its lines' version stamps, and a copy stored at a stale
+ *    version misses at every capacity.  Every bucket boundary of that
+ *    profile is a power of two, so it yields the stack's miss count at
+ *    every power-of-two capacity without rounding, and the same
+ *    profile is the analytical model's input.
  *
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
  *
  * The same independence splits the sweep across host threads: a
  * CacheSweep can simulate a contiguous range of processors only.  The
- * version stamps are the only state shared between processors, and
- * every shard advances its own copy of them on every reference, so K
- * shards fed one stream (BroadcastReplay, sim/replay.h) count exactly
- * what one whole sweep counts -- their results and profiles sum.  The
- * whole sweep is the one-shard case.
+ * version stamps and holder masks are the only state shared between
+ * processors, and every shard advances its own copy of both on every
+ * reference, so K shards fed one stream (BroadcastReplay,
+ * sim/replay.h) count exactly what one whole sweep counts -- their
+ * results and profiles sum.  The whole sweep is the one-shard case.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -67,43 +80,30 @@ struct SweepConfig
     std::vector<int> assocs = fig3ReportAssocs();
 };
 
-/** Version-stamp lazy coherence: a per-line global version is bumped
- *  whenever a write must invalidate other copies (writer changed, or
- *  somebody else read since the last write).  A copy stored at a now
- *  stale version has been coherence-invalidated -- at *every* cache
- *  geometry, because invalidations are independent of capacity and
- *  associativity.  The single piece of cross-configuration state of a
- *  sweep, read by every column. */
+/** Version stamps with holder masks: a per-line version is bumped
+ *  whenever a write must invalidate other copies -- another processor
+ *  referenced the line since the last bump.  A bump makes stale
+ *  exactly the copies of the processors that referenced the line since
+ *  the previous bump, at *every* cache geometry, because invalidations
+ *  are independent of capacity and associativity.  The single piece of
+ *  cross-configuration state of a sweep. */
 class VersionCoherence
 {
   public:
     /** Advance the state of @p lineAddr for one access by @p p and
-     *  report the (before, after) versions. */
-    void advance(Addr lineAddr, ProcId p, bool isWrite,
-                 std::uint64_t* oldVer, std::uint64_t* newVer);
-
-    /** Current version of @p lineAddr (0 until the first bump). */
-    std::uint64_t
-    version(Addr lineAddr) const
-    {
-        const Line* c = map_.find(lineAddr);
-        return c ? c->version : 0;
-    }
-
-    /** True when a copy of @p lineAddr stored at @p ver has been
-     *  invalidated by a later conflicting write. */
-    bool
-    stale(Addr lineAddr, std::uint64_t ver) const
-    {
-        return version(lineAddr) != ver;
-    }
+     *  report the (before, after) versions.  Returns the processors
+     *  whose copies the access invalidated, as a mask: on a bump, the
+     *  line's holders less @p p; otherwise 0. */
+    std::uint64_t advance(Addr lineAddr, ProcId p, bool isWrite,
+                          std::uint64_t* oldVer, std::uint64_t* newVer);
 
   private:
     struct Line
     {
         std::uint64_t version = 0;
-        ProcId lastWriter = -1;
-        bool readSince = false;
+        /** Processors that referenced the line since its last bump
+         *  (the bumping writer included). */
+        std::uint64_t holders = 0;
     };
     LineTable<Line> map_;
 };
@@ -152,7 +152,7 @@ class StackDistance
 };
 
 /** What a finished sweep measured: references and misses at every
- *  simulated operating point, without the tag arrays and stacks that
+ *  simulated operating point, without the set arrays and stacks that
  *  produced them (CacheSweep::result). */
 class SweepResult
 {
@@ -185,10 +185,12 @@ class CacheSweep final : public RefSink
   public:
     /** Simulate the columns @p cfg lists for the @p shard-th of
      *  @p shards contiguous processor ranges (default: all of them).
-     *  Counters, tag arrays and stacks exist for those processors
+     *  Counters, set arrays and stacks exist for those processors
      *  only, and only their profile rows fill; coherence still
      *  advances on every reference, which is what makes a shard
-     *  exact. */
+     *  exact.  Fatal for a processor count outside [1, 64], a line
+     *  below 8 bytes, or a way count that is not a power of two in
+     *  [1, 64]. */
     explicit CacheSweep(const SweepConfig& cfg, int shard = 0,
                         int shards = 1);
 
@@ -248,39 +250,65 @@ class CacheSweep final : public RefSink
     void resetStats() override;
 
   private:
-    /** Tag of a way that has never been filled (no line address). */
-    static constexpr Addr kNoTag = ~Addr{0};
+    /** A way is lineAddr | level, 0 when empty.  Level l (1..7) is the
+     *  l-th smallest way count of its set array; a valid way of line 0
+     *  still carries a nonzero level. */
+    static constexpr Addr kLevelMask = 7;
+    /** Hit counters per set array: one per level, slot 0 unused. */
+    static constexpr std::size_t kLevelSlots = kLevelMask + 1;
 
-    /** One way.  Version stamps are 64-bit: they advance with the
-     *  reference count, which exceeds 2^32 at large problem scales. */
-    struct TagEntry
+    /** The finite columns at one set count.  Each set keeps its lines
+     *  most recently used first and its empty ways last, and its levels
+     *  never decrease from front to back: the cache of level l holds
+     *  the ways tagged 1..l, a most recently used prefix of the set. */
+    struct SetArray
     {
-        Addr tag = kNoTag;
-        std::uint64_t version = 0;
+        std::uint64_t setMask = 0;
+        /** Ways per set: the way count of the deepest level. */
+        int depth = 0;
+        /** wayCount[l]: the way count of level l. */
+        std::array<int, kLevelSlots> wayCount{};
+        /** Word offset of set 0 in each processor's ways. */
+        std::size_t offset = 0;
     };
 
-    /** One finite-associativity tag array.  Each set keeps its ways
-     *  most recently used first, so the last way is the LRU one. */
-    struct TagArray
+    /** One listed finite column: a level of a set array. */
+    struct Column
     {
-        int ways = 0;
-        std::uint64_t setMask = 0;
-        std::vector<TagEntry> entries;
-        std::uint64_t misses = 0;
+        std::size_t array = 0;
+        int level = 0;
     };
 
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
+    /** Empty @p lineAddr's way in every set array of the @p i-th
+     *  simulated processor. */
+    void invalidate(std::size_t i, Addr lineAddr);
+    /** Position of @p lineAddr's way in @p set, else of the set's
+     *  first empty way, else @p depth. */
+    static int wayOf(const Addr* set, int depth, Addr lineAddr);
 
     SweepConfig cfg_;
-    int lineShift_;
-    /** The simulated processors: first_ .. first_ + nmine_ - 1.  The
-     *  per-processor vectors below are indexed by p - first_. */
+    int lineShift_ = 0;
+    /** The simulated processors: first_ .. first_ + nmine_ - 1, and
+     *  the same as a processor mask.  The per-processor vectors below
+     *  are indexed by p - first_. */
     int first_ = 0;
     std::size_t nmine_ = 0;
+    std::uint64_t mine_ = 0;
     VersionCoherence coh_;
-    /** arrays_[p - first_][i]: the i-th finite column in (size,
-     *  assoc) order. */
-    std::vector<std::vector<TagArray>> arrays_;
+    /** In increasing set count. */
+    std::vector<SetArray> arrays_;
+    /** The finite columns in (size, assoc) order. */
+    std::vector<Column> columns_;
+    /** Words of one processor's set arrays. */
+    std::size_t procWords_ = 0;
+    /** Way w of set s of a set array:
+     *  ways_[(p - first_) * procWords_ + offset + s * depth + w]. */
+    std::vector<Addr> ways_;
+    /** hits_[((p - first_) * arrays_.size() + a) * kLevelSlots + l]:
+     *  references that found their line at level l of set array a,
+     *  so hit at level l and every level above it. */
+    std::vector<std::uint64_t> hits_;
     /** stacks_[p - first_]; empty unless kFullyAssoc is listed. */
     std::vector<StackDistance> stacks_;
     std::vector<std::uint64_t> accesses_;

@@ -107,3 +107,47 @@ TEST(SweepErrors, RejectsUnknownOperatingPoint)
     EXPECT_DEATH((void)fourWay.result().missRate(1024, sim::kFullyAssoc),
                  "operating point");
 }
+
+// The sweep keeps a line's level in the three low address bits, the
+// bound MachineConfig already enforces.
+TEST(SweepErrors, RejectsLinesBelowEightBytes)
+{
+    sim::SweepConfig sc;
+    sc.nprocs = 1;
+    sc.lineSize = 4;
+    EXPECT_EXIT(sim::CacheSweep refused(sc), ::testing::ExitedWithCode(1),
+                "line size must be in \\[8, size\\]");
+    sc.lineSize = 8;
+    sim::CacheSweep sw(sc);
+    sw.access(0, 0x1004, 8, AccessType::Read);  // spans two 8 B lines
+    EXPECT_EQ(sw.accesses(), 2u);
+}
+
+// Coherence tracks each line's holders in a 64-bit mask.
+TEST(SweepErrors, RejectsProcessorCountsOutsideTheMask)
+{
+    sim::SweepConfig sc;
+    for (int bad : {0, -1, 65}) {
+        sc.nprocs = bad;
+        EXPECT_EXIT(sim::CacheSweep refused(sc), ::testing::ExitedWithCode(1),
+                    "sweep processor count must be in \\[1, 64\\]");
+    }
+    sc.nprocs = 64;
+    sc.assocs = {1};
+    sim::CacheSweep sw(sc);
+    sw.access(63, 0x1000, 8, AccessType::Read);
+    sw.access(0, 0x1000, 8, AccessType::Write);
+    sw.access(63, 0x1000, 8, AccessType::Read);  // invalidated by P0
+    EXPECT_EQ(sw.misses(1024, 1), 3u);
+}
+
+TEST(SweepErrors, RejectsWayCountsThatAreNotPowersOfTwo)
+{
+    sim::SweepConfig sc;
+    sc.nprocs = 1;
+    for (int bad : {3, -2, 128}) {
+        sc.assocs = {bad};
+        EXPECT_EXIT(sim::CacheSweep refused(sc), ::testing::ExitedWithCode(1),
+                    "way counts must be powers of two");
+    }
+}

@@ -515,4 +515,25 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
               0)
         << err;
 }
+
+// The sweep and the memory system share one line-size floor: a 4-byte
+// line is refused with the same diagnostic whichever one runs.
+TEST(LineSize, SweepAndMemorySystemShareTheFloor)
+{
+    for (const char* sweep : {"", " --sweep exact", " --sweep model"}) {
+        const std::string cmd =
+            std::string("src/splash2run --app fft --procs 4 --scale 0.1 "
+                        "--line 4") +
+            sweep;
+        std::string err;
+        EXPECT_EQ(runBinary(cmd, &err), 1) << cmd;
+        EXPECT_EQ(err, "fatal: line size must be in [8, size]\n") << cmd;
+    }
+    std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 4 --scale 0.1 "
+                        "--line 8 --sweep exact",
+                        &err),
+              0)
+        << err;
+}
 #endif

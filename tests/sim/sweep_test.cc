@@ -1,9 +1,10 @@
 // Tests for the single-pass multi-configuration cache sweep, including
 // cross-validation against the full MemSystem simulator (every
-// column, fully associative too), column lists that leave the listed
-// columns' counts unchanged, exactness of processor-range shards on a
-// threaded broadcast, and reproduction of the committed Figure 3
-// curves.
+// column, fully associative too) and against a per-configuration
+// engine (every finite column, every line size, one or three shards),
+// column lists that leave the listed columns' counts unchanged,
+// exactness of processor-range shards on a threaded broadcast, and
+// reproduction of the committed Figure 3 curves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,12 +12,15 @@
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "../rt/run_compare.h"
+#include "base/rng.h"
 #include "harness/workingset.h"
 #include "sim/memsys.h"
 #include "sim/sweep.h"
@@ -171,24 +175,27 @@ TEST(Sweep, UpgradeOfSharedLineIsAHit)
 // it agrees only without invalidations: an invalidated line keeps its
 // stack position, while MemSystem frees its slot.  So the fully
 // associative cases at P > 1 run the read-only variant of the stream.
+// Parameters: (processors, assoc, size, line bytes).
 class SweepVsMemSystem
-    : public ::testing::TestWithParam<std::tuple<int, int, std::uint64_t>>
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, std::uint64_t, int>>
 {};
 
 TEST_P(SweepVsMemSystem, MissCountsAgree)
 {
-    auto [nprocs, assoc, size] = GetParam();
+    auto [nprocs, assoc, size, lineSize] = GetParam();
     const bool readOnly = assoc == kFullyAssoc && nprocs > 1;
 
     SweepConfig sc;
     sc.nprocs = nprocs;
+    sc.lineSize = lineSize;
     CacheSweep sw(sc);
 
     MachineConfig mc;
     mc.nprocs = nprocs;
     mc.cache.size = size;
     mc.cache.assoc = assoc;
-    mc.cache.lineSize = 64;
+    mc.cache.lineSize = lineSize;
     MemSystem mem(mc);
 
     for (const auto& acc :
@@ -205,7 +212,8 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(1, 2, 4),
                        ::testing::Values(std::uint64_t(1) << 10,
                                          std::uint64_t(1) << 13,
-                                         std::uint64_t(1) << 16)));
+                                         std::uint64_t(1) << 16),
+                       ::testing::Values(64)));
 
 INSTANTIATE_TEST_SUITE_P(
     FullyAssociative, SweepVsMemSystem,
@@ -213,7 +221,19 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(kFullyAssoc),
                        ::testing::Values(std::uint64_t(1) << 10,
                                          std::uint64_t(1) << 13,
-                                         std::uint64_t(1) << 16)));
+                                         std::uint64_t(1) << 16),
+                       ::testing::Values(64)));
+
+// The line edges the coherence checker runs at: 8 B (a way's level
+// fills the three low address bits) and 256 B (four lines per 1 KB).
+INSTANTIATE_TEST_SUITE_P(
+    LineEdges, SweepVsMemSystem,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(1, 2, 4),
+                       ::testing::Values(std::uint64_t(1) << 10,
+                                         std::uint64_t(1) << 13,
+                                         std::uint64_t(1) << 16),
+                       ::testing::Values(8, 256)));
 
 // A sweep simulates only the columns it lists, and listing fewer never
 // changes a listed column: Table 2 sweeps {4} alone.  Each column sees
@@ -237,6 +257,239 @@ TEST(SweepColumns, FourWayAloneMatchesFullGrid)
     EXPECT_TRUE(fourWay.profile().procs.empty())
         << "no stack walk without the fully associative column";
 }
+
+// ----------------------------------------------------------------------
+// Exactness of the sweep's finite columns against an independent
+// per-configuration engine: one tag array per (size, way count) of
+// 16-byte {tag, version} ways, lazy version stamps, and a victim that
+// is the first free or stale way, else the LRU way.
+
+namespace {
+
+/** The finite columns of a sweep, one tag array per operating point
+ *  per processor, with its own lazy coherence. */
+class PerConfigSweep
+{
+  public:
+    explicit PerConfigSweep(const SweepConfig& cfg) : cfg_(cfg)
+    {
+        arrays_.resize(cfg.nprocs);
+        for (auto& cols : arrays_)
+            for (std::uint64_t size : cfg.sizes)
+                for (int assoc : cfg.assocs) {
+                    if (assoc == kFullyAssoc)
+                        continue;
+                    const std::uint64_t lines = size / cfg.lineSize;
+                    Array a;
+                    a.size = size;
+                    a.assoc = assoc;
+                    a.ways = static_cast<int>(
+                        std::min<std::uint64_t>(assoc, lines));
+                    a.setMask = lines / a.ways - 1;
+                    a.entries.resize(lines);
+                    cols.push_back(std::move(a));
+                }
+    }
+
+    void
+    access(ProcId p, Addr addr, int size, AccessType t)
+    {
+        const Addr line = cfg_.lineSize;
+        for (Addr l = alignDown(addr, line);
+             l <= alignDown(addr + size - 1, line); l += line)
+            accessLine(p, l, t == AccessType::Write);
+    }
+
+    void
+    resetStats()
+    {
+        accesses_ = 0;
+        for (auto& cols : arrays_)
+            for (Array& a : cols)
+                a.misses = 0;
+    }
+
+    std::uint64_t accesses() const { return accesses_; }
+
+    std::uint64_t
+    misses(std::uint64_t size, int assoc) const
+    {
+        std::uint64_t m = 0;
+        for (const auto& cols : arrays_)
+            for (const Array& a : cols)
+                if (a.size == size && a.assoc == assoc)
+                    m += a.misses;
+        return m;
+    }
+
+  private:
+    static constexpr Addr kNoTag = ~Addr{0};
+
+    struct Way
+    {
+        Addr tag = kNoTag;
+        std::uint64_t version = 0;
+    };
+
+    struct Array
+    {
+        std::uint64_t size = 0;
+        int assoc = 0;
+        int ways = 0;
+        std::uint64_t setMask = 0;
+        std::vector<Way> entries;
+        std::uint64_t misses = 0;
+    };
+
+    /** A line's version is bumped by a write that must invalidate
+     *  other copies: a new writer, or a read by another processor
+     *  since the last write. */
+    struct Coherence
+    {
+        std::uint64_t version = 0;
+        ProcId lastWriter = -1;
+        bool readSince = false;
+    };
+
+    bool
+    stale(const Way& w) const
+    {
+        auto it = coh_.find(w.tag);
+        return (it == coh_.end() ? 0 : it->second.version) != w.version;
+    }
+
+    void
+    accessLine(ProcId p, Addr line, bool isWrite)
+    {
+        ++accesses_;
+        Coherence& c = coh_[line];
+        const std::uint64_t oldVer = c.version;
+        if (isWrite) {
+            if (c.lastWriter != p || c.readSince) {
+                ++c.version;
+                c.lastWriter = p;
+                c.readSince = false;
+            }
+        } else if (c.lastWriter != p) {
+            c.readSince = true;
+        }
+        const Way e{line, c.version};
+        const std::uint64_t lineId = line / cfg_.lineSize;
+        for (Array& a : arrays_[p]) {
+            Way* set = &a.entries[(lineId & a.setMask) * a.ways];
+            int w = 0;
+            while (w < a.ways && set[w].tag != line)
+                ++w;
+            if (w == a.ways || set[w].version != oldVer) {
+                ++a.misses;
+                if (w == a.ways) {
+                    w = 0;
+                    while (w < a.ways - 1 && set[w].tag != kNoTag &&
+                           !stale(set[w]))
+                        ++w;
+                }
+            }
+            for (; w > 0; --w)
+                set[w] = set[w - 1];
+            set[0] = e;
+        }
+    }
+
+    SweepConfig cfg_;
+    std::uint64_t accesses_ = 0;
+    std::unordered_map<Addr, Coherence> coh_;
+    /** arrays_[p]: one per finite operating point. */
+    std::vector<std::vector<Array>> arrays_;
+};
+
+/** (processors, line bytes, columns, footprint in lines, shards). */
+using PerConfigCase =
+    std::tuple<int, int, std::vector<int>, std::uint64_t, int>;
+
+std::string
+perConfigName(const ::testing::TestParamInfo<PerConfigCase>& info)
+{
+    const auto& [nprocs, lineSize, assocs, footprint, shards] = info.param;
+    std::string cols;
+    for (int a : assocs)
+        cols += a == kFullyAssoc ? "F" : std::to_string(a);
+    return "P" + std::to_string(nprocs) + "_L" + std::to_string(lineSize) +
+           "_C" + cols + "_F" + std::to_string(footprint) + "_S" +
+           std::to_string(shards);
+}
+
+} // namespace
+
+class SweepVsPerConfig : public ::testing::TestWithParam<PerConfigCase>
+{};
+
+// Random accesses of 1-16 bytes (some spanning lines), a quarter of
+// them writes, over a footprint of 40 lines (nearly every write
+// invalidates) to 5000 (capacity misses at every size), with the
+// counters reset mid-stream.  Each shard sees every reference.
+TEST_P(SweepVsPerConfig, EveryListedColumnMatchesAtEverySize)
+{
+    const auto& [nprocs, lineSize, assocs, footprint, shards] = GetParam();
+    SweepConfig sc;
+    sc.nprocs = nprocs;
+    sc.lineSize = lineSize;
+    sc.assocs = assocs;
+    // 1-64 KB: up to 8K lines at 8 B, one line per 1 KB at 1 KB lines.
+    sc.sizes = {1u << 10, 1u << 11, 1u << 12, 1u << 13,
+                1u << 14, 1u << 15, 1u << 16};
+    PerConfigSweep oracle(sc);
+    std::vector<std::unique_ptr<CacheSweep>> parts;
+    for (int k = 0; k < shards; ++k)
+        parts.push_back(std::make_unique<CacheSweep>(sc, k, shards));
+
+    constexpr int kRefs = 12000;
+    Rng rng(footprint * 1000003 + std::uint64_t(nprocs) * 1009 +
+            std::uint64_t(lineSize));
+    for (int i = 0; i < kRefs; ++i) {
+        if (i == kRefs / 2) {
+            oracle.resetStats();
+            for (auto& s : parts)
+                s->resetStats();
+        }
+        const std::uint64_t x = rng.next();
+        const ProcId p = static_cast<ProcId>(x % nprocs);
+        const Addr a = 0x400000 + ((x >> 8) % footprint) * lineSize +
+                       (x >> 32) % lineSize;
+        const int size = 1 + static_cast<int>((x >> 48) % 16);
+        const AccessType t =
+            (x >> 60) % 4 == 0 ? AccessType::Write : AccessType::Read;
+        oracle.access(p, a, size, t);
+        for (auto& s : parts)
+            s->access(p, a, size, t);
+    }
+
+    SweepResult got;
+    for (const auto& s : parts)
+        got += s->result();
+    EXPECT_EQ(got.accesses(), oracle.accesses());
+    std::vector<std::uint64_t> want, have;
+    for (std::uint64_t size : sc.sizes)
+        for (int assoc : assocs)
+            if (assoc != kFullyAssoc) {
+                want.push_back(oracle.misses(size, assoc));
+                have.push_back(got.misses(size, assoc));
+            }
+    EXPECT_EQ(have, want) << "misses per (size, listed finite column)";
+}
+
+// At 1 KB lines the 1 KB columns collapse into one 1-line cache.
+INSTANTIATE_TEST_SUITE_P(
+    Grid, SweepVsPerConfig,
+    ::testing::Combine(
+        ::testing::Values(1, 2, 8, 32), ::testing::Values(8, 64, 512, 1024),
+        ::testing::Values(std::vector<int>{1, 2, 4, kFullyAssoc},
+                          std::vector<int>{4}, std::vector<int>{1, 4},
+                          std::vector<int>{2}, std::vector<int>{2, 4},
+                          std::vector<int>{1}),
+        ::testing::Values(std::uint64_t{40}, std::uint64_t{300},
+                          std::uint64_t{5000}),
+        ::testing::Values(1, 3)),
+    perConfigName);
 
 TEST(Sweep, CompactionPreservesCounts)
 {
