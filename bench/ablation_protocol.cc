@@ -20,15 +20,16 @@
  *     invalidations Dragon never sends.
  *
  * Engine: all configurations (small-cache hints on/off, 1 MB
- * placed/interleaved, 1 MB under each protocol) are broadcast
- * replicas of ONE execution per application -- the ablation
- * differences come from the identical reference stream by
- * construction.  Applications are scheduled across host cores
- * (--jobs); output bytes are identical in every mode.  --csv prints
- * the protocol-zoo rows as CSV (results/ablation.csv).
+ * placed/interleaved, 1 MB under each protocol) are fed from ONE pass
+ * per application -- the ablation differences come from the identical
+ * reference stream by construction.  Applications are scheduled
+ * across host cores (--jobs); output bytes are identical in every
+ * mode.  --csv prints the protocol-zoo rows as CSV
+ * (results/ablation.csv) and simulates only those four machines.
  *
  * Usage: ablation_protocol [--procs 16] [--scale 0.5] [--app <name>]
  *                          [--csv] [--jobs N] [--replicas off|on]
+ *                          [--protocol P] [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -44,7 +45,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
@@ -60,24 +62,26 @@ main(int argc, char** argv)
         if (only.empty() || findApp(only) == app)
             apps.push_back(app);
 
-    // Replica order: [0] small+hints, [1] small no hints,
+    // Experiment order: [0] small+hints, [1] small no hints,
     // [2] 1 MB placed (under --protocol, default MESI),
     // [3] 1 MB interleaved, [4..6] 1 MB placed under the three
     // protocols other than [2]'s -- the zoo reuses [2] for the base
-    // protocol rather than replaying it twice.
-    std::vector<MemExperiment> exps(4);
-    exps[0].cache.size = small;
-    exps[0].protocol = eng.sim.protocol;
-    exps[1].cache.size = small;
-    exps[1].hints = false;
-    exps[1].protocol = eng.sim.protocol;
-    exps[2].protocol = eng.sim.protocol;
-    exps[3].placed = false;
-    exps[3].protocol = eng.sim.protocol;
+    // protocol rather than simulating it twice.  --csv prints only the
+    // zoo, so it simulates only the zoo, in zoo order.
+    std::vector<MemExperiment> exps;
+    if (!csv) {
+        exps.resize(4);
+        exps[0].cache.size = small;
+        exps[1].cache.size = small;
+        exps[1].hints = false;
+        exps[3].placed = false;
+        for (MemExperiment& e : exps)
+            e.protocol = eng.sim.protocol;
+    }
     std::vector<std::size_t> zooIdx(sim::kNumProtocols);
     for (int k = 0; k < sim::kNumProtocols; ++k) {
         auto proto = static_cast<sim::ProtocolKind>(k);
-        if (proto == eng.sim.protocol) {
+        if (!csv && proto == eng.sim.protocol) {
             zooIdx[k] = 2;
             continue;
         }

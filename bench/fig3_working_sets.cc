@@ -44,7 +44,7 @@ main(int argc, char** argv)
     Options opt(argc, argv);
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     int line = static_cast<int>(opt.getI("line", 64));
     bool csv = opt.has("csv");
@@ -116,8 +116,7 @@ main(int argc, char** argv)
                 }
             continue;
         }
-        std::printf("\n%s%s\n", apps[i]->name().c_str(),
-                    run.modelFromProfile ? " (from saved profile)" : "");
+        std::printf("\n%s\n", apps[i]->name().c_str());
         Table t({"Size", "1-way", "2-way", "4-way", "full"});
         for (std::uint64_t size : sim::fig3Sizes()) {
             std::string label =

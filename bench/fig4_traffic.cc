@@ -15,6 +15,7 @@
  *
  * Usage: fig4_traffic [--scale 1.0] [--maxprocs 32] [--app <name>]
  *                     [--cachekb 1024] [--csv] [--jobs N]
+ *                     [--protocol P] [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -30,7 +31,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

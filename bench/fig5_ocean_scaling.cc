@@ -14,7 +14,8 @@
  * identical in every mode.
  *
  * Usage: fig5_ocean_scaling [--procs 32] [--n1 128] [--n2 256]
- *                           [--csv] [--jobs N]
+ *                           [--csv] [--jobs N] [--protocol P]
+ *                           [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -30,7 +31,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));

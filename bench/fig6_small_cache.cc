@@ -11,14 +11,14 @@
  * when working sets do not fit.
  *
  * Engine: in --csv mode the 8 KB and 1 MB configurations are two
- * broadcast replicas of ONE execution per (app, P) so the comparison
- * with Figure 4 comes from the identical reference stream; (app, P)
- * points are scheduled across host cores (--jobs).  Text mode reports
- * the small cache only and its bytes are unchanged from the serial
- * bench.
+ * sinks of ONE pass per (app, P) so the comparison with Figure 4
+ * comes from the identical reference stream; (app, P) points are
+ * scheduled across host cores (--jobs).  Text mode reports and
+ * simulates the small cache only.
  *
  * Usage: fig6_small_cache [--scale 1.0] [--maxprocs 32] [--cachekb 8]
  *                         [--csv] [--jobs N] [--replicas off|on]
+ *                         [--protocol P] [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -34,7 +34,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
@@ -54,7 +55,7 @@ main(int argc, char** argv)
         procs.push_back(p);
 
     // results[i][j] holds {small} in text mode, {small, large} in CSV
-    // mode -- both cache sizes fed by one execution via the broadcast.
+    // mode -- both cache sizes fed by one pass.
     std::vector<std::vector<std::vector<RunStats>>> results(
         names.size(),
         std::vector<std::vector<RunStats>>(procs.size()));

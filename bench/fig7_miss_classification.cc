@@ -11,14 +11,15 @@
  * write sharing.
  *
  * Engine: the reference stream of an (app, P) pair is the same for
- * every line size, so each application executes ONCE and a broadcast
- * replay feeds all six line-size configurations (--replicas);
- * applications run concurrently across host cores (--jobs).  Output
- * bytes are identical in every mode.
+ * every line size, so each application executes ONCE and its pass
+ * feeds all six line-size configurations (--replicas on gives each its
+ * own thread); applications run concurrently across host cores
+ * (--jobs).  Output bytes are identical in every mode.
  *
  * Usage: fig7_miss_classification [--procs 32] [--scale 1.0]
  *                                 [--app <name>] [--csv]
  *                                 [--jobs N] [--replicas off|on]
+ *                                 [--protocol P] [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -34,7 +35,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));

@@ -22,13 +22,14 @@
  *    request/data/hint packets for the directory, address+data-phase
  *    occupancy cycles of the shared wires for the bus.
  *
- * Engine: all 2 x kNumProtocols machine configurations are broadcast
- * replicas of ONE execution per application.  --csv prints rows with
- * six decimals so goldens can pin them exactly.
+ * Engine: all 2 x kNumProtocols machine configurations are fed from
+ * ONE pass per application, so the bench reads --check but neither
+ * --protocol nor --interconnect.  --csv prints rows with six decimals
+ * so goldens can pin them exactly.
  *
  * Usage: interconnect_traffic [--procs 16] [--scale 0.5] [--quick]
  *                             [--app <name>] [--csv] [--jobs N]
- *                             [--replicas off|on]
+ *                             [--replicas off|on] [--check N]
  */
 #include <cstdio>
 #include <vector>
@@ -44,8 +45,9 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Check, &eng))
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 0.5);

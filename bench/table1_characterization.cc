@@ -32,7 +32,7 @@ main(int argc, char** argv)
     Options opt(argc, argv);
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

@@ -107,7 +107,7 @@ main(int argc, char** argv)
     Options opt(argc, argv);
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     int procs = static_cast<int>(
         opt.getI("procs", opt.has("quick") ? 8 : 32));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

@@ -15,6 +15,7 @@
  * every jobs value.
  *
  * Usage: table3_comm_comp [--procs 8] [--scale 1.0] [--jobs N]
+ *                         [--protocol P] [--check N]
  */
 #include <cstdio>
 #include <string>
@@ -89,7 +90,8 @@ main(int argc, char** argv)
 {
     Options opt(argc, argv);
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 8));
     double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);

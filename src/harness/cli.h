@@ -1,36 +1,19 @@
 /**
  * @file
- * Engine-related command-line flags shared by every characterization
- * bench and by splash2run:
+ * Engine-related command-line flags of splash2run and the
+ * characterization benches.  parseEngineOpts reads the ones every
+ * binary shares:
  *
  *   --jobs N          host threads for independent experiments
  *                     (N >= 1; default 1 = serial)
  *   --replicas off|on host threads within one job (default on):
- *                     off keeps the job on one thread -- one pass per
- *                     configuration, one whole sweep;
- *                     on broadcasts one pass to every configuration,
- *                     splits the sweep into processor-range shards,
- *                     and gives each replica a thread when the
- *                     process may use more than one CPU
+ *                     off keeps the job on one thread, which feeds
+ *                     every sink of its one pass directly; on gives
+ *                     each sink a thread on a broadcast of that pass
+ *                     and splits the sweep into processor-range
+ *                     shards, when the process may use more than one
+ *                     CPU.  Never more than one pass per program
  *   --quantum N       instrumentation events per scheduling slice
- *   --sweep MODE      working-set sweep engine: exact | model | both
- *                     (default exact), read by parseSweepFlag in
- *                     splash2run and fig3_working_sets only.  model
- *                     predicts the Figure-3 curves from the sweep's
- *                     fully associative profile instead of simulating
- *                     the finite columns; both runs the two and reports
- *                     model-vs-exact error
- *   --check N         coherence invariant checker sampling period: a
- *                     full directory/cache cross-validation every N
- *                     slow-path transactions (0 = off, the default)
- *   --protocol NAME   coherence protocol of the simulated machine:
- *                     msi | mesi | moesi | dragon (default mesi), or
- *                     "list" to print the protocol zoo and exit
- *   --interconnect K  interconnect organization of the simulated
- *                     machine: directory | bus (default directory).
- *                     Bus mode snoops the tag arrays instead of
- *                     consulting a directory and accounts address/data
- *                     bus occupancy instead of packet bytes
  *   --race GRAN       happens-before race detection over the
  *                     reference stream: off | word | line (default
  *                     off).  Observation only: characterization
@@ -44,6 +27,36 @@
  *   --sweep-threads N accepted and ignored: a retired knob that
  *                     existing benchmark command lines still pass
  *                     (--replicas sizes the sweep shards)
+ *
+ * Two more calls read flags only the binaries that honour them take;
+ * anywhere else the flag stays unread and is rejected:
+ *
+ *   parseMachineFlags, in every binary that simulates a memory
+ *   system, up to the level it honours:
+ *   --check N         coherence invariant checker sampling period: a
+ *                     full directory/cache cross-validation every N
+ *                     slow-path transactions (0 = off, the default);
+ *                     splash2run, fig4-7, table3, ablation_protocol
+ *                     and interconnect_traffic
+ *   --protocol NAME   coherence protocol of the simulated machine:
+ *                     msi | mesi | moesi | dragon (default mesi), or
+ *                     "list" to print the protocol zoo and exit; the
+ *                     same binaries but interconnect_traffic, which
+ *                     runs the whole zoo
+ *   --interconnect K  interconnect organization of the simulated
+ *                     machine: directory | bus (default directory);
+ *                     splash2run only.  Bus mode snoops the tag arrays
+ *                     instead of consulting a directory and accounts
+ *                     address/data bus occupancy instead of packet
+ *                     bytes
+ *
+ *   parseSweepFlag, in splash2run and fig3_working_sets:
+ *   --sweep MODE      working-set sweep engine: exact | model | both
+ *                     (default exact).  model predicts the Figure-3
+ *                     curves from the sweep's fully associative
+ *                     profile instead of simulating the finite
+ *                     columns; both runs the two and reports
+ *                     model-vs-exact error
  *
  * Every flag except --protocol and --interconnect changes wall clock
  * only; results and output bytes are identical for any combination
@@ -75,7 +88,7 @@ struct EngineOpts
 {
     int jobs = 1;
     SimOpts sim;
-    /** True when parseEngineOpts handled an informational request
+    /** True when parseMachineFlags handled an informational request
      *  (--protocol list) and printed it: the caller should exit 0
      *  instead of treating the false return as a usage error. */
     bool listRequested = false;
@@ -121,39 +134,10 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
         return false;
     }
     out->sim.quantum = static_cast<std::uint64_t>(quantum);
-    long check = opt.getI("check", 0);
-    if (check < 0) {
-        std::fprintf(stderr,
-                     "--check must be >= 0 (got %ld; 0 = off)\n", check);
-        return false;
-    }
-    out->sim.checkPeriod = static_cast<std::uint64_t>(check);
     std::string replicas = opt.getS("replicas", "on");
     if (!parseReplicas(replicas, &out->sim.replicas)) {
         std::fprintf(stderr, "unknown --replicas '%s' (off or on)\n",
                      replicas.c_str());
-        return false;
-    }
-    std::string protoName = opt.getS("protocol", "mesi");
-    if (protoName == "list") {
-        std::fputs(sim::protocolZoo().c_str(), stdout);
-        out->listRequested = true;
-        return false;
-    }
-    if (!sim::parseProtocol(protoName, &out->sim.protocol)) {
-        std::fprintf(stderr,
-                     "unknown --protocol '%s' (msi, mesi, moesi, "
-                     "dragon, or list)\n",
-                     protoName.c_str());
-        return false;
-    }
-    std::string icName = opt.getS("interconnect", "directory");
-    out->interconnectRequested = opt.has("interconnect");
-    if (!sim::parseInterconnect(icName, &out->sim.interconnect)) {
-        std::fprintf(stderr,
-                     "unknown --interconnect '%s' (directory or "
-                     "bus)\n",
-                     icName.c_str());
         return false;
     }
     std::string race = opt.getS("race", "off");
@@ -204,6 +188,56 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
     return true;
 }
 
+/** The machine flags a binary honours, each level adding one flag to
+ *  the levels before it: Check reads --check, Protocol adds
+ *  --protocol, Interconnect adds --interconnect (see the file
+ *  comment for which binary stops where). */
+enum class MachineFlags : std::uint8_t { Check, Protocol, Interconnect };
+
+/** Parse the machine flags up to @p upTo.  Only the binaries that
+ *  build a memory system call this; anywhere else, and above
+ *  @p upTo, the flags stay unread and Options::allRead() rejects
+ *  them.  Prints to stderr and returns false on an unrecognized value
+ *  (or after printing --protocol list). */
+inline bool
+parseMachineFlags(const Options& opt, MachineFlags upTo, EngineOpts* out)
+{
+    long check = opt.getI("check", 0);
+    if (check < 0) {
+        std::fprintf(stderr,
+                     "--check must be >= 0 (got %ld; 0 = off)\n", check);
+        return false;
+    }
+    out->sim.checkPeriod = static_cast<std::uint64_t>(check);
+    if (upTo == MachineFlags::Check)
+        return true;
+    std::string protoName = opt.getS("protocol", "mesi");
+    if (protoName == "list") {
+        std::fputs(sim::protocolZoo().c_str(), stdout);
+        out->listRequested = true;
+        return false;
+    }
+    if (!sim::parseProtocol(protoName, &out->sim.protocol)) {
+        std::fprintf(stderr,
+                     "unknown --protocol '%s' (msi, mesi, moesi, "
+                     "dragon, or list)\n",
+                     protoName.c_str());
+        return false;
+    }
+    if (upTo == MachineFlags::Protocol)
+        return true;
+    std::string icName = opt.getS("interconnect", "directory");
+    out->interconnectRequested = opt.has("interconnect");
+    if (!sim::parseInterconnect(icName, &out->sim.interconnect)) {
+        std::fprintf(stderr,
+                     "unknown --interconnect '%s' (directory or "
+                     "bus)\n",
+                     icName.c_str());
+        return false;
+    }
+    return true;
+}
+
 /** Parse --sweep.  Only the binaries whose output a sweep mode
  *  changes call this (splash2run and fig3_working_sets); anywhere
  *  else the flag stays unread and Options::allRead() rejects it.
@@ -224,12 +258,13 @@ parseSweepFlag(const Options& opt, EngineOpts* out)
 
 /** Reject contradictory mode-flag combinations with the uniform
  *  "conflicting flags" diagnostic.  splash2run calls this once after
- *  parseEngineOpts and parseSweepFlag; it covers the run-mode matrix
- *  the engine flags cannot see on their own (--inject, --race-inject
- *  and the cache geometry flags are splash2run flags, not engine
- *  flags).  Each harness or mode owns the whole
- *  run, so combining two of them would silently ignore one -- reject
- *  instead of no-op.  Returns true when the combination is runnable.
+ *  parseEngineOpts, parseMachineFlags and parseSweepFlag; it covers
+ *  the run-mode matrix the engine flags cannot see on their own
+ *  (--inject, --race-inject and the cache geometry flags are
+ *  splash2run flags, not engine flags).  Each harness or mode owns
+ *  the whole run, so combining two of them would silently ignore one
+ *  -- reject instead of no-op.  Returns true when the combination is
+ *  runnable.
  */
 inline bool
 checkModeConflicts(const Options& opt, const EngineOpts& eng)

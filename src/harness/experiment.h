@@ -5,7 +5,8 @@
  * source -- live execution in an rt::Env, or a --replay trace -- into
  * a sink set, the simulators that consume the stream (runPass).  The
  * drivers below (and runWorkingSets, harness/workingset.h) only build
- * sink sets and read their statistics.
+ * sink sets and read their statistics: every result comes from one
+ * pass of its program, whatever --replicas says.
  */
 #ifndef SPLASH2_HARNESS_EXPERIMENT_H
 #define SPLASH2_HARNESS_EXPERIMENT_H
@@ -45,18 +46,19 @@ struct RunStats
     sim::RaceOutcome race;
 };
 
-/** How many host threads one job's simulators use (--replicas).
- *  Results are byte-identical either way.
+/** How many host threads one job's simulators use (--replicas);
+ *  never how many passes it makes.  Every job makes one pass of its
+ *  program into one sink set, and results are byte-identical either
+ *  way.
  *
- *  - Off: one host thread.  A multi-configuration characterization
- *    makes one pass per configuration, and the working-set sweep
- *    runs serially.  The serial differential oracle.
- *  - On: a multi-configuration characterization makes ONE pass and
- *    broadcasts it to every configuration (BroadcastReplay).  With
- *    more than one usable CPU every broadcast replica gets a consumer
- *    thread, and a working-set run broadcasts too: the sweep as
- *    processor-range shards, and the race checker.  On one CPU all
- *    of it runs inline. */
+ *  - Off: one host thread feeds every sink directly, and the
+ *    working-set sweep is one whole sweep.  The serial differential
+ *    oracle.
+ *  - On: with more than one usable CPU, a pass into more than one
+ *    sink gives each sink a consumer thread on a BroadcastReplay
+ *    (fanOut), and a working-set run splits its sweep into
+ *    processor-range shards, one per thread.  On one CPU it runs as
+ *    Off does. */
 enum class Replicas : std::uint8_t { Off, On };
 
 inline bool
@@ -74,6 +76,22 @@ inline int
 replicaThreads()
 {
     return std::min(usableCpus(), 16);
+}
+
+/** The sinks a pass hands its source: @p sinks themselves, or --
+ *  under Replicas::On with more than one usable CPU and more than one
+ *  sink -- one threaded BroadcastReplay over them, kept in @p cast
+ *  (declared after the sinks it feeds, so it is destroyed first).
+ *  The one place --replicas chooses host threads. */
+inline std::vector<sim::RefSink*>
+fanOut(std::vector<sim::RefSink*> sinks, Replicas replicas,
+       std::unique_ptr<sim::BroadcastReplay>* cast)
+{
+    if (replicas == Replicas::Off || sinks.size() < 2 ||
+        replicaThreads() < 2)
+        return sinks;
+    *cast = std::make_unique<sim::BroadcastReplay>(std::move(sinks));
+    return {cast->get()};
 }
 
 /** Run-wide simulation knobs shared by the pipeline below.  The
@@ -417,18 +435,18 @@ memSystemFor(const MemExperiment& e, int nprocs,
     return mem;
 }
 
-/** Characterize @p app under every experiment of @p exps from ONE
- *  pass: a BroadcastReplay feeds one MemSystem per experiment and,
- *  with race detection on, one RaceChecker per granule size -- Word
- *  granules are line-size independent, so one serves every
- *  experiment; Line granules need one per line size.  @p threaded
- *  gives each replica a consumer thread; false replays them inline on
- *  the producer thread. */
+/** Characterize @p app on @p nprocs under every configuration in
+ *  @p exps from ONE pass.  The PRAM reference stream of a given
+ *  (app, P) does not depend on the memory system, so the pass feeds
+ *  one MemSystem per experiment and, with race detection on, one
+ *  RaceChecker per granule size -- Word granules are line-size
+ *  independent, so one serves every experiment; Line granules need
+ *  one per line size.  Statistics equal those of a dedicated pass per
+ *  experiment (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
-broadcastCharacterizations(App& app, int nprocs,
-                           const std::vector<MemExperiment>& exps,
-                           const AppConfig& cfg, const SimOpts& simOpts,
-                           bool threaded)
+runCharacterizations(App& app, int nprocs,
+                     const std::vector<MemExperiment>& exps,
+                     const AppConfig& cfg, const SimOpts& simOpts = {})
 {
     const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
     auto granule = [&](const MemExperiment& e) {
@@ -436,11 +454,9 @@ broadcastCharacterizations(App& app, int nprocs,
                    ? 4
                    : e.cache.lineSize;
     };
-    // Declared before the broadcast, which is destroyed first: its
-    // consumers replay into these.
     std::vector<std::unique_ptr<sim::MemSystem>> mems;
     std::map<int, std::unique_ptr<sim::RaceChecker>> races;
-    std::unique_ptr<sim::BroadcastReplay> cast;
+    std::unique_ptr<sim::BroadcastReplay> cast;  // destroyed first
     const RunStats base = runPass(
         app, nprocs, cfg, simOpts, [&](const sim::HomeResolver* homes) {
             std::vector<sim::RefSink*> sinks;
@@ -456,56 +472,13 @@ broadcastCharacterizations(App& app, int nprocs,
                     sinks.push_back(race.get());
                 }
             }
-            cast = std::make_unique<sim::BroadcastReplay>(std::move(sinks),
-                                                          threaded);
-            return std::vector<sim::RefSink*>{cast.get()};
+            return fanOut(std::move(sinks), simOpts.replicas, &cast);
         });
     std::vector<RunStats> out;
     for (std::size_t i = 0; i < exps.size(); ++i) {
         RunStats r = withMem(base, *mems[i]);
         if (raceOn)
             noteRace(&r, races.at(granule(exps[i])).get());
-        out.push_back(std::move(r));
-    }
-    return out;
-}
-
-/** Characterize @p app on @p nprocs under every configuration in
- *  @p exps.
- *
- *  The PRAM reference stream of a given (app, P) does not depend on
- *  the memory system.  With Replicas::On and several experiments, one
- *  pass feeds every experiment's MemSystem through a broadcast
- *  (broadcastCharacterizations); otherwise each experiment gets its
- *  own pass feeding its MemSystem directly.  Statistics are
- *  bit-identical either way (tests/sim/replay_test.cc). */
-inline std::vector<RunStats>
-runCharacterizations(App& app, int nprocs,
-                     const std::vector<MemExperiment>& exps,
-                     const AppConfig& cfg, const SimOpts& simOpts = {})
-{
-    if (simOpts.replicas == Replicas::On && exps.size() > 1)
-        return broadcastCharacterizations(app, nprocs, exps, cfg, simOpts,
-                                          replicaThreads() > 1);
-    std::vector<RunStats> out;
-    for (const MemExperiment& e : exps) {
-        std::unique_ptr<sim::MemSystem> mem;
-        std::unique_ptr<sim::RaceChecker> race;
-        RunStats r = runPass(
-            app, nprocs, cfg, simOpts,
-            [&](const sim::HomeResolver* homes) {
-                mem = memSystemFor(e, nprocs, homes, simOpts);
-                std::vector<sim::RefSink*> s{mem.get()};
-                if (simOpts.race != sim::RaceGranularity::Off) {
-                    race = std::make_unique<sim::RaceChecker>(
-                        raceConfigFor(simOpts.race, nprocs,
-                                      e.cache.lineSize));
-                    s.push_back(race.get());
-                }
-                return s;
-            });
-        r = withMem(std::move(r), *mem);
-        noteRace(&r, race.get());
         out.push_back(std::move(r));
     }
     return out;

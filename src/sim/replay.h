@@ -5,13 +5,13 @@
  * The paper's memory-system characterizations (Figures 4-7, the
  * protocol ablation) vary only machine parameters -- line size, cache
  * size, replacement hints, data placement -- while the PRAM reference
- * stream of a given (application, P) is identical across all of them.
- * Re-executing the fiber simulation once per configuration therefore
- * repeats exactly the same work N times; this component executes the
- * application ONCE and feeds N independent replicas from the single
- * stream.  A replica is any RefSink: a MemSystem per configuration,
- * a race detector, or one processor-range shard of the working-set
- * sweep (sim/sweep.h).
+ * stream of a given (application, P) is identical across all of them,
+ * so the harness executes each application ONCE and feeds every
+ * configuration from that one stream (harness/experiment.h).  This
+ * component gives each of those sinks its own host thread: it feeds N
+ * independent replicas from the single stream.  A replica is any
+ * RefSink: a MemSystem per configuration, a race detector, or one
+ * processor-range shard of the working-set sweep (sim/sweep.h).
  *
  * Pipeline shape: single producer (the Env's instrumentation, via
  * RefSink::access), multiple consumers (one host worker thread per
@@ -24,17 +24,18 @@
  * Determinism: each consumer replays every chunk in sequence order on
  * one thread, so each replica observes exactly the reference stream a
  * dedicated serial simulation would have observed -- statistics are
- * bit-identical to running the application once per configuration
- * (proven by tests/sim/replay_test.cc).  Stream-ordered control events
+ * bit-identical to a dedicated pass per configuration (proven by
+ * tests/sim/replay_test.cc).  Stream-ordered control events
  * ride in the chunks themselves: sync edges at their record position,
  * statistics resets (measurement boundaries) as a chunk mark so each
  * replica resets at the exact stream position, and placement changes
  * arrive through streamBarrier(), which quiesces all consumers before
  * the home map mutates.
  *
- * An inline (threads-off) mode replays chunks on the producer thread,
- * for single-core hosts: the redundant executions are still saved,
- * with no cross-thread traffic.
+ * An inline (threads-off) mode replays chunks on the producer thread.
+ * The harness never needs it -- with one thread it feeds the sinks
+ * directly -- but tests and the benchmark's layer probe use it to stage
+ * a stream without threads.
  */
 #ifndef SPLASH2_SIM_REPLAY_H
 #define SPLASH2_SIM_REPLAY_H
@@ -73,7 +74,7 @@ class BroadcastReplay final : public RefSink
      *  Each replays every chunk as accessBatch runs split at the
      *  chunk's sync edges, then resetStats when the chunk carries one.
      *  @param threaded one consumer thread per sink; false replays
-     *  chunks inline on the producer thread (single-core hosts).
+     *  chunks inline on the producer thread.
      *  @param chunkRecords records per chunk; @param ringChunks chunks
      *  in flight before the producer stalls (back-pressure bound). */
     explicit BroadcastReplay(std::vector<RefSink*> sinks,

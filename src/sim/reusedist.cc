@@ -1,11 +1,7 @@
 #include "sim/reusedist.h"
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
-#include <cstring>
 
 #include "base/log.h"
 #include "sim/sweep.h"
@@ -47,13 +43,6 @@ bucketMax(int i)
 ReuseDistProfile::Row::Row()
     : count(rdbucket::kBuckets, 0), sumDist(rdbucket::kBuckets, 0)
 {
-}
-
-bool
-ReuseDistProfile::operator==(const ReuseDistProfile& o) const
-{
-    return nprocs == o.nprocs && lineSize == o.lineSize &&
-           procs == o.procs;
 }
 
 void
@@ -217,258 +206,6 @@ ReuseDistProfile::missRate(std::uint64_t sizeBytes, int assoc) const
         }
     }
     return m / double(total);
-}
-
-// ---------------------------------------------------------------------
-// Sidecar serialization
-
-namespace {
-
-constexpr char kMagic[8] = {'S', '2', 'R', 'D', 'P', 'R', 'O', 'F'};
-constexpr std::uint32_t kVersion = 1;
-
-void
-putU32(std::vector<std::uint8_t>& o, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        o.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<std::uint8_t>& o, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        o.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-bool
-getBytes(const std::uint8_t** p, const std::uint8_t* end, void* out,
-         std::size_t n)
-{
-    if (static_cast<std::size_t>(end - *p) < n)
-        return false;
-    std::memcpy(out, *p, n);
-    *p += n;
-    return true;
-}
-
-bool
-getU32(const std::uint8_t** p, const std::uint8_t* end,
-       std::uint32_t* v)
-{
-    std::uint8_t b[4];
-    if (!getBytes(p, end, b, 4))
-        return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i)
-        *v |= static_cast<std::uint32_t>(b[i]) << (8 * i);
-    return true;
-}
-
-bool
-getU64(const std::uint8_t** p, const std::uint8_t* end,
-       std::uint64_t* v)
-{
-    std::uint8_t b[8];
-    if (!getBytes(p, end, b, 8))
-        return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i)
-        *v |= static_cast<std::uint64_t>(b[i]) << (8 * i);
-    return true;
-}
-
-void
-putMeta(std::vector<std::uint8_t>& o, const TraceMeta& m)
-{
-    putU32(o, static_cast<std::uint32_t>(m.app.size()));
-    o.insert(o.end(), m.app.begin(), m.app.end());
-    putU32(o, static_cast<std::uint32_t>(m.nprocs));
-    std::uint64_t scaleBits;
-    std::memcpy(&scaleBits, &m.scale, 8);
-    putU64(o, scaleBits);
-    putU64(o, static_cast<std::uint64_t>(m.n));
-    putU64(o, static_cast<std::uint64_t>(m.iters));
-    putU64(o, static_cast<std::uint64_t>(m.aux));
-    putU32(o, m.seed);
-    putU64(o, m.quantum);
-}
-
-bool
-getMeta(const std::uint8_t** p, const std::uint8_t* end, TraceMeta* m)
-{
-    std::uint32_t len;
-    if (!getU32(p, end, &len) || len > 64)
-        return false;
-    m->app.resize(len);
-    if (!getBytes(p, end, m->app.data(), len))
-        return false;
-    std::uint32_t nprocs, seed;
-    std::uint64_t scaleBits, n, iters, aux, quantum;
-    if (!getU32(p, end, &nprocs) || !getU64(p, end, &scaleBits) ||
-        !getU64(p, end, &n) || !getU64(p, end, &iters) ||
-        !getU64(p, end, &aux) || !getU32(p, end, &seed) ||
-        !getU64(p, end, &quantum))
-        return false;
-    m->nprocs = static_cast<int>(nprocs);
-    std::memcpy(&m->scale, &scaleBits, 8);
-    m->n = static_cast<long>(n);
-    m->iters = static_cast<long>(iters);
-    m->aux = static_cast<long>(aux);
-    m->seed = seed;
-    m->quantum = quantum;
-    return true;
-}
-
-} // namespace
-
-bool
-ReuseDistProfile::save(const std::string& path, const TraceMeta& meta,
-                       std::string* err) const
-{
-    std::vector<std::uint8_t> buf;
-    buf.insert(buf.end(), kMagic, kMagic + 8);
-    putU32(buf, kVersion);
-    putMeta(buf, meta);
-    putU32(buf, static_cast<std::uint32_t>(lineSize));
-    putU32(buf, static_cast<std::uint32_t>(procs.size()));
-    putU32(buf, rdbucket::kBuckets);
-    for (const Row& r : procs) {
-        putU64(buf, r.accesses);
-        putU64(buf, r.cold);
-        putU64(buf, r.stale);
-        for (std::uint64_t c : r.count)
-            putU64(buf, c);
-        for (std::uint64_t s : r.sumDist)
-            putU64(buf, s);
-    }
-    buf.push_back(exec.valid ? 1 : 0);
-    putU64(buf, exec.elapsed);
-    putU32(buf, static_cast<std::uint32_t>(exec.procs.size()));
-    for (const ExecProfile::Row& row : exec.procs)
-        for (std::uint64_t v : row)
-            putU64(buf, v);
-    putU32(buf, tracecodec::crc32(buf.data(), buf.size()));
-
-    const std::string tmp =
-        path + ".tmp." + std::to_string(::getpid());
-    std::FILE* f = std::fopen(tmp.c_str(), "wb");
-    if (!f) {
-        if (err)
-            *err = "cannot write reuse-distance profile '" + tmp + "'";
-        return false;
-    }
-    const bool ok =
-        std::fwrite(buf.data(), 1, buf.size(), f) == buf.size();
-    if (std::fclose(f) != 0 || !ok ||
-        std::rename(tmp.c_str(), path.c_str()) != 0) {
-        std::remove(tmp.c_str());
-        if (err)
-            *err = "failed writing reuse-distance profile '" + path +
-                   "'";
-        return false;
-    }
-    return true;
-}
-
-bool
-ReuseDistProfile::load(const std::string& path, const TraceMeta& meta,
-                       int expectLineSize, ReuseDistProfile* out,
-                       std::string* err)
-{
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f) {
-        if (err)
-            *err = "no reuse-distance profile at '" + path + "'";
-        return false;
-    }
-    std::vector<std::uint8_t> buf;
-    std::uint8_t chunk[1 << 16];
-    std::size_t n;
-    while ((n = std::fread(chunk, 1, sizeof chunk, f)) > 0)
-        buf.insert(buf.end(), chunk, chunk + n);
-    std::fclose(f);
-
-    auto bad = [&](const char* why) {
-        if (err)
-            *err = "reuse-distance profile '" + path + "': " + why;
-        return false;
-    };
-    if (buf.size() < 16)
-        return bad("truncated");
-    std::uint32_t storedCrc = 0;
-    {
-        const std::uint8_t* p = buf.data() + buf.size() - 4;
-        getU32(&p, buf.data() + buf.size(), &storedCrc);
-    }
-    if (tracecodec::crc32(buf.data(), buf.size() - 4) != storedCrc)
-        return bad("CRC mismatch (corrupt or truncated)");
-
-    const std::uint8_t* p = buf.data();
-    const std::uint8_t* end = buf.data() + buf.size() - 4;
-    if (std::memcmp(p, kMagic, 8) != 0)
-        return bad("bad magic");
-    p += 8;
-    std::uint32_t version;
-    if (!getU32(&p, end, &version) || version != kVersion)
-        return bad("unsupported format version");
-    TraceMeta stored;
-    if (!getMeta(&p, end, &stored))
-        return bad("malformed identity");
-    if (stored != meta)
-        return bad(("identity mismatch: profile is for " +
-                    stored.describe() + ", wanted " + meta.describe())
-                       .c_str());
-    std::uint32_t lineSize, nrows, nbuckets;
-    if (!getU32(&p, end, &lineSize) || !getU32(&p, end, &nrows) ||
-        !getU32(&p, end, &nbuckets))
-        return bad("malformed header");
-    if (expectLineSize > 0 &&
-        lineSize != static_cast<std::uint32_t>(expectLineSize))
-        return bad("line size mismatch");
-    if (nbuckets != rdbucket::kBuckets)
-        return bad("bucket layout mismatch");
-    if (nrows > kMaxProcs)
-        return bad("implausible processor count");
-
-    ReuseDistProfile pr;
-    pr.lineSize = static_cast<int>(lineSize);
-    pr.nprocs = static_cast<int>(nrows);
-    pr.procs.resize(nrows);
-    for (Row& r : pr.procs) {
-        if (!getU64(&p, end, &r.accesses) ||
-            !getU64(&p, end, &r.cold) || !getU64(&p, end, &r.stale))
-            return bad("truncated histogram");
-        for (std::uint64_t& c : r.count)
-            if (!getU64(&p, end, &c))
-                return bad("truncated histogram");
-        for (std::uint64_t& s : r.sumDist)
-            if (!getU64(&p, end, &s))
-                return bad("truncated histogram");
-    }
-    std::uint8_t valid;
-    std::uint32_t execRows;
-    std::uint64_t elapsed;
-    if (!getBytes(&p, end, &valid, 1) || !getU64(&p, end, &elapsed) ||
-        !getU32(&p, end, &execRows) || execRows > kMaxProcs)
-        return bad("malformed execution profile");
-    pr.exec.valid = valid != 0;
-    pr.exec.elapsed = elapsed;
-    pr.exec.procs.resize(execRows);
-    for (ExecProfile::Row& row : pr.exec.procs)
-        for (std::uint64_t& v : row)
-            if (!getU64(&p, end, &v))
-                return bad("truncated execution profile");
-    if (p != end)
-        return bad("trailing garbage");
-    *out = std::move(pr);
-    return true;
-}
-
-std::string
-profilePathFor(const std::string& dirOrFile, const TraceMeta& m)
-{
-    return tracestore::pathFor(dirOrFile, m) + ".rdp";
 }
 
 } // namespace splash::sim

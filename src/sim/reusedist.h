@@ -27,10 +27,9 @@
  *    (results/fig3_model_error.csv) quantifies it per application.
  *
  * Profiles are tiny (a few hundred counters per processor,
- * independent of the reference count) and can be saved next to a
- * recorded trace as a ".rdp" sidecar, so a later `--sweep model` run
- * needs neither fiber execution nor trace replay: it loads the
- * sidecar and evaluates curves in microseconds.
+ * independent of the reference count) and live only as long as the
+ * run that filled them: a model sweep of a recorded program replays
+ * its trace through the one-column sweep, like any other sweep.
  */
 #ifndef SPLASH2_SIM_REUSEDIST_H
 #define SPLASH2_SIM_REUSEDIST_H
@@ -42,7 +41,6 @@
 #include "base/types.h"
 #include "sim/grid.h"
 #include "sim/trace.h"
-#include "sim/tracestore.h"
 
 namespace splash::sim {
 
@@ -124,18 +122,13 @@ struct ReuseDistProfile
     int nprocs = 0;
     int lineSize = 64;
     std::vector<Row> procs;
-    /** Execution profile of the producing run, so a model sweep from
-     *  a sidecar can report execution statistics without opening the
-     *  trace. */
-    ExecProfile exec;
 
     /** Count one line reference of processor @p p whose
      *  StackDistance::touch outcome was @p distance. */
     void record(ProcId p, std::uint64_t distance);
     /** Zero every row's counters (a measurement boundary). */
     void clearCounts();
-    /** Add another shard's rows (an empty profile takes @p o's);
-     *  exec is left alone, like SweepResult::operator+=. */
+    /** Add another shard's rows (an empty profile takes @p o's). */
     ReuseDistProfile& operator+=(const ReuseDistProfile& o);
 
     std::uint64_t accesses() const;
@@ -158,29 +151,8 @@ struct ReuseDistProfile
      *  associativity correction at each bucket's mean distance. */
     double missRate(std::uint64_t sizeBytes, int assoc) const;
 
-    /** Histogram equality (exec profile excluded: it describes the
-     *  producing run, not the reuse behavior). */
-    bool operator==(const ReuseDistProfile& o) const;
-
-    /** Serialize to @p path (atomic: staged + renamed), stamped with
-     *  the producing run's identity @p meta and a CRC.  False with
-     *  @p err on I/O failure. */
-    bool save(const std::string& path, const TraceMeta& meta,
-              std::string* err) const;
-
-    /** Load @p path and require its recorded identity to equal
-     *  @p meta (and its line size to equal @p out->lineSize if set by
-     *  the caller via expectLineSize).  False with a diagnostic on a
-     *  missing file, corruption, or identity mismatch. */
-    static bool load(const std::string& path, const TraceMeta& meta,
-                     int expectLineSize, ReuseDistProfile* out,
-                     std::string* err);
+    bool operator==(const ReuseDistProfile& o) const = default;
 };
-
-/** Canonical sidecar path of @p m's profile next to its trace in
- *  store @p dirOrFile: "<trace path>.rdp". */
-std::string profilePathFor(const std::string& dirOrFile,
-                           const TraceMeta& m);
 
 } // namespace splash::sim
 

@@ -46,13 +46,15 @@
  * the interconnect organization: the default directory CC-NUMA
  * machine, or a snoopy bus where misses broadcast and every cache
  * answers from its tag array (same protocol descriptors, no sharer
- * vectors, bus occupancy accounted instead of packet bytes).  Those
- * two are the engine flags that change results: they change the
- * machine.  --quantum sets the instrumentation events per scheduling
- * slice; --jobs schedules independent programs across host cores;
- * --replicas off keeps each program on one host thread.  Those change
- * simulation speed only -- output bytes are bit-identical across
- * quanta, job counts, and replica modes.
+ * vectors, bus occupancy accounted instead of packet bytes); this is
+ * the only binary that reads it.  Those two are the engine flags that
+ * change results: they change the machine.  --quantum sets the
+ * instrumentation events per scheduling slice; --jobs schedules
+ * independent programs across host cores; --replicas off keeps each
+ * program on one host thread.  Each program runs once whatever they
+ * say, and they change simulation speed only -- output bytes are
+ * bit-identical across quanta, job counts, and replica modes, and a
+ * --sweep replayed from a store prints what the live sweep printed.
  */
 #include <algorithm>
 #include <cstdio>
@@ -226,11 +228,9 @@ reportSweep(const App& app, const WorkingSetRun& run,
     const bool model = mode == sim::SweepMode::Model;
     std::printf("%s on %d processors (scale %.3g)\n",
                 app.name().c_str(), procs, cfg.scale);
-    std::printf("working-set sweep: %s engine, %d B lines%s\n",
-                sim::sweepModeName(mode), line,
-                run.modelFromProfile ? ", model from saved profile"
-                                     : "");
-    if (run.haveModel)
+    std::printf("working-set sweep: %s engine, %d B lines\n",
+                sim::sweepModeName(mode), line);
+    if (mode != sim::SweepMode::Exact)
         std::printf("profile: %.3f M line references, %.2f%% of "
                     "all-capacity misses coherence-invalidated\n",
                     run.model.accesses() / 1e6,
@@ -507,7 +507,9 @@ main(int argc, char** argv)
     // Engine flags first: informational requests (--protocol list)
     // and bad engine values resolve without requiring --app.
     EngineOpts eng;
-    if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
+    if (!parseEngineOpts(opt, &eng) ||
+        !parseMachineFlags(opt, MachineFlags::Interconnect, &eng) ||
+        !parseSweepFlag(opt, &eng))
         return eng.listRequested ? 0 : 2;
     std::string name = opt.getS("app", "");
     std::vector<App*> apps;
@@ -531,7 +533,8 @@ main(int argc, char** argv)
             "         --interconnect directory|bus  interconnect\n"
             "             organization of the simulated machine\n"
             "             (default directory CC-NUMA; bus snoops the\n"
-            "             tag arrays and accounts bus occupancy)\n"
+            "             tag arrays and accounts bus occupancy; read\n"
+            "             by splash2run only)\n"
             "         --quantum N  instrumentation events per\n"
             "             scheduling slice (default 250)\n"
             "         --jobs N  host threads running independent\n"
@@ -539,7 +542,8 @@ main(int argc, char** argv)
             "             output bytes identical for every value)\n"
             "         --replicas off|on  host threads within one\n"
             "             program (default on: sized from the host's\n"
-            "             cores; off: one thread; output identical)\n"
+            "             cores; off: one thread; one execution either\n"
+            "             way, output identical)\n"
             "         --check N  coherence invariant checker: full\n"
             "             directory/cache cross-validation every N\n"
             "             slow-path transactions (default 0 = off;\n"
@@ -561,7 +565,8 @@ main(int argc, char** argv)
             "             sweep (Figure 3 curves) instead of the\n"
             "             single-point characterization: exact Mattson\n"
             "             engine, reuse-distance analytical model, or\n"
-            "             both side by side with per-row error\n"
+            "             both side by side with per-row error; with\n"
+            "             --replay it replays the trace like any run\n"
             "         --record DIR  record the reference stream of\n"
             "             each executed (app, P) into trace store DIR\n"
             "             (created if missing; recorded identities\n"

@@ -9,8 +9,10 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -33,13 +35,15 @@ optionsFor(std::vector<std::string> words)
     return Options(static_cast<int>(argv.size()), argv.data());
 }
 
-/** Run parseEngineOpts and parseSweepFlag over a synthetic command
- *  line, the way the two sweeping binaries do. */
+/** Run every flag parser over a synthetic command line, the way
+ *  splash2run does. */
 bool
 parse(std::vector<std::string> words, EngineOpts* out)
 {
     const Options opt = optionsFor(std::move(words));
-    return parseEngineOpts(opt, out) && parseSweepFlag(opt, out);
+    return parseEngineOpts(opt, out) &&
+           parseMachineFlags(opt, MachineFlags::Interconnect, out) &&
+           parseSweepFlag(opt, out);
 }
 
 /** Parse @p words, then run the mode-conflict matrix over them the
@@ -51,24 +55,30 @@ parseAndCheck(std::vector<std::string> words, std::string* err = nullptr)
     const Options opt = optionsFor(std::move(words));
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
-    bool ok = parseEngineOpts(opt, &eng) && parseSweepFlag(opt, &eng) &&
-              checkModeConflicts(opt, eng);
+    bool ok = parseEngineOpts(opt, &eng) &&
+              parseMachineFlags(opt, MachineFlags::Interconnect, &eng) &&
+              parseSweepFlag(opt, &eng) && checkModeConflicts(opt, eng);
     std::string captured = ::testing::internal::GetCapturedStderr();
     if (err)
         *err = captured;
     return ok;
 }
 
-/** Parse the engine flags of @p words the way every bench does, then
- *  ask Options::allRead() about the rest.  Returns its verdict, with
- *  its diagnostics in @p err. */
+/** Parse the shared engine flags of @p words, the way every binary
+ *  does, and the machine flags up to @p machine when given, then ask
+ *  Options::allRead() about the rest.  Returns its verdict, with its
+ *  diagnostics in @p err. */
 bool
-engineFlagsOnly(std::vector<std::string> words, std::string* err)
+engineFlagsOnly(std::vector<std::string> words, std::string* err,
+                std::optional<MachineFlags> machine = std::nullopt)
 {
     const Options opt = optionsFor(std::move(words));
     EngineOpts eng;
     ::testing::internal::CaptureStderr();
     EXPECT_TRUE(parseEngineOpts(opt, &eng));
+    if (machine) {
+        EXPECT_TRUE(parseMachineFlags(opt, *machine, &eng));
+    }
     bool ok = opt.allRead();
     *err = ::testing::internal::GetCapturedStderr();
     return ok;
@@ -403,9 +413,13 @@ TEST(OptionsDeathTest, NonNumericDoubleIsFatal)
 
 // A flag no lookup asks for is an error, not a silent no-op: a typo
 // such as --replica would otherwise run the default, and --sweep
-// would change nothing on a binary that runs no sweep.  The retired
-// --sweep-threads stays accepted, because existing benchmark command
-// lines pass `--sweep-threads 1` on every run.
+// would change nothing on a binary that runs no sweep.  Machine flags
+// are read only up to the level a binary honours: none (PRAM-only
+// runs and the sweeps), --check (interconnect_traffic, which runs
+// every protocol and interconnect itself), --check and --protocol
+// (the benches of one machine), or all three (splash2run).  The
+// retired --sweep-threads stays accepted, because existing benchmark
+// command lines pass `--sweep-threads 1` on every run.
 TEST(Options, FlagsNothingReadsAreRejected)
 {
     std::string err;
@@ -427,6 +441,18 @@ TEST(Options, FlagsNothingReadsAreRejected)
     EXPECT_EQ(err, "unknown flag --jobs=2\n");
     EXPECT_FALSE(engineFlagsOnly({"fft"}, &err));
     EXPECT_EQ(err, "unexpected argument 'fft'\n");
+
+    const std::vector<std::string> machine = {
+        "--check", "5", "--protocol", "msi", "--interconnect", "bus"};
+    EXPECT_FALSE(engineFlagsOnly(machine, &err));
+    EXPECT_EQ(err, "unknown flag --check\nunknown flag --interconnect\n"
+                   "unknown flag --protocol\n");
+    EXPECT_FALSE(engineFlagsOnly(machine, &err, MachineFlags::Check));
+    EXPECT_EQ(err, "unknown flag --interconnect\nunknown flag --protocol\n");
+    EXPECT_FALSE(engineFlagsOnly(machine, &err, MachineFlags::Protocol));
+    EXPECT_EQ(err, "unknown flag --interconnect\n");
+    EXPECT_TRUE(engineFlagsOnly(machine, &err, MachineFlags::Interconnect));
+    EXPECT_EQ(err, "");
 }
 
 #ifdef SPLASH2_BINARY_DIR
@@ -474,7 +500,8 @@ runBinary(const std::string& cmd, std::string* err)
 // End to end: splash2run and all twelve figure/table benches exit 2
 // with the diagnostic before simulating anything; so does every bench
 // but fig3_working_sets given --sweep, which only it and splash2run
-// read.
+// read, every bench given --interconnect, which only splash2run reads,
+// and each bench given a --protocol or --check it does not honour.
 TEST(UnknownFlags, EveryBinaryExitsTwo)
 {
     std::vector<std::pair<std::string, std::string>> cases = {
@@ -483,6 +510,12 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
         {"bench/fig4_traffic --quick --seed 7", "--seed"},
         {"bench/fig6_small_cache --quick --app fft", "--app"},
     };
+    // The benches that build no memory system, then the one that runs
+    // every protocol itself.
+    const std::vector<std::string> noCheck = {
+        "fig1_speedups", "fig2_synchronization", "fig3_working_sets",
+        "table1_characterization", "table2_working_sets"};
+    const std::string zoo = "interconnect_traffic";
     for (const char* b :
          {"fig1_speedups", "fig2_synchronization", "fig3_working_sets",
           "fig4_traffic", "fig5_ocean_scaling", "fig6_small_cache",
@@ -493,6 +526,14 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
         cases.push_back({bin + " --quick --bogus", "--bogus"});
         if (bin != "bench/fig3_working_sets")
             cases.push_back({bin + " --quick --sweep model", "--sweep"});
+        cases.push_back(
+            {bin + " --quick --interconnect bus", "--interconnect"});
+        const bool checks =
+            std::find(noCheck.begin(), noCheck.end(), b) == noCheck.end();
+        if (!checks)
+            cases.push_back({bin + " --quick --check 100", "--check"});
+        if (!checks || b == zoo)
+            cases.push_back({bin + " --quick --protocol msi", "--protocol"});
     }
     for (const auto& [cmd, flag] : cases) {
         std::string err;
@@ -511,6 +552,24 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
     EXPECT_EQ(runBinary("src/splash2run --list", &err), 0);
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
                         "--jobs 1 --replicas off --sweep-threads 1",
+                        &err),
+              0)
+        << err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--protocol msi --interconnect bus --check 100",
+                        &err),
+              0)
+        << err;
+    EXPECT_EQ(runBinary("src/splash2run --protocol list", &err), 0);
+    EXPECT_EQ(runBinary("bench/fig5_ocean_scaling --procs 2 --n1 8 "
+                        "--n2 8 --protocol moesi --check 100",
+                        &err),
+              0)
+        << err;
+    EXPECT_EQ(runBinary("bench/ablation_protocol --protocol list", &err),
+              0);
+    EXPECT_EQ(runBinary("bench/interconnect_traffic --app fft --procs 2 "
+                        "--scale 0.05 --check 100",
                         &err),
               0)
         << err;

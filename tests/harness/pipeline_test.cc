@@ -1,19 +1,19 @@
 // Differential test of the run pipeline across all of its axes: every
 // source (live execution, live with --record, --replay of that
 // recording), both --replicas modes, and every kind of sink set (one
-// MemSystem fed directly, six line sizes through a broadcast, the
-// exact plus model working-set sweep, the model-only sweep, the
-// word-granularity race detector) must produce the statistics of the
-// serial live oracle.
-// A second case pins the reuse-distance fast path: a model sweep
-// replayed from a recorded profile sidecar.
+// MemSystem, six line sizes from one pass, the exact plus model
+// working-set sweep, the model-only sweep, the word-granularity race
+// detector) must produce the statistics of the serial live oracle.
+// Two more cases pin the one-pass rule: a six-configuration
+// characterization executes its program once in either replica mode,
+// and a replayed model sweep reads its trace store without writing to
+// it.
 #include <dirent.h>
 #include <gtest/gtest.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <chrono>
 #include <string>
 #include <vector>
 
@@ -74,8 +74,9 @@ expectSameOutputs(const Outputs& want, const Outputs& got)
                 EXPECT_EQ(wsMissRate(want.sweep, size, assoc, model),
                           wsMissRate(got.sweep, size, assoc, model))
                     << size << "B " << assoc << "-way model " << model;
-    // The model-only sweep (threaded shards under --replicas on, the
-    // sidecar on replay) records the --sweep both profile.
+    // The model-only sweep (threaded shards under --replicas on, a
+    // replay of the trace under --replay) records the --sweep both
+    // profile.
     expectSameRun(want.sweep.stats, got.model.stats);
     EXPECT_TRUE(got.model.model == want.sweep.model);
     expectSameRun(want.race, got.race);
@@ -132,23 +133,59 @@ INSTANTIATE_TEST_SUITE_P(Apps, PipelineDifferential,
 
 namespace {
 
-/** Wall seconds of one runWorkingSets call. */
-double
-timedSweep(App& app, const AppConfig& cfg, const SimOpts& so,
-           WorkingSetRun* out)
+/** Counts how often the program it wraps executes. */
+class CountingApp final : public App
 {
-    sim::SweepConfig sc;
-    sc.nprocs = kProcs;
-    const auto t0 = std::chrono::steady_clock::now();
-    *out = runWorkingSets(app, kProcs, sc, cfg, so);
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
+  public:
+    explicit CountingApp(App& inner) : inner_(inner) {}
+    std::string name() const override { return inner_.name(); }
+    bool isFloatingPoint() const override
+    {
+        return inner_.isFloatingPoint();
+    }
+    AppResult
+    run(rt::Env& env, const AppConfig& cfg) override
+    {
+        ++runs;
+        return inner_.run(env, cfg);
+    }
+
+    int runs = 0;
+
+  private:
+    App& inner_;
+};
+
+} // namespace
+
+// Six line sizes come from one execution of the program whatever
+// --replicas says: the mode picks host threads, never passes.
+TEST(OnePass, SixLineSizesExecuteTheProgramOnce)
+{
+    App* fft = findApp("fft");
+    ASSERT_NE(fft, nullptr);
+    CountingApp app(*fft);
+    AppConfig cfg;
+    cfg.scale = 0.1;
+    std::vector<MemExperiment> six(6);
+    for (std::size_t i = 0; i < six.size(); ++i)
+        six[i].cache.lineSize = 8 << i;
+    for (Replicas replicas : {Replicas::Off, Replicas::On}) {
+        SimOpts so;
+        so.replicas = replicas;
+        app.runs = 0;
+        EXPECT_EQ(runCharacterizations(app, kProcs, six, cfg, so).size(),
+                  six.size());
+        EXPECT_EQ(app.runs, 1)
+            << "--replicas " << (replicas == Replicas::On ? "on" : "off");
+    }
 }
 
-/** Paths of the ".rdp" profile sidecars in store directory @p dir. */
+namespace {
+
+/** Names of the entries of directory @p dir, sorted. */
 std::vector<std::string>
-sidecarsIn(const std::string& dir)
+filesIn(const std::string& dir)
 {
     std::vector<std::string> out;
     DIR* d = ::opendir(dir.c_str());
@@ -156,60 +193,75 @@ sidecarsIn(const std::string& dir)
         return out;
     while (const dirent* e = ::readdir(d)) {
         const std::string name = e->d_name;
-        if (name.ends_with(".rdp"))
-            out.push_back(dir + "/" + name);
+        if (name != "." && name != "..")
+            out.push_back(name);
     }
     ::closedir(d);
+    std::sort(out.begin(), out.end());
     return out;
 }
 
-class ModelSidecar : public ::testing::TestWithParam<const char*>
+/** @p got reports what @p want does at every column @p mode lists. */
+void
+expectSameSweep(const WorkingSetRun& want, const WorkingSetRun& got,
+                sim::SweepMode mode)
+{
+    expectSameRun(want.stats, got.stats);
+    EXPECT_TRUE(want.model == got.model);
+    EXPECT_EQ(want.exact.accesses(), got.exact.accesses());
+    const std::vector<int> assocs =
+        mode == sim::SweepMode::Model
+            ? std::vector<int>{sim::kFullyAssoc}
+            : sim::fig3ReportAssocs();
+    for (std::uint64_t size : sim::fig3Sizes())
+        for (int assoc : assocs)
+            EXPECT_EQ(want.exact.missRate(size, assoc),
+                      got.exact.missRate(size, assoc))
+                << size << "B " << assoc << "-way";
+}
+
+class ModelReplay : public ::testing::TestWithParam<const char*>
 {};
 
 } // namespace
 
-// `--sweep model --record` saves the profile next to the trace as one
-// ".rdp" sidecar; `--sweep model --replay` of that store must then
-// load it, with neither execution nor replay, reproduce the live
-// profile exactly, and take at most a tenth of the exact sweep's wall
-// time.
-TEST_P(ModelSidecar, ReplayLoadsTheLiveProfileTenTimesFasterThanExact)
+// A model-bearing sweep replayed from a trace store reads the store and
+// writes nothing back: `--sweep model` and `--sweep both`, each replayed
+// twice, leave the store's file list as recording left it (one trace)
+// and reproduce the live run every time.
+TEST_P(ModelReplay, ReplaysLeaveTheStoreAloneAndEqualTheLiveSweep)
 {
     App* app = findApp(GetParam());
     ASSERT_NE(app, nullptr);
     AppConfig cfg;
     cfg.scale = 0.25;
-    const std::string store = ::testing::TempDir() + "sidecar_" +
+    const std::string store = ::testing::TempDir() + "model_replay_" +
                               GetParam() + "_" + std::to_string(::getpid());
     ASSERT_EQ(::mkdir(store.c_str(), 0777), 0) << store;
+    sim::SweepConfig sc;
+    sc.nprocs = kProcs;
 
-    WorkingSetRun exact, live, fast;
-    SimOpts so;
-    const double exactSeconds = timedSweep(*app, cfg, so, &exact);
-    so.sweep = sim::SweepMode::Model;
-    so.record = store;
-    timedSweep(*app, cfg, so, &live);
-    so.record.clear();
-    so.replay = store;
-    // Best of three: one stray preemption would swamp a load that
-    // takes well under a millisecond.
-    double modelSeconds = timedSweep(*app, cfg, so, &fast);
-    for (int rep = 0; rep < 2; ++rep)
-        modelSeconds =
-            std::min(modelSeconds, timedSweep(*app, cfg, so, &fast));
-
-    EXPECT_FALSE(live.modelFromProfile);
-    ASSERT_TRUE(fast.modelFromProfile) << "the sidecar was not used";
-    EXPECT_TRUE(fast.model == live.model);
-    expectSameRun(live.stats, fast.stats);
-    const std::vector<std::string> rdp = sidecarsIn(store);
-    ASSERT_EQ(rdp.size(), 1u);
-    EXPECT_EQ(rdp[0], sim::profilePathFor(
-                          store, traceMetaFor(*app, kProcs, cfg, so)));
-    EXPECT_LE(10.0 * modelSeconds, exactSeconds)
-        << "exact " << exactSeconds << " s, model from sidecar "
-        << modelSeconds << " s";
+    for (sim::SweepMode mode :
+         {sim::SweepMode::Model, sim::SweepMode::Both}) {
+        SCOPED_TRACE(std::string("--sweep ") + sim::sweepModeName(mode));
+        SimOpts so;
+        so.sweep = mode;
+        const WorkingSetRun live = runWorkingSets(*app, kProcs, sc, cfg, so);
+        so.record = store;
+        expectSameSweep(live, runWorkingSets(*app, kProcs, sc, cfg, so),
+                        mode);
+        const std::vector<std::string> recorded = filesIn(store);
+        ASSERT_EQ(recorded.size(), 1u);
+        so.record.clear();
+        so.replay = store;
+        for (int rep = 0; rep < 2; ++rep) {
+            SCOPED_TRACE("replay " + std::to_string(rep));
+            expectSameSweep(live, runWorkingSets(*app, kProcs, sc, cfg, so),
+                            mode);
+            EXPECT_EQ(filesIn(store), recorded);
+        }
+    }
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, ModelSidecar,
+INSTANTIATE_TEST_SUITE_P(Apps, ModelReplay,
                          ::testing::Values("fft", "ocean"));

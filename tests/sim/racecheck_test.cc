@@ -588,10 +588,11 @@ expectSameOutcome(const RaceOutcome& a, const RaceOutcome& b,
 
 TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
 {
-    // The race replica rides the broadcast replay: its outcome must be
-    // identical to the dedicated-execution (Replicas::Off) path, for
-    // both granularities, across line sizes that share a replica
-    // (word) and ones that cannot (line).
+    // The race checkers share the one pass with the memory systems
+    // (one checker per granule size): each experiment's outcome must be
+    // identical to a dedicated single-experiment pass, in both replica
+    // modes, for both granularities, across line sizes that share a
+    // checker (word) and ones that cannot (line).
     const int procs = 4;
     App* app = findApp("radix");  // barriers + flags in one program
     ASSERT_NE(app, nullptr);
@@ -604,39 +605,35 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
         SimOpts off;
         off.race = g;
         off.replicas = Replicas::Off;
-        auto serial =
-            runCharacterizations(*app, procs, exps, smallCfg(), off);
+        std::vector<RunStats> dedicated;
+        dedicated.reserve(exps.size());
+        for (const MemExperiment& e : exps)
+            dedicated.push_back(
+                runCharacterizations(*app, procs, {e}, smallCfg(), off)[0]);
 
-        SimOpts on = off;
-        on.replicas = Replicas::On;
-        auto inlined = broadcastCharacterizations(
-            *app, procs, exps, smallCfg(), on, /*threaded=*/false);
-        auto threaded =
-            runCharacterizations(*app, procs, exps, smallCfg(), on);
-
-        ASSERT_EQ(serial.size(), 2u);
-        ASSERT_EQ(inlined.size(), 2u);
-        ASSERT_EQ(threaded.size(), 2u);
-        for (int i = 0; i < 2; ++i) {
-            ASSERT_TRUE(serial[i].raceChecked);
-            ASSERT_TRUE(inlined[i].raceChecked);
-            ASSERT_TRUE(threaded[i].raceChecked);
-            expectSameOutcome(serial[i].race, inlined[i].race,
-                              g == RaceGranularity::Word ? "word/inline"
-                                                         : "line/inline");
-            expectSameOutcome(serial[i].race, threaded[i].race,
-                              g == RaceGranularity::Word
-                                  ? "word/on"
-                                  : "line/on");
-            EXPECT_EQ(0, std::memcmp(&serial[i].mem, &inlined[i].mem,
-                                     sizeof(MemStats)));
-            EXPECT_EQ(0, std::memcmp(&serial[i].mem, &threaded[i].mem,
-                                     sizeof(MemStats)));
+        for (Replicas replicas : {Replicas::Off, Replicas::On}) {
+            SimOpts so = off;
+            so.replicas = replicas;
+            const std::string what =
+                std::string(g == RaceGranularity::Word ? "word" : "line") +
+                (replicas == Replicas::On ? "/on" : "/off");
+            auto got =
+                runCharacterizations(*app, procs, exps, smallCfg(), so);
+            ASSERT_EQ(got.size(), 2u);
+            for (int i = 0; i < 2; ++i) {
+                ASSERT_TRUE(dedicated[i].raceChecked);
+                ASSERT_TRUE(got[i].raceChecked);
+                expectSameOutcome(dedicated[i].race, got[i].race,
+                                  what.c_str());
+                EXPECT_EQ(0, std::memcmp(&dedicated[i].mem, &got[i].mem,
+                                         sizeof(MemStats)))
+                    << what;
+            }
         }
         // Word granularity is line-size independent: both experiments
         // must agree with each other too.
         if (g == RaceGranularity::Word)
-            expectSameOutcome(serial[0].race, serial[1].race,
+            expectSameOutcome(dedicated[0].race, dedicated[1].race,
                               "word across line sizes");
     }
 }

@@ -1,8 +1,9 @@
 // Tests for the broadcast replay engine: exactness of every replica
 // against dedicated serial simulations under fuzzed ring geometries,
 // stream-ordered control events (resetStats, streamBarrier), app-level
-// differential runs across replica modes, and golden regressions that
-// pin the committed Figure 4 / Figure 7 FFT rows.
+// differential runs of one multi-configuration pass against a dedicated
+// pass per configuration, and golden regressions that pin the
+// committed Figure 4 / Figure 7 FFT rows.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -314,9 +315,30 @@ TEST(BroadcastReplay, AbortStreamQuiescesAndCleanRunStillMatches)
 // ----------------------------------------------------------------------
 // App-level differential: a real application (with barriers, locks,
 // placement calls, and measurement resets) characterized under several
-// configurations must produce bit-identical statistics whether each
-// configuration re-executes (Off) or all share one broadcast execution
-// (On, and an inline broadcast built directly).
+// configurations from one pass must produce bit-identical statistics
+// to a dedicated pass per configuration, whether that one pass feeds
+// its MemSystems directly (Off) or through a threaded broadcast (On,
+// on a host with more than one usable CPU).
+
+namespace {
+
+/** The oracle: one single-experiment pass per experiment of @p exps. */
+std::vector<harness::RunStats>
+dedicatedRuns(harness::App& app, int procs,
+              const std::vector<harness::MemExperiment>& exps,
+              const harness::AppConfig& cfg)
+{
+    harness::SimOpts off;
+    off.replicas = harness::Replicas::Off;
+    std::vector<harness::RunStats> out;
+    out.reserve(exps.size());
+    for (const harness::MemExperiment& e : exps)
+        out.push_back(
+            harness::runCharacterizations(app, procs, {e}, cfg, off)[0]);
+    return out;
+}
+
+} // namespace
 
 TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
 {
@@ -332,23 +354,15 @@ TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
     exps[1].cache.size = 8 << 10;
     exps[2].hints = false;
 
-    SimOpts off;
-    off.replicas = Replicas::Off;
-    auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
-    ASSERT_EQ(oracle.size(), exps.size());
-
-    SimOpts on;
-    on.replicas = Replicas::On;
-    for (bool inlined : {true, false}) {
-        // Inline is what --replicas on picks on one CPU; building it
-        // here keeps it covered on multi-CPU hosts too.
-        auto got = inlined ? broadcastCharacterizations(*app, procs, exps,
-                                                        cfg, on, false)
-                           : runCharacterizations(*app, procs, exps, cfg, on);
+    const auto oracle = dedicatedRuns(*app, procs, exps, cfg);
+    for (Replicas replicas : {Replicas::Off, Replicas::On}) {
+        SimOpts so;
+        so.replicas = replicas;
+        auto got = runCharacterizations(*app, procs, exps, cfg, so);
         ASSERT_EQ(got.size(), exps.size());
         for (std::size_t i = 0; i < exps.size(); ++i) {
             SCOPED_TRACE("experiment " + std::to_string(i) +
-                         (inlined ? " inline" : " on"));
+                         (replicas == Replicas::On ? " on" : " off"));
             splash::testing::expectSameRun(oracle[i], got[i]);
         }
     }
@@ -369,17 +383,18 @@ TEST(BroadcastReplay, PlacementHeavyAppMatchesDedicatedRuns)
     exps[0].cache.size = 16 << 10;
     exps[1].placed = false;  // interleaved homes replica
 
-    SimOpts off;
-    off.replicas = Replicas::Off;
-    auto oracle = runCharacterizations(*app, procs, exps, cfg, off);
-
-    SimOpts on;
-    on.replicas = Replicas::On;
-    auto got = runCharacterizations(*app, procs, exps, cfg, on);
-    ASSERT_EQ(got.size(), oracle.size());
-    for (std::size_t i = 0; i < oracle.size(); ++i)
-        expectSameStats(oracle[i].mem, got[i].mem,
-                        "radiosity experiment " + std::to_string(i));
+    const auto oracle = dedicatedRuns(*app, procs, exps, cfg);
+    for (Replicas replicas : {Replicas::Off, Replicas::On}) {
+        SimOpts so;
+        so.replicas = replicas;
+        auto got = runCharacterizations(*app, procs, exps, cfg, so);
+        ASSERT_EQ(got.size(), oracle.size());
+        for (std::size_t i = 0; i < oracle.size(); ++i)
+            expectSameStats(oracle[i].mem, got[i].mem,
+                            "radiosity experiment " + std::to_string(i) +
+                                (replicas == Replicas::On ? " on"
+                                                          : " off"));
+    }
 }
 
 // ----------------------------------------------------------------------

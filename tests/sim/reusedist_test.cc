@@ -1,14 +1,11 @@
 // Tests for the reuse-distance analytical fast path: histogram bucket
 // geometry, hand-computable predictions on synthetic streams, the
 // differential of a sweep of the fully associative column alone
-// (--sweep model) against the full grid's profile, profile
-// serialization, and the profiler as a broadcast replica.
+// (--sweep model) against the full grid's profile, and the profiler
+// as a broadcast replica.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <fstream>
-#include <string>
 #include <vector>
 
 #include "../rt/run_compare.h"
@@ -61,21 +58,6 @@ randomStream(int nprocs, int n, std::uint64_t lines, std::uint64_t seed,
                                                : AccessType::Read));
     }
     return out;
-}
-
-TraceMeta
-testMeta()
-{
-    TraceMeta m;
-    m.app = "rdtest";
-    m.nprocs = 2;
-    m.scale = 1.0;
-    m.n = 64;
-    m.iters = 3;
-    m.aux = 7;
-    m.seed = 42;
-    m.quantum = 250;
-    return m;
 }
 
 // ----------------------------------------------------------------------
@@ -305,77 +287,6 @@ TEST(ReuseDistDifferential, UnalignedAccessesSplitLikeSweep)
     EXPECT_EQ(fa.profile().accesses(), 2u);
     EXPECT_EQ(fa.accesses(), sweep.accesses());
     EXPECT_TRUE(fa.profile() == sweep.profile());
-}
-
-// ----------------------------------------------------------------------
-// Serialization.
-
-TEST(ReuseDistProfileIO, SaveLoadRoundTrip)
-{
-    ReuseDistProfiler prof(2, kLine);
-    feed(prof, randomStream(2, 5000, 100, 11, false));
-    ReuseDistProfile p = prof.profile();
-    p.exec.valid = true;
-    p.exec.elapsed = 12345;
-    p.exec.procs.push_back({1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12});
-
-    const std::string path = "rdprof_roundtrip.rdp";
-    const TraceMeta m = testMeta();
-    std::string err;
-    ASSERT_TRUE(p.save(path, m, &err)) << err;
-    ReuseDistProfile q;
-    ASSERT_TRUE(ReuseDistProfile::load(path, m, kLine, &q, &err))
-        << err;
-    EXPECT_TRUE(p == q);
-    EXPECT_EQ(q.exec.elapsed, 12345u);
-    ASSERT_EQ(q.exec.procs.size(), 1u);
-    EXPECT_EQ(q.exec.procs[0][11], 12u);
-    std::remove(path.c_str());
-}
-
-TEST(ReuseDistProfileIO, RejectsIdentityMismatch)
-{
-    ReuseDistProfiler prof(2, kLine);
-    feed(prof, randomStream(2, 1000, 50, 5, false));
-    const std::string path = "rdprof_identity.rdp";
-    std::string err;
-    ASSERT_TRUE(prof.profile().save(path, testMeta(), &err)) << err;
-    TraceMeta other = testMeta();
-    other.seed = 43;
-    ReuseDistProfile q;
-    EXPECT_FALSE(
-        ReuseDistProfile::load(path, other, kLine, &q, &err));
-    EXPECT_NE(err.find("identity"), std::string::npos) << err;
-    // Line-size mismatch is its own rejection.
-    EXPECT_FALSE(
-        ReuseDistProfile::load(path, testMeta(), 128, &q, &err));
-    std::remove(path.c_str());
-}
-
-TEST(ReuseDistProfileIO, RejectsCorruption)
-{
-    ReuseDistProfiler prof(1, kLine);
-    feed(prof, randomStream(1, 1000, 50, 9, true));
-    const std::string path = "rdprof_corrupt.rdp";
-    std::string err;
-    ASSERT_TRUE(prof.profile().save(path, testMeta(), &err)) << err;
-    // Flip one byte in the middle of the file.
-    {
-        std::fstream f(path, std::ios::in | std::ios::out |
-                                 std::ios::binary);
-        f.seekp(200);
-        char c = 0;
-        f.seekg(200);
-        f.get(c);
-        f.seekp(200);
-        f.put(static_cast<char>(c ^ 0x5a));
-    }
-    ReuseDistProfile q;
-    EXPECT_FALSE(
-        ReuseDistProfile::load(path, testMeta(), kLine, &q, &err));
-    EXPECT_FALSE(ReuseDistProfile::load("no_such_file.rdp",
-                                        testMeta(), kLine, &q, &err));
-    std::remove(path.c_str());
 }
 
 // ----------------------------------------------------------------------
