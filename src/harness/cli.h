@@ -13,23 +13,17 @@
  *                     and splits the sweep into processor-range
  *                     shards, when the process may use more than one
  *                     CPU.  Never more than one pass per program
- *   --quantum N       instrumentation events per scheduling slice
- *   --race GRAN       happens-before race detection over the
- *                     reference stream: off | word | line (default
- *                     off).  Observation only: characterization
- *                     output is byte-identical for any value.
+ *   --quantum N       instrumentation events per scheduling slice;
+ *                     sets the interleaving, and with it the results
  *   --record DIR      record each executed (app, P) reference stream
  *                     into trace store DIR (created if missing); an
  *                     already-recorded identity is skipped
  *   --replay DIR      replay reference streams from trace store DIR
  *                     (or a single .s2t file) instead of executing;
  *                     mutually exclusive with --record
- *   --sweep-threads N accepted and ignored: a retired knob that
- *                     existing benchmark command lines still pass
- *                     (--replicas sizes the sweep shards)
  *
- * Two more calls read flags only the binaries that honour them take;
- * anywhere else the flag stays unread and is rejected:
+ * The rest are read only by the binaries that honour them; anywhere
+ * else the flag stays unread and is rejected:
  *
  *   parseMachineFlags, in every binary that simulates a memory
  *   system, up to the level it honours:
@@ -58,16 +52,25 @@
  *                     columns; both runs the two and reports
  *                     model-vs-exact error
  *
- * Every flag except --protocol and --interconnect changes wall clock
- * only; results and output bytes are identical for any combination
- * (--jobs 1 --replicas off is the serial differential oracle).
- * --protocol and --interconnect select the machine being measured, so
- * they change results by design.  Invalid values are rejected with an
- * error rather than silently falling back, contradictory flag
- * combinations are rejected up front with one uniform message shape
- * ("conflicting flags: ...") via checkModeConflicts(), and a flag the
- * binary never reads is rejected ("unknown flag --X", exit 2) by
- * Options::allRead() once each main has read its own flags.
+ *   splash2run alone, the one binary that prints a race verdict:
+ *   --race GRAN       parseRaceFlag: happens-before race detection,
+ *                     off | word | line (default off), one checker
+ *                     per program pass, line granules of --line bytes
+ *   --sweep-threads N read and ignored: a retired knob that the
+ *                     benchmark's command lines still pass
+ *
+ * --jobs, --replicas, --record and --replay change wall clock only and
+ * --check and --race only observe: the statistics are identical for
+ * any combination (--jobs 1 --replicas off is the serial differential
+ * oracle).  --protocol, --interconnect and --quantum select the
+ * machine and its interleaving, so they change results by design
+ * (every committed result uses quantum 250).  Invalid values are
+ * rejected with an error rather than silently falling back,
+ * contradictory flag combinations are rejected up front with one
+ * uniform message shape ("conflicting flags: ...") via
+ * checkModeConflicts(), and a flag the binary never reads is rejected
+ * ("unknown flag --X", exit 2) by Options::allRead() once each main
+ * has read its own flags.
  */
 #ifndef SPLASH2_HARNESS_CLI_H
 #define SPLASH2_HARNESS_CLI_H
@@ -100,6 +103,8 @@ struct EngineOpts
      *  contradictory combinations only when the user actually asked
      *  for the non-default organization). */
     bool interconnectRequested = false;
+    /** Race-detector granularity (--race; splash2run only). */
+    sim::RaceGranularity race = sim::RaceGranularity::Off;
 };
 
 /** Print the one uniform diagnostic shape for a contradictory flag
@@ -140,14 +145,6 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
                      replicas.c_str());
         return false;
     }
-    std::string race = opt.getS("race", "off");
-    if (!sim::parseRaceGranularity(race, &out->sim.race)) {
-        std::fprintf(stderr,
-                     "unknown --race '%s' (off, word, or line)\n",
-                     race.c_str());
-        return false;
-    }
-    (void)opt.getI("sweep-threads", 1);  // retired no-op, see above
     out->sim.record = opt.getS("record", "");
     out->sim.replay = opt.getS("replay", "");
     if (!out->sim.record.empty() && !out->sim.replay.empty())
@@ -256,9 +253,23 @@ parseSweepFlag(const Options& opt, EngineOpts* out)
     return true;
 }
 
+/** Parse --race (splash2run only; anywhere else allRead() rejects
+ *  it).  Prints to stderr and returns false on an unknown value. */
+inline bool
+parseRaceFlag(const Options& opt, EngineOpts* out)
+{
+    std::string race = opt.getS("race", "off");
+    if (!sim::parseRaceGranularity(race, &out->race)) {
+        std::fprintf(stderr, "unknown --race '%s' (off, word, or line)\n",
+                     race.c_str());
+        return false;
+    }
+    return true;
+}
+
 /** Reject contradictory mode-flag combinations with the uniform
  *  "conflicting flags" diagnostic.  splash2run calls this once after
- *  parseEngineOpts, parseMachineFlags and parseSweepFlag; it covers
+ *  the four parse calls above; it covers
  *  the run-mode matrix the engine flags cannot see on their own
  *  (--inject, --race-inject and the cache geometry flags are
  *  splash2run flags, not engine flags).  Each harness or mode owns
@@ -273,7 +284,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
     const bool raceInject = opt.has("race-inject");
     const bool record = !eng.sim.record.empty();
     const bool replay = !eng.sim.replay.empty();
-    const bool race = eng.sim.race != sim::RaceGranularity::Off;
+    const bool race = eng.race != sim::RaceGranularity::Off;
     const bool bus = eng.sim.interconnect == sim::Interconnect::Bus;
 
     if (inject && raceInject)

@@ -3,9 +3,10 @@
  * The run pipeline shared by splash2run and the characterization
  * benches.  One pass feeds a program's reference stream from its
  * source -- live execution in an rt::Env, or a --replay trace -- into
- * a sink set, the simulators that consume the stream (runPass).  The
- * drivers below (and runWorkingSets, harness/workingset.h) only build
- * sink sets and read their statistics: every result comes from one
+ * a sink set, the simulators that consume the stream, plus the
+ * caller's race checker when it passes one (runPass).  The drivers
+ * below (and runWorkingSets, harness/workingset.h) only build their
+ * simulators and read their statistics: every result comes from one
  * pass of its program, whatever --replicas says.
  */
 #ifndef SPLASH2_HARNESS_EXPERIMENT_H
@@ -14,7 +15,6 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,9 +41,6 @@ struct RunStats
     std::vector<sim::MemStats> memPerProc;
     Tick elapsed = 0;              ///< PRAM time of the measured window
     bool valid = true;
-    /** Race-detection verdict (SimOpts::race != Off only). */
-    bool raceChecked = false;
-    sim::RaceOutcome race;
 };
 
 /** How many host threads one job's simulators use (--replicas);
@@ -80,9 +77,9 @@ replicaThreads()
 
 /** The sinks a pass hands its source: @p sinks themselves, or --
  *  under Replicas::On with more than one usable CPU and more than one
- *  sink -- one threaded BroadcastReplay over them, kept in @p cast
- *  (declared after the sinks it feeds, so it is destroyed first).
- *  The one place --replicas chooses host threads. */
+ *  sink -- one threaded BroadcastReplay over them, kept in @p cast.
+ *  The one place --replicas chooses host threads; runPass is its one
+ *  caller. */
 inline std::vector<sim::RefSink*>
 fanOut(std::vector<sim::RefSink*> sinks, Replicas replicas,
        std::unique_ptr<sim::BroadcastReplay>* cast)
@@ -95,8 +92,9 @@ fanOut(std::vector<sim::RefSink*> sinks, Replicas replicas,
 }
 
 /** Run-wide simulation knobs shared by the pipeline below.  The
- *  quantum and --replicas change simulation speed, never results;
- *  `protocol` and `interconnect` select the machine being measured. */
+ *  quantum sets the interleaving, and with it the statistics (every
+ *  committed result uses 250); --replicas changes simulation speed
+ *  only; `protocol` and `interconnect` select the machine measured. */
 struct SimOpts
 {
     std::uint64_t quantum = 250;
@@ -117,11 +115,6 @@ struct SimOpts
      *  slow-path transactions (0 = off).  Observation only -- results
      *  are identical with any value; violations abort. */
     std::uint64_t checkPeriod = 0;
-    /** Happens-before race detection over the reference stream
-     *  (--race).  Observation only: every characterization statistic
-     *  is byte-identical with any value.  Word granularity verifies
-     *  the suite's synchronization; Line quantifies false sharing. */
-    sim::RaceGranularity race = sim::RaceGranularity::Off;
     /** Trace-store directory (or single .s2t file) to record this
      *  run's reference stream into (--record; empty = off).  Records
      *  ride alongside the live sinks, so recording never changes
@@ -136,26 +129,14 @@ struct SimOpts
     std::string replay;
 };
 
-/** RaceChecker for one operating point: Word granules are fixed at 4
- *  bytes; Line granules follow the experiment's line size. */
-inline sim::RaceConfig
-raceConfigFor(sim::RaceGranularity gran, int nprocs, int lineSize)
-{
-    sim::RaceConfig rc;
-    rc.gran = gran;
-    rc.nprocs = nprocs;
-    rc.lineSize = lineSize;
-    return rc;
-}
-
 // ----------------------------------------------------------------------
 // Trace-store glue (sim/tracestore.h): identity of a recording and the
 // execution-profile <-> ProcStats conversions.
 
 /** Identity a trace is recorded under: everything the reference
- *  stream of (app, P) depends on.  The quantum is pinned because
- *  batched delivery drains at quantum boundaries, making the stream
- *  *order* (not its statistics) quantum-dependent. */
+ *  stream of (app, P) depends on.  The quantum is pinned because it
+ *  sets the interleaving: the stream's order, and with it the
+ *  statistics of most programs, depend on it. */
 inline sim::TraceMeta
 traceMetaFor(const App& app, int nprocs, const AppConfig& cfg,
              const SimOpts& simOpts)
@@ -283,24 +264,32 @@ using SinkSetBuilder =
     std::function<std::vector<sim::RefSink*>(const sim::HomeResolver*)>;
 
 /** The run pipeline: one pass of @p app's reference stream from its
- *  source into the sink set @p build returns.  The source is live
- *  execution in an rt::Env, or -- with --replay -- the recorded trace,
- *  in which case nothing executes and the execution counters come
- *  from the trace footer.  A live pass is recorded when --record is
- *  set.  Every sink is quiesced (streamBarrier) before this returns
- *  the execution half of the RunStats. */
+ *  source into the sink set @p build returns plus the caller's @p race
+ *  checker, if any, fanned out (fanOut) for this call only.  The
+ *  source is live execution in an rt::Env, or -- with --replay -- the
+ *  recorded trace, in which case nothing executes and the execution
+ *  counters come from the trace footer.  A live pass is recorded when
+ *  --record is set.  Every sink is quiesced (streamBarrier) before
+ *  this returns the execution half of the RunStats. */
 inline RunStats
 runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
-        const SinkSetBuilder& build)
+        const SinkSetBuilder& build, sim::RaceChecker* race = nullptr)
 {
     checkProblem(cfg);
     const sim::TraceMeta meta = traceMetaFor(app, nprocs, cfg, so);
+    std::unique_ptr<sim::BroadcastReplay> cast;
+    auto assemble = [&](const sim::HomeResolver* homes) {
+        std::vector<sim::RefSink*> sinks = build(homes);
+        if (race != nullptr)
+            sinks.push_back(race);
+        return fanOut(std::move(sinks), so.replicas, &cast);
+    };
     std::string err;
     if (!so.replay.empty()) {
         auto rd = sim::tracestore::openFor(so.replay, meta, &err);
         if (rd == nullptr)
             fatal(err);
-        const std::vector<sim::RefSink*> sinks = build(rd->placement());
+        const std::vector<sim::RefSink*> sinks = assemble(rd->placement());
         if (!sinks.empty()) {
             TeeRefSink tee(sinks);
             if (!rd->replay(sinks.size() == 1 ? sinks[0] : &tee, &err))
@@ -310,7 +299,7 @@ runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
         return statsFromProfile(rd->exec());
     }
     rt::Env env({rt::Mode::Sim, nprocs, so.quantum});
-    const std::vector<sim::RefSink*> sinks = build(&env.heap());
+    const std::vector<sim::RefSink*> sinks = assemble(&env.heap());
     for (sim::RefSink* s : sinks)
         env.attachSink(s);
     // Record once: skip an identity the store already holds.
@@ -336,39 +325,17 @@ runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
     return out;
 }
 
-/** Attach @p race's verdict to @p r (no-op when null). */
-inline void
-noteRace(RunStats* r, const sim::RaceChecker* race)
-{
-    if (race == nullptr)
-        return;
-    r->raceChecked = true;
-    r->race = race->outcome();
-}
-
 /** Run @p app on @p nprocs with no memory system attached (PRAM-only;
- *  Figures 1 and 2, Table 1).  An optional pre-built RaceChecker can
- *  be attached (the injection harness arms drops on it beforehand);
- *  otherwise SimOpts::race != Off attaches an internal one. */
+ *  Figures 1 and 2, Table 1), feeding @p race when given (the race
+ *  injection harness arms drops on it beforehand). */
 inline RunStats
 runPram(App& app, int nprocs, const AppConfig& cfg,
         const SimOpts& sim = {}, sim::RaceChecker* race = nullptr)
 {
-    std::unique_ptr<sim::RaceChecker> owned;
-    if (race == nullptr && sim.race != sim::RaceGranularity::Off) {
-        owned = std::make_unique<sim::RaceChecker>(
-            raceConfigFor(sim.race, nprocs, 64));
-        race = owned.get();
-    }
-    RunStats out = runPass(app, nprocs, cfg, sim,
-                           [&](const sim::HomeResolver*) {
-                               std::vector<sim::RefSink*> s;
-                               if (race != nullptr)
-                                   s.push_back(race);
-                               return s;
-                           });
-    noteRace(&out, race);
-    return out;
+    return runPass(
+        app, nprocs, cfg, sim,
+        [](const sim::HomeResolver*) { return std::vector<sim::RefSink*>{}; },
+        race);
 }
 
 /** One memory-system operating point of a multi-configuration
@@ -438,49 +405,30 @@ memSystemFor(const MemExperiment& e, int nprocs,
 /** Characterize @p app on @p nprocs under every configuration in
  *  @p exps from ONE pass.  The PRAM reference stream of a given
  *  (app, P) does not depend on the memory system, so the pass feeds
- *  one MemSystem per experiment and, with race detection on, one
- *  RaceChecker per granule size -- Word granules are line-size
- *  independent, so one serves every experiment; Line granules need
- *  one per line size.  Statistics equal those of a dedicated pass per
+ *  one MemSystem per experiment, and @p race when the caller passes a
+ *  checker.  Statistics equal those of a dedicated pass per
  *  experiment (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
                      const std::vector<MemExperiment>& exps,
-                     const AppConfig& cfg, const SimOpts& simOpts = {})
+                     const AppConfig& cfg, const SimOpts& simOpts = {},
+                     sim::RaceChecker* race = nullptr)
 {
-    const bool raceOn = simOpts.race != sim::RaceGranularity::Off;
-    auto granule = [&](const MemExperiment& e) {
-        return simOpts.race == sim::RaceGranularity::Word
-                   ? 4
-                   : e.cache.lineSize;
-    };
     std::vector<std::unique_ptr<sim::MemSystem>> mems;
-    std::map<int, std::unique_ptr<sim::RaceChecker>> races;
-    std::unique_ptr<sim::BroadcastReplay> cast;  // destroyed first
     const RunStats base = runPass(
-        app, nprocs, cfg, simOpts, [&](const sim::HomeResolver* homes) {
+        app, nprocs, cfg, simOpts,
+        [&](const sim::HomeResolver* homes) {
             std::vector<sim::RefSink*> sinks;
             for (const MemExperiment& e : exps) {
                 mems.push_back(memSystemFor(e, nprocs, homes, simOpts));
                 sinks.push_back(mems.back().get());
             }
-            for (std::size_t i = 0; raceOn && i < exps.size(); ++i) {
-                auto& race = races[granule(exps[i])];
-                if (race == nullptr) {
-                    race = std::make_unique<sim::RaceChecker>(raceConfigFor(
-                        simOpts.race, nprocs, exps[i].cache.lineSize));
-                    sinks.push_back(race.get());
-                }
-            }
-            return fanOut(std::move(sinks), simOpts.replicas, &cast);
-        });
+            return sinks;
+        },
+        race);
     std::vector<RunStats> out;
-    for (std::size_t i = 0; i < exps.size(); ++i) {
-        RunStats r = withMem(base, *mems[i]);
-        if (raceOn)
-            noteRace(&r, races.at(granule(exps[i])).get());
-        out.push_back(std::move(r));
-    }
+    for (const auto& mem : mems)
+        out.push_back(withMem(base, *mem));
     return out;
 }
 

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <string>
@@ -82,6 +83,8 @@ fmtU(std::uint64_t v)
 }
 
 /** Parse `--key value` style options; keys not given keep defaults.
+ *  A key with no value after it is a switch (`--quick`, `--csv` on a
+ *  bench): has() answers for it, and asking for its value is fatal.
  *  Every lookup marks its key as read, so once a binary has read all
  *  its flags, allRead() can reject the ones it does not know. */
 class Options
@@ -97,14 +100,12 @@ class Options
                 ++i;
                 continue;
             }
-            // `--key value` pair, or a bare boolean flag (`--quick`,
-            // `--csv`) when no value follows.
             if (i + 1 < argc &&
                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
                 kv_[k.substr(2)] = argv[i + 1];
                 i += 2;
             } else {
-                kv_[k.substr(2)] = "1";
+                kv_[k.substr(2)] = std::nullopt;
                 ++i;
             }
         }
@@ -113,44 +114,44 @@ class Options
     double
     getD(const std::string& k, double def) const
     {
-        auto it = find(k);
+        auto it = find(k, true);
         if (it == kv_.end())
             return def;
         // Reject partial parses ("1.5x") and non-numbers outright
         // rather than silently truncating or throwing out of main().
         try {
             std::size_t pos = 0;
-            double v = std::stod(it->second, &pos);
-            if (pos == it->second.size())
+            double v = std::stod(*it->second, &pos);
+            if (pos == it->second->size())
                 return v;
         } catch (const std::exception&) {
         }
         fatal("option --" + k + " expects a number, got '" +
-              it->second + "'");
+              *it->second + "'");
     }
 
     long
     getI(const std::string& k, long def) const
     {
-        auto it = find(k);
+        auto it = find(k, true);
         if (it == kv_.end())
             return def;
         try {
             std::size_t pos = 0;
-            long v = std::stol(it->second, &pos);
-            if (pos == it->second.size())
+            long v = std::stol(*it->second, &pos);
+            if (pos == it->second->size())
                 return v;
         } catch (const std::exception&) {
         }
         fatal("option --" + k + " expects an integer, got '" +
-              it->second + "'");
+              *it->second + "'");
     }
 
     std::string
     getS(const std::string& k, const std::string& def) const
     {
-        auto it = find(k);
-        return it == kv_.end() ? def : it->second;
+        auto it = find(k, true);
+        return it == kv_.end() ? def : *it->second;
     }
 
     bool has(const std::string& k) const { return find(k) != kv_.end(); }
@@ -172,16 +173,19 @@ class Options
     }
 
   private:
-    std::map<std::string, std::string>::const_iterator
-    find(const std::string& k) const
+    /** @p k's entry, marked read; fatal for a switch if @p value. */
+    std::map<std::string, std::optional<std::string>>::const_iterator
+    find(const std::string& k, bool value = false) const
     {
         auto it = kv_.find(k);
         if (it != kv_.end())
             read_.insert(k);
+        if (value && it != kv_.end() && !it->second)
+            fatal("option --" + k + " expects a value");
         return it;
     }
 
-    std::map<std::string, std::string> kv_;
+    std::map<std::string, std::optional<std::string>> kv_;
     std::vector<std::string> stray_;
     /** Keys given on the command line that some lookup asked for. */
     mutable std::set<std::string> read_;

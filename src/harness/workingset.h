@@ -5,7 +5,8 @@
  * multi-configuration cache sweep (sim/sweep.h) and produce its exact
  * counters, the reuse-distance analytical model (sim/reusedist.h), or
  * both, from one pass of the run pipeline (harness/experiment.h
- * runPass) -- live execution or trace replay from disk.  The model is
+ * runPass) -- live execution or trace replay from disk -- which also
+ * feeds the caller's race checker when it passes one.  The model is
  * the sweep's fully associative column, so every mode runs the same
  * sweep; `--sweep model` merely lists that one column.  A replayed
  * sweep reads its trace store and writes nothing back to it.
@@ -45,13 +46,14 @@ wsMissRate(const WorkingSetRun& run, std::uint64_t size, int assoc,
 }
 
 /** Run @p app once and produce the sweep(s) requested by
- *  @p simOpts.sweep over @p sc's operating points, plus the race
- *  verdict when --race is on.  @p sc.nprocs must equal @p nprocs, and
- *  under Both @p sc must list kFullyAssoc, the column the model
- *  reads. */
+ *  @p simOpts.sweep over @p sc's operating points, feeding @p race
+ *  too when the caller passes a checker.  @p sc.nprocs must equal
+ *  @p nprocs, and under Both @p sc must list kFullyAssoc, the column
+ *  the model reads. */
 inline WorkingSetRun
 runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
-               const AppConfig& cfg, const SimOpts& simOpts = {})
+               const AppConfig& cfg, const SimOpts& simOpts = {},
+               sim::RaceChecker* race = nullptr)
 {
     ensure(sc.nprocs == nprocs,
            "sweep config and run disagree on the processor count");
@@ -62,31 +64,24 @@ runWorkingSets(App& app, int nprocs, const sim::SweepConfig& sc,
         cols.assocs = {sim::kFullyAssoc};
 
     // Replicas::On with several CPUs: the sweep splits into at most
-    // one shard per processor, and fanOut gives the shards and the race
-    // checker a thread each.
+    // one shard per processor, and runPass gives each shard (and the
+    // race checker) a thread.
     const int nshards = simOpts.replicas == Replicas::On
                             ? std::min(replicaThreads(), nprocs)
                             : 1;
     std::vector<std::unique_ptr<sim::CacheSweep>> shards;
     for (int k = 0; k < nshards; ++k)
         shards.push_back(std::make_unique<sim::CacheSweep>(cols, k, nshards));
-    std::unique_ptr<sim::RaceChecker> race;
-    if (simOpts.race != sim::RaceGranularity::Off)
-        race = std::make_unique<sim::RaceChecker>(
-            raceConfigFor(simOpts.race, nprocs, sc.lineSize));
-    std::unique_ptr<sim::BroadcastReplay> cast;  // destroyed first
     WorkingSetRun out;
     out.stats = runPass(
-        app, nprocs, cfg, simOpts, [&](const sim::HomeResolver*) {
+        app, nprocs, cfg, simOpts,
+        [&](const sim::HomeResolver*) {
             std::vector<sim::RefSink*> sinks;
             for (auto& shard : shards)
                 sinks.push_back(shard.get());
-            if (race)
-                sinks.push_back(race.get());
-            return fanOut(std::move(sinks), simOpts.replicas, &cast);
-        });
-    cast.reset();
-    noteRace(&out.stats, race.get());
+            return sinks;
+        },
+        race);
     // Keep the counters, free the set arrays and stacks (about 17 MB
     // of set arrays per program at 32 processors) before the next run.
     for (auto& shard : shards) {

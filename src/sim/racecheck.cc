@@ -136,14 +136,16 @@ RaceChecker::RaceChecker(const RaceConfig& cfg) : cfg_(cfg)
 {
     ensure(cfg_.gran != RaceGranularity::Off,
            "RaceChecker constructed with granularity off");
-    ensure(cfg_.nprocs >= 1 && cfg_.nprocs <= kMaxProcs,
-           "RaceChecker processor count out of range");
+    if (cfg_.nprocs < 1 || cfg_.nprocs > kMaxProcs)
+        fatal("race checker processor count must be in [1, " +
+              std::to_string(kMaxProcs) + "] (got " +
+              std::to_string(cfg_.nprocs) + ")");
     if (cfg_.gran == RaceGranularity::Word) {
         shift_ = 2;
         granBytes_ = 4;
     } else {
-        ensure(cfg_.lineSize >= 4 && isPow2(cfg_.lineSize),
-               "race line size must be a power of two >= 4");
+        if (cfg_.lineSize < 4 || !isPow2(cfg_.lineSize))
+            fatal("race line size must be a power of two >= 4");
         shift_ = log2i(static_cast<std::uint64_t>(cfg_.lineSize));
         granBytes_ = cfg_.lineSize;
     }

@@ -8,7 +8,7 @@
  * Usage:
  *   splash2run --app fft [--procs 32] [--scale 1.0] [--n 0]
  *              [--iters 0] [--aux 0] [--cachekb 1024] [--assoc 4]
- *              [--line 64] [--nohints 1] [--nomem 1] [--seed 1234]
+ *              [--line 64] [--nohints] [--nomem] [--seed 1234]
  *              [--protocol msi|mesi|moesi|dragon]
  *              [--interconnect directory|bus]
  *              [--quantum 250] [--jobs N] [--replicas off|on]
@@ -32,14 +32,15 @@
  * byte-identical output (an already-recorded identity is skipped, so
  * recording is idempotent).
  *
- * --race runs the FastTrack happens-before detector over the
- * reference stream alongside the characterization.  Word granularity
- * is the verification mode: any report is a true data race and the
- * exit status is 1 (CI runs the whole suite this way).  Line
- * granularity is the false-sharing census of the paper's Figs. 8-9
- * discussion: conflicts are informational (exit 0) and --csv writes
- * the per-app census rows (results/races.csv).  Either way the
- * characterization statistics are byte-identical to --race off.
+ * --race runs the FastTrack happens-before detector over each
+ * program's pass, one checker per program whose line granules follow
+ * --line; only this binary reads it.  Word granularity is the
+ * verification mode: any report is a true data race and the exit
+ * status is 1 (CI runs the whole suite this way).  Line granularity
+ * is the false-sharing census of the paper's Figs. 8-9 discussion:
+ * conflicts are informational (exit 0) and --csv writes the per-app
+ * census rows (results/races.csv).  Either way the characterization
+ * statistics are byte-identical to --race off.
  *
  * --protocol selects the coherence protocol of the simulated machine;
  * --protocol list prints the registered zoo.  --interconnect selects
@@ -47,18 +48,20 @@
  * machine, or a snoopy bus where misses broadcast and every cache
  * answers from its tag array (same protocol descriptors, no sharer
  * vectors, bus occupancy accounted instead of packet bytes); this is
- * the only binary that reads it.  Those two are the engine flags that
- * change results: they change the machine.  --quantum sets the
- * instrumentation events per scheduling slice; --jobs schedules
- * independent programs across host cores; --replicas off keeps each
- * program on one host thread.  Each program runs once whatever they
- * say, and they change simulation speed only -- output bytes are
- * bit-identical across quanta, job counts, and replica modes, and a
- * --sweep replayed from a store prints what the live sweep printed.
+ * the only binary that reads it.  Those two change results: they
+ * change the machine.  --quantum sets the instrumentation events per
+ * scheduling slice, and with it the interleaving and the statistics
+ * (every committed result uses 250).  --jobs schedules independent
+ * programs across host cores; --replicas off keeps each program on
+ * one host thread.  Each program runs once whatever those two say,
+ * and they change simulation speed only -- output bytes are
+ * bit-identical across job counts and replica modes, and a --sweep
+ * replayed from a store prints what the live sweep printed.
  */
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -195,9 +198,8 @@ report(const App& app, const RunStats& r, bool with_mem,
  *  results/races.csv (EXPERIMENTS.md). */
 void
 raceCsvRow(std::FILE* f, const App& app, int procs,
-           const RunStats& r)
+           const sim::RaceOutcome& o)
 {
-    const sim::RaceOutcome& o = r.race;
     std::fprintf(
         f,
         "%s,%d,%s,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
@@ -301,8 +303,8 @@ runRaceInjection(App& app, int procs, const AppConfig& cfg,
 
     // Baseline run: must be race-free, and sizes the eligible-edge
     // occurrence space for every kind at once.
-    sim::RaceConfig rcfg =
-        raceConfigFor(sim::RaceGranularity::Word, procs, 64);
+    sim::RaceConfig rcfg;
+    rcfg.nprocs = procs;
     std::uint64_t edges[sim::kNumRaceFaults] = {};
     {
         sim::RaceChecker base(rcfg);
@@ -509,8 +511,9 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Interconnect, &eng) ||
-        !parseSweepFlag(opt, &eng))
+        !parseSweepFlag(opt, &eng) || !parseRaceFlag(opt, &eng))
         return eng.listRequested ? 0 : 2;
+    (void)opt.getI("sweep-threads", 1);  // retired; the benchmark passes it
     std::string name = opt.getS("app", "");
     std::vector<App*> apps;
     if (name == "all") {
@@ -536,7 +539,8 @@ main(int argc, char** argv)
             "             tag arrays and accounts bus occupancy; read\n"
             "             by splash2run only)\n"
             "         --quantum N  instrumentation events per\n"
-            "             scheduling slice (default 250)\n"
+            "             scheduling slice (default 250; it sets the\n"
+            "             interleaving, and with it the statistics)\n"
             "         --jobs N  host threads running independent\n"
             "             programs (--app all; N >= 1, default 1;\n"
             "             output bytes identical for every value)\n"
@@ -552,10 +556,11 @@ main(int argc, char** argv)
             "             run, seed a protocol corruption, and verify\n"
             "             the checker detects it (see --inject help)\n"
             "         --race off|word|line  happens-before race\n"
-            "             detection over the reference stream (default\n"
+            "             detection, one checker per program (default\n"
             "             off).  word: any report is a true data race\n"
             "             and the exit status is 1.  line: conflicts\n"
-            "             quantify false sharing (informational)\n"
+            "             quantify false sharing at --line granules\n"
+            "             (informational)\n"
             "         --csv FILE  write per-app race census rows\n"
             "             (requires --race word|line)\n"
             "         --race-inject all|<kind>  race-injection\n"
@@ -597,8 +602,8 @@ main(int argc, char** argv)
         return 2;
     const bool csv = opt.has("csv");
     const std::string csvPath = opt.getS("csv", "");
-    if (csv && (eng.sim.race == sim::RaceGranularity::Off ||
-                csvPath.empty())) {
+    const bool raceOn = eng.race != sim::RaceGranularity::Off;
+    if (csv && (!raceOn || csvPath.empty())) {
         std::fprintf(stderr, "--csv FILE needs --race word|line\n");
         return 2;
     }
@@ -638,24 +643,33 @@ main(int argc, char** argv)
     // are the grid's axes, and checkModeConflicts rejects them.
     std::vector<WorkingSetRun> sweeps(apps.size());
     std::vector<RunStats> results(apps.size());
+    std::vector<sim::RaceOutcome> races(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), 1, [&, i] {
+            std::unique_ptr<sim::RaceChecker> race;
+            if (raceOn)
+                race = std::make_unique<sim::RaceChecker>(
+                    sim::RaceConfig{eng.race, procs, cache.lineSize});
             if (eng.sweepRequested) {
                 sim::SweepConfig sc;
                 sc.nprocs = procs;
                 sc.lineSize = cache.lineSize;
-                sweeps[i] =
-                    runWorkingSets(*apps[i], procs, sc, cfg, eng.sim);
+                sweeps[i] = runWorkingSets(*apps[i], procs, sc, cfg,
+                                           eng.sim, race.get());
                 results[i] = sweeps[i].stats;
             } else if (with_mem) {
                 MemExperiment e = experimentFor(cache, eng.sim);
                 e.hints = hints;
                 results[i] = runCharacterizations(*apps[i], procs, {e},
-                                                  cfg, eng.sim)[0];
+                                                  cfg, eng.sim,
+                                                  race.get())[0];
             } else {
-                results[i] = runPram(*apps[i], procs, cfg, eng.sim);
+                results[i] =
+                    runPram(*apps[i], procs, cfg, eng.sim, race.get());
             }
+            if (race)
+                races[i] = race->outcome();
         });
     }
     runner.run();
@@ -672,18 +686,17 @@ main(int argc, char** argv)
         else
             report(*apps[i], r, with_mem, cache, hints, procs, cfg,
                    eng.sim);
-        if (r.raceChecked) {
+        if (raceOn) {
             std::printf("\n-- race detection --\n");
-            std::fputs(sim::raceSummary(r.race).c_str(), stdout);
+            std::fputs(sim::raceSummary(races[i]).c_str(), stdout);
         }
         all_valid = all_valid && r.valid;
         // Word-granularity conflicts are true data races: fail the
         // run (CI leans on this).  Line-granularity conflicts are the
         // false-sharing census -- informational by design.
         word_races = word_races ||
-                     (r.raceChecked &&
-                      r.race.gran == sim::RaceGranularity::Word &&
-                      !r.race.clean());
+                     (eng.race == sim::RaceGranularity::Word &&
+                      !races[i].clean());
     }
 
     if (csv) {
@@ -698,7 +711,7 @@ main(int argc, char** argv)
                      "barrier_arrivals,barrier_departures,lock_acquires,"
                      "lock_releases,flag_sets,flag_waits\n");
         for (std::size_t i = 0; i < apps.size(); ++i)
-            raceCsvRow(f, *apps[i], procs, results[i]);
+            raceCsvRow(f, *apps[i], procs, races[i]);
         std::fclose(f);
     }
 

@@ -43,7 +43,7 @@ parse(std::vector<std::string> words, EngineOpts* out)
     const Options opt = optionsFor(std::move(words));
     return parseEngineOpts(opt, out) &&
            parseMachineFlags(opt, MachineFlags::Interconnect, out) &&
-           parseSweepFlag(opt, out);
+           parseSweepFlag(opt, out) && parseRaceFlag(opt, out);
 }
 
 /** Parse @p words, then run the mode-conflict matrix over them the
@@ -57,7 +57,8 @@ parseAndCheck(std::vector<std::string> words, std::string* err = nullptr)
     ::testing::internal::CaptureStderr();
     bool ok = parseEngineOpts(opt, &eng) &&
               parseMachineFlags(opt, MachineFlags::Interconnect, &eng) &&
-              parseSweepFlag(opt, &eng) && checkModeConflicts(opt, eng);
+              parseSweepFlag(opt, &eng) && parseRaceFlag(opt, &eng) &&
+              checkModeConflicts(opt, eng);
     std::string captured = ::testing::internal::GetCapturedStderr();
     if (err)
         *err = captured;
@@ -180,13 +181,13 @@ TEST(EngineOpts, RaceGranularitiesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
-    EXPECT_EQ(eng.sim.race, splash::sim::RaceGranularity::Off);
+    EXPECT_EQ(eng.race, splash::sim::RaceGranularity::Off);
     ASSERT_TRUE(parse({"--race", "off"}, &eng));
-    EXPECT_EQ(eng.sim.race, splash::sim::RaceGranularity::Off);
+    EXPECT_EQ(eng.race, splash::sim::RaceGranularity::Off);
     ASSERT_TRUE(parse({"--race", "word"}, &eng));
-    EXPECT_EQ(eng.sim.race, splash::sim::RaceGranularity::Word);
+    EXPECT_EQ(eng.race, splash::sim::RaceGranularity::Word);
     ASSERT_TRUE(parse({"--race", "line"}, &eng));
-    EXPECT_EQ(eng.sim.race, splash::sim::RaceGranularity::Line);
+    EXPECT_EQ(eng.race, splash::sim::RaceGranularity::Line);
 }
 
 TEST(EngineOpts, RejectsUnknownRaceGranularities)
@@ -411,22 +412,42 @@ TEST(OptionsDeathTest, NonNumericDoubleIsFatal)
                 "expects a number");
 }
 
+// A flag with no value after it is a switch: has() answers for it,
+// and asking for its value is an error, never a made-up "1".
+TEST(OptionsDeathTest, ValuedFlagWithoutValueIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Options opt = optionsFor({"--procs", "--quick", "--csv"});
+    EXPECT_TRUE(opt.has("procs"));
+    EXPECT_TRUE(opt.has("quick"));
+    EXPECT_TRUE(opt.has("csv"));
+    EXPECT_EXIT(opt.getI("procs", 32), ::testing::ExitedWithCode(1),
+                "option --procs expects a value");
+    EXPECT_EXIT(opt.getD("quick", 1.0), ::testing::ExitedWithCode(1),
+                "option --quick expects a value");
+    EXPECT_EXIT(opt.getS("csv", ""), ::testing::ExitedWithCode(1),
+                "option --csv expects a value");
+}
+
 // A flag no lookup asks for is an error, not a silent no-op: a typo
 // such as --replica would otherwise run the default, and --sweep
 // would change nothing on a binary that runs no sweep.  Machine flags
 // are read only up to the level a binary honours: none (PRAM-only
 // runs and the sweeps), --check (interconnect_traffic, which runs
 // every protocol and interconnect itself), --check and --protocol
-// (the benches of one machine), or all three (splash2run).  The
-// retired --sweep-threads stays accepted, because existing benchmark
-// command lines pass `--sweep-threads 1` on every run.
+// (the benches of one machine), or all three (splash2run).  --race
+// and the retired --sweep-threads are splash2run's alone, so the
+// shared engine flags leave them unread.
 TEST(Options, FlagsNothingReadsAreRejected)
 {
     std::string err;
-    EXPECT_TRUE(engineFlagsOnly({"--jobs", "1", "--replicas", "off",
-                                 "--sweep-threads", "1"},
+    EXPECT_TRUE(engineFlagsOnly({"--jobs", "1", "--replicas", "off"},
                                 &err));
     EXPECT_EQ(err, "");
+    EXPECT_FALSE(engineFlagsOnly({"--sweep-threads", "1"}, &err));
+    EXPECT_EQ(err, "unknown flag --sweep-threads\n");
+    EXPECT_FALSE(engineFlagsOnly({"--race", "word"}, &err));
+    EXPECT_EQ(err, "unknown flag --race\n");
     EXPECT_FALSE(engineFlagsOnly({"--replica", "off"}, &err));
     EXPECT_EQ(err, "unknown flag --replica\n");
     EXPECT_FALSE(engineFlagsOnly({"--bogus-flag", "3", "--jobs", "2"}, &err));
@@ -500,8 +521,9 @@ runBinary(const std::string& cmd, std::string* err)
 // End to end: splash2run and all twelve figure/table benches exit 2
 // with the diagnostic before simulating anything; so does every bench
 // but fig3_working_sets given --sweep, which only it and splash2run
-// read, every bench given --interconnect, which only splash2run reads,
-// and each bench given a --protocol or --check it does not honour.
+// read, every bench given --interconnect, --race or --sweep-threads,
+// which only splash2run reads, and each bench given a --protocol or
+// --check it does not honour.
 TEST(UnknownFlags, EveryBinaryExitsTwo)
 {
     std::vector<std::pair<std::string, std::string>> cases = {
@@ -528,6 +550,9 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
             cases.push_back({bin + " --quick --sweep model", "--sweep"});
         cases.push_back(
             {bin + " --quick --interconnect bus", "--interconnect"});
+        cases.push_back({bin + " --quick --race word", "--race"});
+        cases.push_back(
+            {bin + " --quick --sweep-threads 1", "--sweep-threads"});
         const bool checks =
             std::find(noCheck.begin(), noCheck.end(), b) == noCheck.end();
         if (!checks)
@@ -556,6 +581,11 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
               0)
         << err;
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--race word",
+                        &err),
+              0)
+        << err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
                         "--protocol msi --interconnect bus --check 100",
                         &err),
               0)
@@ -573,6 +603,77 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
                         &err),
               0)
         << err;
+}
+
+// A valued flag given with no value fails with a diagnostic before
+// anything runs, instead of reading a made-up "1": one processor for
+// --procs, a census file named 1 for splash2run's --csv.
+TEST(ValuedFlags, MissingValueFailsBeforeAnythingRuns)
+{
+    std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs --scale 0.1",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: option --procs expects a value\n");
+    EXPECT_EQ(runBinary("bench/fig7_miss_classification --procs --quick",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: option --procs expects a value\n");
+    const bool hadOne = ::access("1", F_OK) == 0;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--race line --csv",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: option --csv expects a value\n");
+    if (!hadOne) {
+        EXPECT_NE(::access("1", F_OK), 0) << "a census file named 1";
+    }
+}
+
+// splash2run's one race checker per program takes its line granules
+// from --line whichever sink set it rides: the PRAM run (--nomem), the
+// memory system, or the working-set sweep.  A line no granule can have,
+// or a processor count the vector clocks cannot hold, is a diagnostic
+// before anything runs, not an abort or an ignored flag.
+TEST(RaceFlag, LineGranulesFollowTheLineFlag)
+{
+    const std::string csv = ::testing::TempDir() + "race_granule_" +
+                            std::to_string(::getpid()) + ".csv";
+    for (const char* mode : {" --nomem", "", " --sweep exact"}) {
+        const std::string cmd =
+            "src/splash2run --app fft --procs 2 --n 4 --race line "
+            "--line 32 --csv " +
+            csv + mode;
+        std::string err;
+        ASSERT_EQ(runBinary(cmd, &err), 0) << cmd << "\n" << err;
+        std::ifstream in(csv);
+        std::string header, row;
+        ASSERT_TRUE(std::getline(in, header) && std::getline(in, row))
+            << cmd;
+        EXPECT_EQ(header.rfind("app,procs,granularity,granule_bytes,", 0),
+                  0u)
+            << header;
+        std::vector<std::string> cells;
+        std::istringstream split(row);
+        for (std::string c; std::getline(split, c, ',');)
+            cells.push_back(c);
+        ASSERT_GE(cells.size(), 4u) << row;
+        EXPECT_EQ(cells[2], "line") << cmd;
+        EXPECT_EQ(cells[3], "32") << cmd;
+    }
+    (void)std::remove(csv.c_str());
+    std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 --nomem "
+                        "--race line --line 3",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: race line size must be a power of two >= 4\n");
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 100 --n 4 "
+                        "--nomem --race word",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: race checker processor count must be in [1, "
+                   "64] (got 100)\n");
 }
 
 // The sweep and the memory system share one line-size floor: a 4-byte

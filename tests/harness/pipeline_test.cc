@@ -1,9 +1,10 @@
 // Differential test of the run pipeline across all of its axes: every
 // source (live execution, live with --record, --replay of that
 // recording), both --replicas modes, and every kind of sink set (one
-// MemSystem, six line sizes from one pass, the exact plus model
-// working-set sweep, the model-only sweep, the word-granularity race
-// detector) must produce the statistics of the serial live oracle.
+// MemSystem, six line sizes from one pass with a caller-owned
+// word-granularity race checker beside them, the exact plus model
+// working-set sweep, the model-only sweep, no sink at all) must
+// produce the statistics of the serial live oracle.
 // Two more cases pin the one-pass rule: a six-configuration
 // characterization executes its program once in either replica mode,
 // and a replayed model sweep reads its trace store without writing to
@@ -34,9 +35,10 @@ struct Outputs
 {
     std::vector<RunStats> one;  ///< one MemSystem
     std::vector<RunStats> six;  ///< six line sizes
+    sim::RaceOutcome race;      ///< word checker beside the six
     WorkingSetRun sweep;        ///< exact + model sweep
     WorkingSetRun model;        ///< --sweep model
-    RunStats race;              ///< word-granularity race detector
+    RunStats pram;              ///< PRAM only
 };
 
 Outputs
@@ -47,15 +49,18 @@ runAll(App& app, const AppConfig& cfg, SimOpts so)
         six[i].cache.lineSize = 8 << i;
     Outputs out;
     out.one = runCharacterizations(app, kProcs, {MemExperiment{}}, cfg, so);
-    out.six = runCharacterizations(app, kProcs, six, cfg, so);
+    // Under --replicas on the checker shares the threaded broadcast
+    // with the six MemSystems.
+    sim::RaceChecker race({sim::RaceGranularity::Word, kProcs});
+    out.six = runCharacterizations(app, kProcs, six, cfg, so, &race);
+    out.race = race.outcome();
     sim::SweepConfig sc;
     sc.nprocs = kProcs;
     so.sweep = sim::SweepMode::Both;
     out.sweep = runWorkingSets(app, kProcs, sc, cfg, so);
     so.sweep = sim::SweepMode::Model;
     out.model = runWorkingSets(app, kProcs, sc, cfg, so);
-    so.race = sim::RaceGranularity::Word;
-    out.race = runPram(app, kProcs, cfg, so);
+    out.pram = runPram(app, kProcs, cfg, so);
     return out;
 }
 
@@ -79,10 +84,9 @@ expectSameOutputs(const Outputs& want, const Outputs& got)
     // profile.
     expectSameRun(want.sweep.stats, got.model.stats);
     EXPECT_TRUE(got.model.model == want.sweep.model);
-    expectSameRun(want.race, got.race);
-    ASSERT_TRUE(got.race.raceChecked);
-    const sim::RaceOutcome& a = want.race.race;
-    const sim::RaceOutcome& b = got.race.race;
+    expectSameRun(want.pram, got.pram);
+    const sim::RaceOutcome& a = want.race;
+    const sim::RaceOutcome& b = got.race;
     EXPECT_EQ(a.races, b.races);
     EXPECT_EQ(a.granulesTracked, b.granulesTracked);
     EXPECT_EQ(a.census.barrierArrivals, b.census.barrierArrivals);
@@ -109,7 +113,8 @@ TEST_P(PipelineDifferential, EverySourceReplicaModeAndSinkSetAgrees)
     oracle.replicas = Replicas::Off;
     const Outputs want = runAll(*app, cfg, oracle);
     ASSERT_TRUE(want.one.at(0).valid);
-    ASSERT_TRUE(want.race.race.clean());
+    ASSERT_TRUE(want.race.clean());
+    ASSERT_GT(want.race.census.barrierArrivals, 0u);
 
     for (Replicas replicas : {Replicas::Off, Replicas::On}) {
         // Live, then live while recording, then replay of the record.

@@ -479,26 +479,22 @@ TEST(RaceCheckApps, SuiteIsRaceFreeAtWordGranularityAndCensusAgrees)
     // Figure-2 wait counters -- two independent paths from the same
     // primitives.
     const int procs = 4;
-    SimOpts so;
-    so.race = RaceGranularity::Word;
     for (App* app : suite()) {
-        RunStats r = runPram(*app, procs, smallCfg(), so);
+        RaceChecker race(wordCfg(procs));
+        RunStats r = runPram(*app, procs, smallCfg(), {}, &race);
         ASSERT_TRUE(r.valid) << app->name();
-        ASSERT_TRUE(r.raceChecked) << app->name();
-        EXPECT_TRUE(r.race.clean())
-            << app->name() << ":\n"
-            << raceSummary(r.race);
+        const RaceOutcome o = race.outcome();
+        EXPECT_TRUE(o.clean()) << app->name() << ":\n" << raceSummary(o);
         std::uint64_t barriers = 0, locks = 0, pauses = 0;
         for (const rt::ProcStats& p : r.perProc) {
             barriers += p.barriers;
             locks += p.locks;
             pauses += p.pauses;
         }
-        EXPECT_EQ(r.race.census.barrierArrivals, barriers)
-            << app->name();
-        EXPECT_EQ(r.race.census.lockAcquires, locks) << app->name();
-        EXPECT_EQ(r.race.census.flagWaits, pauses) << app->name();
-        EXPECT_EQ(r.race.census.lockReleases, locks) << app->name();
+        EXPECT_EQ(o.census.barrierArrivals, barriers) << app->name();
+        EXPECT_EQ(o.census.lockAcquires, locks) << app->name();
+        EXPECT_EQ(o.census.flagWaits, pauses) << app->name();
+        EXPECT_EQ(o.census.lockReleases, locks) << app->name();
     }
 }
 
@@ -508,13 +504,12 @@ TEST(RaceCheckApps, FftSyncCensusPinned)
     // processors does only barriers (no locks, no flags), and every
     // processor crosses each of the program's barriers.
     const int procs = 4;
-    SimOpts so;
-    so.race = RaceGranularity::Word;
     App* fft = findApp("fft");
     ASSERT_NE(fft, nullptr);
-    RunStats r = runPram(*fft, procs, smallCfg(), so);
+    RaceChecker race(wordCfg(procs));
+    RunStats r = runPram(*fft, procs, smallCfg(), {}, &race);
     ASSERT_TRUE(r.valid);
-    const SyncCensus& c = r.race.census;
+    const SyncCensus& c = race.census();
     EXPECT_EQ(c.lockAcquires, 0u);
     EXPECT_EQ(c.flagWaits, 0u);
     EXPECT_EQ(c.flagSets, 0u);
@@ -536,18 +531,16 @@ TEST(RaceCheckApps, CharacterizationStatsUnchangedByRaceChecking)
     ASSERT_NE(app, nullptr);
     CacheConfig cache;
 
-    SimOpts off;
-    RunStats a = runCharacterizations(
-        *app, procs, {experimentFor(cache, off)}, smallCfg(), off)[0];
-    SimOpts word;
-    word.race = RaceGranularity::Word;
-    RunStats b = runCharacterizations(
-        *app, procs, {experimentFor(cache, word)}, smallCfg(), word)[0];
+    const SimOpts so;
+    const MemExperiment e = experimentFor(cache, so);
+    RunStats a = runCharacterizations(*app, procs, {e}, smallCfg(), so)[0];
+    RaceChecker word(wordCfg(procs));
+    RunStats b =
+        runCharacterizations(*app, procs, {e}, smallCfg(), so, &word)[0];
 
     ASSERT_TRUE(a.valid);
     ASSERT_TRUE(b.valid);
-    EXPECT_TRUE(b.raceChecked);
-    EXPECT_FALSE(a.raceChecked);
+    EXPECT_GT(word.census().barrierArrivals, 0u) << "checker rode the pass";
     EXPECT_EQ(a.elapsed, b.elapsed);
     EXPECT_EQ(0, std::memcmp(&a.mem, &b.mem, sizeof(a.mem)));
     ASSERT_EQ(a.perProc.size(), b.perProc.size());
@@ -588,11 +581,11 @@ expectSameOutcome(const RaceOutcome& a, const RaceOutcome& b,
 
 TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
 {
-    // The race checkers share the one pass with the memory systems
-    // (one checker per granule size): each experiment's outcome must be
-    // identical to a dedicated single-experiment pass, in both replica
-    // modes, for both granularities, across line sizes that share a
-    // checker (word) and ones that cannot (line).
+    // A caller-owned checker shares the one pass with the memory
+    // systems: riding a two-line-size characterization, it must report
+    // exactly what a checker riding a dedicated PRAM pass reports, in
+    // both replica modes (under On, on the threaded broadcast beside
+    // the two MemSystems) and at word and line grain.
     const int procs = 4;
     App* app = findApp("radix");  // barriers + flags in one program
     ASSERT_NE(app, nullptr);
@@ -600,40 +593,28 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
     exps[0].cache.lineSize = 64;
     exps[1].cache.lineSize = 32;
 
-    for (RaceGranularity g :
-         {RaceGranularity::Word, RaceGranularity::Line}) {
+    for (RaceConfig rc : {wordCfg(procs), lineCfg(procs, 32)}) {
         SimOpts off;
-        off.race = g;
         off.replicas = Replicas::Off;
-        std::vector<RunStats> dedicated;
-        dedicated.reserve(exps.size());
-        for (const MemExperiment& e : exps)
-            dedicated.push_back(
-                runCharacterizations(*app, procs, {e}, smallCfg(), off)[0]);
+        RaceChecker dedicated(rc);
+        runPram(*app, procs, smallCfg(), off, &dedicated);
+        const RaceOutcome want = dedicated.outcome();
+        ASSERT_EQ(want.granuleBytes, rc.gran == RaceGranularity::Word
+                                         ? 4
+                                         : rc.lineSize);
 
         for (Replicas replicas : {Replicas::Off, Replicas::On}) {
-            SimOpts so = off;
+            SimOpts so;
             so.replicas = replicas;
             const std::string what =
-                std::string(g == RaceGranularity::Word ? "word" : "line") +
+                std::string(rc.gran == RaceGranularity::Word ? "word"
+                                                             : "line") +
                 (replicas == Replicas::On ? "/on" : "/off");
-            auto got =
-                runCharacterizations(*app, procs, exps, smallCfg(), so);
+            RaceChecker rider(rc);
+            auto got = runCharacterizations(*app, procs, exps, smallCfg(),
+                                            so, &rider);
             ASSERT_EQ(got.size(), 2u);
-            for (int i = 0; i < 2; ++i) {
-                ASSERT_TRUE(dedicated[i].raceChecked);
-                ASSERT_TRUE(got[i].raceChecked);
-                expectSameOutcome(dedicated[i].race, got[i].race,
-                                  what.c_str());
-                EXPECT_EQ(0, std::memcmp(&dedicated[i].mem, &got[i].mem,
-                                         sizeof(MemStats)))
-                    << what;
-            }
+            expectSameOutcome(want, rider.outcome(), what.c_str());
         }
-        // Word granularity is line-size independent: both experiments
-        // must agree with each other too.
-        if (g == RaceGranularity::Word)
-            expectSameOutcome(dedicated[0].race, dedicated[1].race,
-                              "word across line sizes");
     }
 }
