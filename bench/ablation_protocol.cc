@@ -24,11 +24,11 @@
  * per application -- the ablation differences come from the identical
  * reference stream by construction.  Applications are scheduled
  * across host cores (--jobs); output bytes are identical in every
- * mode.  --csv prints the protocol-zoo rows as CSV
- * (results/ablation.csv) and simulates only those four machines.
+ * mode.  --csv FILE writes the protocol-zoo rows as CSV
+ * (results/ablation.csv) beside the text report.
  *
  * Usage: ablation_protocol [--procs 16] [--scale 0.5] [--app <name>]
- *                          [--csv] [--jobs N] [--replicas off|on]
+ *                          [--csv FILE] [--jobs N] [--replicas off|on]
  *                          [--protocol P] [--check N]
  */
 #include <cstdio>
@@ -50,38 +50,32 @@ main(int argc, char** argv)
         return eng.listRequested ? 0 : 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 0.5);
-    std::string only = opt.getS("app", "");
-    bool csv = opt.has("csv");
-
+    cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
+    const std::vector<App*> apps = selectApps(opt);
     std::uint64_t small = std::uint64_t(opt.getI("cachekb", 16)) << 10;
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
+    csv.open("app,protocol,miss_per_1000,upgrade_per_1000,"
+             "inval_per_1000,update_per_1000,remote_per_ref,"
+             "traffic_per_ref");
 
     // Experiment order: [0] small+hints, [1] small no hints,
     // [2] 1 MB placed (under --protocol, default MESI),
     // [3] 1 MB interleaved, [4..6] 1 MB placed under the three
     // protocols other than [2]'s -- the zoo reuses [2] for the base
-    // protocol rather than simulating it twice.  --csv prints only the
-    // zoo, so it simulates only the zoo, in zoo order.
-    std::vector<MemExperiment> exps;
-    if (!csv) {
-        exps.resize(4);
-        exps[0].cache.size = small;
-        exps[1].cache.size = small;
-        exps[1].hints = false;
-        exps[3].placed = false;
-        for (MemExperiment& e : exps)
-            e.protocol = eng.sim.protocol;
-    }
+    // protocol rather than simulating it twice.
+    std::vector<MemExperiment> exps(4);
+    exps[0].cache.size = small;
+    exps[1].cache.size = small;
+    exps[1].hints = false;
+    exps[3].placed = false;
+    for (MemExperiment& e : exps)
+        e.protocol = eng.sim.protocol;
     std::vector<std::size_t> zooIdx(sim::kNumProtocols);
     for (int k = 0; k < sim::kNumProtocols; ++k) {
         auto proto = static_cast<sim::ProtocolKind>(k);
-        if (!csv && proto == eng.sim.protocol) {
+        if (proto == eng.sim.protocol) {
             zooIdx[k] = 2;
             continue;
         }
@@ -100,40 +94,6 @@ main(int argc, char** argv)
         });
     }
     runner.run();
-
-    // Protocol-zoo metrics, all per 1000 references of the identical
-    // stream; six decimals so goldens can pin rows exactly.
-    auto per1000 = [](const RunStats& r, std::uint64_t v) {
-        double acc = double(r.mem.accesses());
-        return acc > 0 ? 1000.0 * double(v) / acc : 0.0;
-    };
-    auto perRef = [](const RunStats& r, double v) {
-        double acc = double(r.mem.accesses());
-        return acc > 0 ? v / acc : 0.0;
-    };
-
-    if (csv) {
-        std::printf("app,protocol,miss_per_1000,upgrade_per_1000,"
-                    "inval_per_1000,update_per_1000,remote_per_ref,"
-                    "traffic_per_ref\n");
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            for (int k = 0; k < sim::kNumProtocols; ++k) {
-                const RunStats& r = results[i][zooIdx[k]];
-                std::printf(
-                    "%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n",
-                    apps[i]->name().c_str(),
-                    sim::protocolName(
-                        static_cast<sim::ProtocolKind>(k)),
-                    per1000(r, r.mem.totalMisses()),
-                    per1000(r, r.mem.upgrades),
-                    per1000(r, r.mem.invalidations),
-                    per1000(r, r.mem.updates),
-                    perRef(r, double(r.mem.remoteData())),
-                    perRef(r, double(r.mem.totalTraffic())));
-            }
-        }
-        return 0;
-    }
 
     std::printf("Ablation 1: replacement hints with %llu KB caches "
                 "(remote overhead bytes per reference), %d procs\n\n",
@@ -180,17 +140,21 @@ main(int argc, char** argv)
               "Upd/1000", "RemData/ref", "Traffic/ref"});
     for (std::size_t i = 0; i < apps.size(); ++i) {
         for (int k = 0; k < sim::kNumProtocols; ++k) {
-            const RunStats& r = results[i][zooIdx[k]];
-            t3.row({k == 0 ? apps[i]->name() : std::string(),
-                    sim::protocol(static_cast<sim::ProtocolKind>(k))
-                        .display,
-                    fmt("%.3f", per1000(r, r.mem.totalMisses())),
-                    fmt("%.3f", per1000(r, r.mem.upgrades)),
-                    fmt("%.3f", per1000(r, r.mem.invalidations)),
-                    fmt("%.3f", per1000(r, r.mem.updates)),
-                    fmt("%.3f", perRef(r, double(r.mem.remoteData()))),
-                    fmt("%.3f",
-                        perRef(r, double(r.mem.totalTraffic())))});
+            const auto proto = static_cast<sim::ProtocolKind>(k);
+            // Per 1000 references of the identical stream; six
+            // decimals in the CSV so goldens can pin rows exactly.
+            const sim::MemStats& m = results[i][zooIdx[k]].mem;
+            const std::vector<double> v = {per1000(m, m.totalMisses()),
+                                           per1000(m, m.upgrades),
+                                           per1000(m, m.invalidations),
+                                           per1000(m, m.updates),
+                                           perRef(m, m.remoteData()),
+                                           perRef(m, m.totalTraffic())};
+            t3.row(cells({k == 0 ? apps[i]->name() : std::string(),
+                          sim::protocol(proto).display},
+                         v, "%.3f"));
+            csv.row(cells({apps[i]->name(), sim::protocolName(proto)}, v,
+                          "%.6f"));
         }
     }
     t3.print();

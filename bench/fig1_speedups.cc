@@ -12,10 +12,11 @@
  *
  * Engine: each application's processor sweep is one runner job
  * (--jobs overlaps applications); output bytes are identical for
- * every jobs value.
+ * every jobs value.  --csv FILE writes the speedups as CSV rows
+ * (results/fig1.csv) beside the text report.
  *
  * Usage: fig1_speedups [--scale 1.0] [--maxprocs 64] [--app <name>]
- *                      [--csv] [--jobs N]
+ *                      [--csv FILE] [--jobs N]
  */
 #include <cstdio>
 #include <vector>
@@ -33,22 +34,20 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng))
         return 2;
+    const bool quick = opt.flag("quick");
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
-    int maxp = static_cast<int>(
-        opt.getI("maxprocs", opt.has("quick") ? 16 : 64));
-    std::string only = opt.getS("app", "");
-    bool csv = opt.has("csv");
+    cfg.scale = opt.getD("scale", quick ? 0.25 : 1.0);
+    const long maxp =
+        getInRange(opt, "maxprocs", quick ? 16 : 64, 1, kMaxProcs);
+    const std::vector<App*> apps = selectApps(opt);
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
+    csv.open("app,procs,speedup");
 
     std::vector<int> procs;
     for (int p = 1; p <= maxp; p *= 2)
         procs.push_back(p);
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
 
     std::vector<std::vector<RunStats>> results(
         apps.size(), std::vector<RunStats>(procs.size()));
@@ -62,11 +61,8 @@ main(int argc, char** argv)
     }
     runner.run();
 
-    if (csv)
-        std::printf("app,procs,speedup\n");
-    else
-        std::printf("Figure 1: PRAM speedups (T1 / Tp), scale %.3g\n\n",
-                    cfg.scale);
+    std::printf("Figure 1: PRAM speedups (T1 / Tp), scale %.3g\n\n",
+                cfg.scale);
     std::vector<std::string> hdr{"Code"};
     for (int p : procs)
         hdr.push_back("P=" + std::to_string(p));
@@ -76,18 +72,13 @@ main(int argc, char** argv)
         double t1 = double(results[i][0].elapsed);
         for (std::size_t j = 0; j < procs.size(); ++j) {
             double s = t1 / double(results[i][j].elapsed);
-            if (csv)
-                std::printf("%s,%d,%.4f\n", apps[i]->name().c_str(),
-                            procs[j], s);
-            else
-                row.push_back(fmt("%.2f", s));
+            row.push_back(fmt("%.2f", s));
+            csv.row({apps[i]->name(), std::to_string(procs[j]),
+                     fmt("%.4f", s)});
         }
-        if (!csv)
-            t.row(row);
+        t.row(row);
     }
-    if (!csv) {
-        t.print();
-        std::printf("\n(ideal speedup at P equals P)\n");
-    }
+    t.print();
+    std::printf("\n(ideal speedup at P equals P)\n");
     return 0;
 }

@@ -33,15 +33,10 @@ main(int argc, char** argv)
         return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
-    std::string only = opt.getS("app", "");
+    cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 1.0);
+    const std::vector<App*> apps = selectApps(opt);
     if (!opt.allRead())
         return 2;
-
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
 
     std::vector<RunStats> results(apps.size());
     Runner runner(eng.jobs);

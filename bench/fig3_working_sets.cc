@@ -19,12 +19,14 @@
  * output bytes are identical.  --sweep selects the engine:
  * exact (default; the output above), model (reuse-distance analytical
  * predictions from a sweep of the fully associative column alone, same
- * schema), or both (each point reported from both engines plus the
- * absolute error -- the model-validation artifact).
+ * schema), or both (the table shows the exact curves; the CSV reports
+ * each point from both engines plus the absolute error -- the
+ * model-validation artifact).  --csv FILE writes the curves as CSV
+ * rows (results/fig3.csv, fig3_model.csv) beside the text report.
  *
  * Usage: fig3_working_sets [--procs 32] [--scale 1.0] [--app <name>]
  *                          [--n N] [--sweep exact|model|both]
- *                          [--jobs N] [--replicas off|on] [--csv]
+ *                          [--jobs N] [--replicas off|on] [--csv FILE]
  */
 #include <cstdio>
 #include <memory>
@@ -47,22 +49,22 @@ main(int argc, char** argv)
         return 2;
     int procs = static_cast<int>(opt.getI("procs", 32));
     int line = static_cast<int>(opt.getI("line", 64));
-    bool csv = opt.has("csv");
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
+    cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 1.0);
     cfg.n = opt.getI("n", 0);
-    std::string only = opt.getS("app", "");
+    const std::vector<App*> apps = selectApps(opt);
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
     const sim::SweepMode mode = eng.sim.sweep;
-    // Which engine the single-value outputs quote (Both's CSV quotes
-    // the two side by side; its table shows the exact curves).
+    // The engine the table and the single-value CSV quote; Both's
+    // table shows the exact curves and its CSV quotes the two side by
+    // side.
     const bool model = mode == sim::SweepMode::Model;
-
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
+    const bool both = mode == sim::SweepMode::Both;
+    csv.open(both ? "app,size_bytes,assoc,miss_rate_exact,"
+                    "miss_rate_model,abs_error"
+                  : "app,size_bytes,assoc,miss_rate");
 
     std::vector<WorkingSetRun> runs(apps.size());
     Runner runner(eng.jobs);
@@ -76,59 +78,37 @@ main(int argc, char** argv)
     }
     runner.run();
 
-    if (csv) {
-        std::printf(mode == sim::SweepMode::Both
-                        ? "app,size_bytes,assoc,miss_rate_exact,"
-                          "miss_rate_model,abs_error\n"
-                        : "app,size_bytes,assoc,miss_rate\n");
-    } else if (mode == sim::SweepMode::Exact) {
-        // Byte-identical to the historical exact-only output
-        // (results/fig3_working_sets.txt).
-        std::printf("Figure 3: miss rate (%%) vs cache size and "
-                    "associativity; %d procs, %d B lines, scale %.3g\n",
-                    procs, line, cfg.scale);
-    } else {
-        std::printf("Figure 3 (%s): miss rate (%%) vs cache size and "
-                    "associativity; %d procs, %d B lines, scale %.3g\n",
-                    sim::sweepModeName(mode), procs, line, cfg.scale);
-    }
+    // The exact sweep's title names no engine, as in
+    // results/fig3_working_sets.txt.
+    const std::string engine =
+        mode == sim::SweepMode::Exact
+            ? ""
+            : std::string(" (") + sim::sweepModeName(mode) + ")";
+    std::printf("Figure 3%s: miss rate (%%) vs cache size and "
+                "associativity; %d procs, %d B lines, scale %.3g\n",
+                engine.c_str(), procs, line, cfg.scale);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         const WorkingSetRun& run = runs[i];
-        if (csv) {
-            for (std::uint64_t size : sim::fig3Sizes())
-                for (int assoc : sim::fig3ReportAssocs()) {
-                    if (mode == sim::SweepMode::Both) {
-                        double ex = wsMissRate(run, size, assoc, false);
-                        double md = wsMissRate(run, size, assoc, true);
-                        std::printf(
-                            "%s,%llu,%d,%.6f,%.6f,%.6f\n",
-                            apps[i]->name().c_str(),
-                            static_cast<unsigned long long>(size),
-                            assoc, ex, md,
-                            ex > md ? ex - md : md - ex);
-                    } else {
-                        std::printf(
-                            "%s,%llu,%d,%.6f\n",
-                            apps[i]->name().c_str(),
-                            static_cast<unsigned long long>(size),
-                            assoc, wsMissRate(run, size, assoc, model));
-                    }
-                }
-            continue;
-        }
         std::printf("\n%s\n", apps[i]->name().c_str());
         Table t({"Size", "1-way", "2-way", "4-way", "full"});
         for (std::uint64_t size : sim::fig3Sizes()) {
-            std::string label =
-                size >= (1u << 20)
-                    ? std::to_string(size >> 20) + "MB"
-                    : std::to_string(size >> 10) + "KB";
-            t.row({label,
-                   fmt("%.3f", 100.0 * wsMissRate(run, size, 1, model)),
-                   fmt("%.3f", 100.0 * wsMissRate(run, size, 2, model)),
-                   fmt("%.3f", 100.0 * wsMissRate(run, size, 4, model)),
-                   fmt("%.3f",
-                       100.0 * wsMissRate(run, size, 0, model))});
+            std::vector<std::string> row{
+                size >= (1u << 20) ? std::to_string(size >> 20) + "MB"
+                                   : std::to_string(size >> 10) + "KB"};
+            for (int assoc : sim::fig3ReportAssocs()) {
+                const double mr = wsMissRate(run, size, assoc, model);
+                row.push_back(fmt("%.3f", 100.0 * mr));
+                std::vector<double> values{mr};
+                if (both) {
+                    const double md = wsMissRate(run, size, assoc, true);
+                    values.push_back(md);
+                    values.push_back(mr > md ? mr - md : md - mr);
+                }
+                csv.row(cells({apps[i]->name(), fmtU(size),
+                               std::to_string(assoc)},
+                              values, "%.6f"));
+            }
+            t.row(row);
         }
         t.print();
     }

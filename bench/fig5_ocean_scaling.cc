@@ -11,10 +11,11 @@
  *
  * Engine: the two grid sizes are independent executions scheduled by
  * the experiment runner (--jobs 2 overlaps them); output bytes are
- * identical in every mode.
+ * identical in every mode.  --csv FILE writes the same rows as CSV
+ * (results/fig5.csv) beside the text report.
  *
  * Usage: fig5_ocean_scaling [--procs 32] [--n1 128] [--n2 256]
- *                           [--csv] [--jobs N] [--protocol P]
+ *                           [--csv FILE] [--jobs N] [--protocol P]
  *                           [--check N]
  */
 #include <cstdio>
@@ -34,13 +35,15 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
-    int procs = static_cast<int>(
-        opt.getI("procs", opt.has("quick") ? 8 : 32));
-    long n1 = opt.getI("n1", opt.has("quick") ? 64 : 128);
-    long n2 = opt.getI("n2", opt.has("quick") ? 128 : 256);
-    bool csv = opt.has("csv");
+    const bool quick = opt.flag("quick");
+    int procs = static_cast<int>(opt.getI("procs", quick ? 8 : 32));
+    // Ocean's grid is a power of two >= 4; 0 would mean its default.
+    long n1 = getInRange(opt, "n1", quick ? 64 : 128, 4);
+    long n2 = getInRange(opt, "n2", quick ? 128 : 256, 4);
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
+    csv.open("grid,procs," + kTrafficCsv);
 
     App* ocean = findApp("Ocean");
     sim::CacheConfig cache;  // 1 MB 4-way 64 B
@@ -61,44 +64,18 @@ main(int argc, char** argv)
     }
     runner.run();
 
-    if (csv)
-        std::printf("grid,procs,rem_shared,rem_cold,rem_cap,rem_wb,"
-                    "rem_ovhd,local,true_shared,total\n");
-    else
-        std::printf("Figure 5: Ocean traffic (bytes/FLOP), %d procs, "
-                    "1 MB caches, grids (%ld+2)^2 vs (%ld+2)^2\n\n",
-                    procs, n1, n2);
-    Table t({"Grid", "RemShared", "RemCold", "RemCap", "RemWB",
-             "RemOvhd", "Local", "TrueShared", "Total"});
+    std::printf("Figure 5: Ocean traffic (bytes/FLOP), %d procs, "
+                "1 MB caches, grids (%ld+2)^2 vs (%ld+2)^2\n\n",
+                procs, n1, n2);
+    Table t(trafficHeader("Grid"));
     for (std::size_t i = 0; i < grids.size(); ++i) {
         const RunStats& r = results[i];
-        double den = double(r.exec.flops);
-        if (csv) {
-            std::printf("%ld,%d,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f,"
-                        "%.6f\n",
-                        grids[i] + 2, procs,
-                        double(r.mem.remoteSharedData) / den,
-                        double(r.mem.remoteColdData) / den,
-                        double(r.mem.remoteCapacityData) / den,
-                        double(r.mem.remoteWriteback) / den,
-                        double(r.mem.remoteOverhead) / den,
-                        double(r.mem.localData) / den,
-                        double(r.mem.trueSharedData) / den,
-                        double(r.mem.totalTraffic()) / den);
-            continue;
-        }
-        auto b = [&](double v) { return fmt("%.4f", v / den); };
-        t.row({std::to_string(grids[i] + 2) + "^2",
-               b(double(r.mem.remoteSharedData)),
-               b(double(r.mem.remoteColdData)),
-               b(double(r.mem.remoteCapacityData)),
-               b(double(r.mem.remoteWriteback)),
-               b(double(r.mem.remoteOverhead)),
-               b(double(r.mem.localData)),
-               b(double(r.mem.trueSharedData)),
-               b(double(r.mem.totalTraffic()))});
+        const std::vector<double> v =
+            trafficColumns(r.mem, double(r.exec.flops));
+        const std::string grid = std::to_string(grids[i] + 2);
+        t.row(cells({grid + "^2"}, v, "%.4f"));
+        csv.row(cells({grid, std::to_string(procs)}, v, "%.6f"));
     }
-    if (!csv)
-        t.print();
+    t.print();
     return 0;
 }

@@ -14,10 +14,12 @@
  * every line size, so each application executes ONCE and its pass
  * feeds all six line-size configurations (--replicas on gives each its
  * own thread); applications run concurrently across host cores
- * (--jobs).  Output bytes are identical in every mode.
+ * (--jobs).  Output bytes are identical in every mode.  --csv FILE
+ * writes the same decomposition as CSV rows (results/fig7.csv) beside
+ * the text report.
  *
  * Usage: fig7_miss_classification [--procs 32] [--scale 1.0]
- *                                 [--app <name>] [--csv]
+ *                                 [--app <name>] [--csv FILE]
  *                                 [--jobs N] [--replicas off|on]
  *                                 [--protocol P] [--check N]
  */
@@ -38,21 +40,17 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
-    int procs = static_cast<int>(
-        opt.getI("procs", opt.has("quick") ? 8 : 32));
+    const bool quick = opt.flag("quick");
+    int procs = static_cast<int>(opt.getI("procs", quick ? 8 : 32));
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
-    std::string only = opt.getS("app", "");
-    bool csv = opt.has("csv");
+    cfg.scale = opt.getD("scale", quick ? 0.25 : 1.0);
+    const std::vector<App*> apps = selectApps(opt);
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
+    csv.open("app,line,cold,capacity,true_share,false_share,miss_rate");
 
     const std::vector<int> lines = {8, 16, 32, 64, 128, 256};
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
-
     std::vector<std::vector<RunStats>> results(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
@@ -70,55 +68,30 @@ main(int argc, char** argv)
     }
     runner.run();
 
-    if (csv)
-        std::printf("app,line,cold,capacity,true_share,false_share,"
-                    "miss_rate\n");
-    else
-        std::printf("Figure 7: misses per 1000 references by type vs "
-                    "line size; %d procs, 1 MB 4-way caches, scale "
-                    "%.3g\n",
-                    procs, cfg.scale);
+    std::printf("Figure 7: misses per 1000 references by type vs "
+                "line size; %d procs, 1 MB 4-way caches, scale "
+                "%.3g\n",
+                procs, cfg.scale);
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        if (!csv) {
-            std::printf("\n%s\n", apps[i]->name().c_str());
-            Table t({"Line", "Cold", "Capacity", "TrueShare",
-                     "FalseShare", "MissRate%"});
-            for (std::size_t j = 0; j < lines.size(); ++j) {
-                const RunStats& r = results[i][j];
-                double acc = double(r.mem.accesses());
-                if (acc <= 0)
-                    acc = 1;
-                auto k = [&](sim::MissType m) {
-                    return fmt("%.3f",
-                               1000.0 * double(r.mem.misses[int(m)]) /
-                                   acc);
-                };
-                t.row({std::to_string(lines[j]) + "B",
-                       k(sim::MissType::Cold),
-                       k(sim::MissType::Capacity),
-                       k(sim::MissType::TrueSharing),
-                       k(sim::MissType::FalseSharing),
-                       fmt("%.3f", 100.0 * r.mem.missRate())});
-            }
-            t.print();
-            continue;
-        }
+        std::printf("\n%s\n", apps[i]->name().c_str());
+        Table t({"Line", "Cold", "Capacity", "TrueShare", "FalseShare",
+                 "MissRate%"});
         for (std::size_t j = 0; j < lines.size(); ++j) {
-            const RunStats& r = results[i][j];
-            double acc = double(r.mem.accesses());
-            if (acc <= 0)
-                acc = 1;
-            auto per1000 = [&](sim::MissType m) {
-                return 1000.0 * double(r.mem.misses[int(m)]) / acc;
+            const sim::MemStats& m = results[i][j].mem;
+            auto misses = [&](sim::MissType type) {
+                return per1000(m, m.misses[int(type)]);
             };
-            std::printf("%s,%d,%.6f,%.6f,%.6f,%.6f,%.6f\n",
-                        apps[i]->name().c_str(), lines[j],
-                        per1000(sim::MissType::Cold),
-                        per1000(sim::MissType::Capacity),
-                        per1000(sim::MissType::TrueSharing),
-                        per1000(sim::MissType::FalseSharing),
-                        100.0 * r.mem.missRate());
+            const std::vector<double> v = {
+                misses(sim::MissType::Cold),
+                misses(sim::MissType::Capacity),
+                misses(sim::MissType::TrueSharing),
+                misses(sim::MissType::FalseSharing),
+                100.0 * m.missRate()};
+            const std::string line = std::to_string(lines[j]);
+            t.row(cells({line + "B"}, v, "%.3f"));
+            csv.row(cells({apps[i]->name(), line}, v, "%.6f"));
         }
+        t.print();
     }
     return 0;
 }

@@ -24,11 +24,12 @@
  *
  * Engine: all 2 x kNumProtocols machine configurations are fed from
  * ONE pass per application, so the bench reads --check but neither
- * --protocol nor --interconnect.  --csv prints rows with six decimals
- * so goldens can pin them exactly.
+ * --protocol nor --interconnect.  Every run ends with the bus-versus-
+ * directory differential check.  --csv FILE writes the rows with six
+ * decimals, so goldens can pin them exactly, beside the text report.
  *
  * Usage: interconnect_traffic [--procs 16] [--scale 0.5] [--quick]
- *                             [--app <name>] [--csv] [--jobs N]
+ *                             [--app <name>] [--csv FILE] [--jobs N]
  *                             [--replicas off|on] [--check N]
  */
 #include <cstdio>
@@ -50,16 +51,14 @@ main(int argc, char** argv)
         return 2;
     int procs = static_cast<int>(opt.getI("procs", 16));
     AppConfig cfg;
-    cfg.scale = opt.getD("scale", opt.has("quick") ? 0.25 : 0.5);
-    std::string only = opt.getS("app", "");
-    bool csv = opt.has("csv");
+    cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
+    const std::vector<App*> apps = selectApps(opt);
+    CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
-
-    std::vector<App*> apps;
-    for (App* app : suite())
-        if (only.empty() || findApp(only) == app)
-            apps.push_back(app);
+    csv.open("app,protocol,interconnect,miss_per_1000,upgrade_per_1000,"
+             "inval_per_1000,update_per_1000,traffic_bytes_per_ref,"
+             "bus_cycles_per_ref");
 
     // Replica order: protocol-major, directory before bus, so
     // exps[2*k] and exps[2*k+1] form the comparison pair of zoo
@@ -84,42 +83,6 @@ main(int argc, char** argv)
     }
     runner.run();
 
-    auto per1000 = [](const RunStats& r, std::uint64_t v) {
-        double acc = double(r.mem.accesses());
-        return acc > 0 ? 1000.0 * double(v) / acc : 0.0;
-    };
-    auto perRef = [](const RunStats& r, double v) {
-        double acc = double(r.mem.accesses());
-        return acc > 0 ? v / acc : 0.0;
-    };
-
-    if (csv) {
-        std::printf("app,protocol,interconnect,miss_per_1000,"
-                    "upgrade_per_1000,inval_per_1000,update_per_1000,"
-                    "traffic_bytes_per_ref,bus_cycles_per_ref\n");
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            for (std::size_t j = 0; j < exps.size(); ++j) {
-                const RunStats& r = results[i][j];
-                bool bus = exps[j].interconnect ==
-                           sim::Interconnect::Bus;
-                std::printf(
-                    "%s,%s,%s,%.6f,%.6f,%.6f,%.6f,%.6f,%.6f\n",
-                    apps[i]->name().c_str(),
-                    sim::protocolName(exps[j].protocol),
-                    sim::interconnectName(exps[j].interconnect),
-                    per1000(r, r.mem.totalMisses()),
-                    per1000(r, r.mem.upgrades),
-                    per1000(r, r.mem.invalidations),
-                    per1000(r, r.mem.updates),
-                    bus ? 0.0
-                        : perRef(r, double(r.mem.totalTraffic())),
-                    bus ? perRef(r, double(r.mem.busCycles()))
-                        : 0.0);
-            }
-        }
-        return 0;
-    }
-
     std::printf("Interconnect comparison: one execution per "
                 "application, replayed under every (protocol, "
                 "interconnect) pair, %d procs (scale %.3g)\n\n",
@@ -128,21 +91,27 @@ main(int argc, char** argv)
              "Upd/1000", "Bytes/ref", "BusCyc/ref"});
     for (std::size_t i = 0; i < apps.size(); ++i) {
         for (std::size_t j = 0; j < exps.size(); ++j) {
-            const RunStats& r = results[i][j];
-            bool bus =
+            const sim::MemStats& m = results[i][j].mem;
+            const char* ic = sim::interconnectName(exps[j].interconnect);
+            const bool bus =
                 exps[j].interconnect == sim::Interconnect::Bus;
+            const double miss = per1000(m, m.totalMisses());
+            const double inval = per1000(m, m.invalidations);
+            const double upd = per1000(m, m.updates);
+            // The organization's own traffic metric; the other is 0.
+            const double bytes = bus ? 0.0 : perRef(m, m.totalTraffic());
+            const double cycles = bus ? perRef(m, m.busCycles()) : 0.0;
             t.row({j == 0 ? apps[i]->name() : std::string(),
-                   sim::protocol(exps[j].protocol).display,
-                   sim::interconnectName(exps[j].interconnect),
-                   fmt("%.3f", per1000(r, r.mem.totalMisses())),
-                   fmt("%.3f", per1000(r, r.mem.invalidations)),
-                   fmt("%.3f", per1000(r, r.mem.updates)),
-                   bus ? std::string("-")
-                       : fmt("%.3f", perRef(r, double(
-                                            r.mem.totalTraffic()))),
-                   bus ? fmt("%.3f",
-                             perRef(r, double(r.mem.busCycles())))
-                       : std::string("-")});
+                   sim::protocol(exps[j].protocol).display, ic,
+                   fmt("%.3f", miss), fmt("%.3f", inval),
+                   fmt("%.3f", upd),
+                   bus ? std::string("-") : fmt("%.3f", bytes),
+                   bus ? fmt("%.3f", cycles) : std::string("-")});
+            csv.row(cells({apps[i]->name(),
+                           sim::protocolName(exps[j].protocol), ic},
+                          {miss, per1000(m, m.upgrades), inval, upd,
+                           bytes, cycles},
+                          "%.6f"));
         }
     }
     t.print();

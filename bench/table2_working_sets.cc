@@ -108,15 +108,14 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng))
         return 2;
+    const bool quick = opt.flag("quick");
+    // The P/2 column needs at least one processor.
     int procs = static_cast<int>(
-        opt.getI("procs", opt.has("quick") ? 8 : 32));
-    double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
+        getInRange(opt, "procs", quick ? 8 : 32, 2, kMaxProcs));
+    double base = opt.getD("scale", quick ? 0.25 : 1.0);
     if (!opt.allRead())
         return 2;
-
-    std::vector<App*> apps;
-    for (App* app : suite())
-        apps.push_back(app);
+    const std::vector<App*>& apps = suite();
 
     // Three profiles per application: base, 2x data set, half procs.
     std::vector<std::vector<Profile>> profiles(

@@ -93,14 +93,13 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
-    int procs = static_cast<int>(opt.getI("procs", 8));
-    double base = opt.getD("scale", opt.has("quick") ? 0.25 : 1.0);
+    // The 4P column may not pass the machine's processor limit.
+    int procs =
+        static_cast<int>(getInRange(opt, "procs", 8, 1, kMaxProcs / 4));
+    double base = opt.getD("scale", opt.flag("quick") ? 0.25 : 1.0);
     if (!opt.allRead())
         return 2;
-
-    std::vector<App*> apps;
-    for (App* app : suite())
-        apps.push_back(app);
+    const std::vector<App*>& apps = suite();
 
     // Three points per application: (P, DS), (4P, DS), (P, 4xDS).
     std::vector<std::vector<Ratio>> ratios(apps.size(),

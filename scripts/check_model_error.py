@@ -3,7 +3,8 @@
 Mattson engine, and maintain the committed per-app error table.
 
 Input is the Both-mode Figure-3 CSV (fig3_working_sets --sweep both
---csv: app,size_bytes,assoc,miss_rate_exact,miss_rate_model,abs_error).
+--csv FILE: app,size_bytes,assoc,miss_rate_exact,miss_rate_model,
+abs_error).
 Two claims are enforced:
 
  1. Fully-associative rows (assoc 0) must match bit-for-bit -- the

@@ -6,16 +6,17 @@
 #
 # Usage: scripts/results.sh [BUILD_DIR]      (default: build)
 #
-#  1. Regenerate in place, at the committed (paper) scale: each bench's
-#     text and CSV output, fig3_model.csv, ablation.csv,
-#     interconnect.csv, and races.csv from the --race line and
-#     --race word runs.  The word run exits 1 on any data race, so it
-#     is also the suite's race gate.
+#  1. Regenerate in place, at the committed (paper) scale, in 15 runs:
+#     each bench once, writing its text report and, through --csv, its
+#     CSV; fig3_working_sets --sweep model for fig3_model.csv; and
+#     races.csv from the --race line and --race word runs.  The word
+#     run exits 1 on any data race, so it is also the suite's race
+#     gate.
 #  2. Run each bench at --quick four ways: the serial oracle
 #     (--jobs 1 --replicas off), the parallel engine
 #     (--jobs $(nproc) --replicas on), recording a trace store
-#     (--record) and replaying it (--replay).  All four outputs must
-#     be identical.
+#     (--record) and replaying it (--replay).  All four text reports
+#     must be identical, and so must all four CSVs.
 #  3. Fail if results/ now differs from the committed copy.
 #
 # Not regenerated: races.txt (the line census of races.csv, laid out
@@ -44,44 +45,46 @@ benches="fig1_speedups fig2_synchronization fig3_working_sets
          table2_working_sets table3_comm_comp ablation_protocol
          interconnect_traffic"
 
+# csvname BENCH: BENCH's committed CSV is results/NAME.csv, NAME its
+# first word; Figure 2 and the tables write none.
+csvname() { case $1 in fig2_* | table*) ;; *) echo "${1%%_*}" ;; esac; }
+
 # 1. Paper-scale results.
 for b in $benches; do
-    [ "$b" = interconnect_traffic ] && continue   # committed as CSV only
-    check "$B/$b" $J > "results/$b.txt"
+    out=results/$b.txt
+    [ "$b" = interconnect_traffic ] && out=/dev/null  # committed as CSV only
+    c=$(csvname "$b")
+    check "$B/$b" $J ${c:+--csv "results/$c.csv"} > "$out"
 done
-csv() {  # csv BENCH NAME [FLAGS...]: results/NAME.csv from BENCH --csv
-    local b=$1 name=$2
-    shift 2
-    check "$B/$b" $J --csv "$@" > "results/$name.csv"
-}
-csv fig1_speedups fig1
-csv fig3_working_sets fig3
-csv fig3_working_sets fig3_model --sweep model
-csv fig4_traffic fig4
-csv fig5_ocean_scaling fig5
-csv fig6_small_cache fig6
-csv fig7_miss_classification fig7
-csv ablation_protocol ablation
-csv interconnect_traffic interconnect
+check "$B/fig3_working_sets" $J --sweep model \
+    --csv results/fig3_model.csv > /dev/null
 races="--app all --procs 8 --scale 0.25 $J"
 check "$run" $races --race line --csv results/races.csv > /dev/null
 check "$run" $races --race word --csv "$tmp/word.csv" > /dev/null
 tail -n +2 "$tmp/word.csv" >> results/races.csv
 echo "results.sh: results/ regenerated (${SECONDS} s)"
 
-# 2. Serial, parallel, record and replay agree byte for byte.
+# 2. Serial, parallel, record and replay agree byte for byte, in the
+#    text report and in the CSV.
+quick() {  # quick WAY FLAGS...: $b --quick, text to $tmp/WAY, CSV beside
+    local way=$1
+    shift
+    check "$B/$b" --quick "$@" ${c:+--csv "$tmp/$way.csv"} > "$tmp/$way"
+}
 for b in $benches; do
-    q="$B/$b --quick"
-    check $q --jobs 1 --replicas off > "$tmp/serial"
-    check $q $J --replicas on > "$tmp/parallel"
-    check $q $J --record "$tmp/store-$b" > "$tmp/record"
-    check $q $J --replay "$tmp/store-$b" > "$tmp/replay"
-    for way in parallel record replay; do
-        cmp -s "$tmp/serial" "$tmp/$way" || {
-            echo "results.sh: $b --quick: $way output differs" \
-                 "from the serial oracle" >&2
-            status=1
-        }
+    c=$(csvname "$b")
+    quick serial --jobs 1 --replicas off
+    quick parallel $J --replicas on
+    quick record $J --record "$tmp/store-$b"
+    quick replay $J --replay "$tmp/store-$b"
+    for out in parallel record replay; do
+        for ext in "" ${c:+.csv}; do
+            cmp -s "$tmp/serial$ext" "$tmp/$out$ext" || {
+                echo "results.sh: $b --quick: $out$ext differs" \
+                     "from the serial oracle" >&2
+                status=1
+            }
+        done
     done
 done
 echo "results.sh: quick runs compared (${SECONDS} s in all)"

@@ -70,7 +70,9 @@
  * uniform message shape ("conflicting flags: ...") via
  * checkModeConflicts(), and a flag the binary never reads is rejected
  * ("unknown flag --X", exit 2) by Options::allRead() once each main
- * has read its own flags.
+ * has read its own flags.  On the benches, selectApps() reads --app
+ * and getInRange() the size flags with bounds; an unknown program or
+ * a size out of range exits 2 the same way, before anything runs.
  */
 #ifndef SPLASH2_HARNESS_CLI_H
 #define SPLASH2_HARNESS_CLI_H
@@ -79,7 +81,10 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
 #include <string>
+#include <vector>
 
 #include "harness/experiment.h"
 #include "harness/report.h"
@@ -119,6 +124,35 @@ conflictingFlags(const std::string& a, const std::string& b,
                  "(%s)\n",
                  a.c_str(), b.c_str(), why.c_str());
     return false;
+}
+
+/** The programs --app selects: the whole suite without it, else the
+ *  one it names.  An unknown name exits 2 before anything runs. */
+inline std::vector<App*>
+selectApps(const Options& opt)
+{
+    if (!opt.has("app"))
+        return suite();
+    const std::string name = opt.getS("app", "");
+    if (App* app = findApp(name))
+        return {app};
+    std::fprintf(stderr, "unknown --app '%s'\n", name.c_str());
+    std::exit(2);
+}
+
+/** Integer flag --@p k (default @p def), which must lie in
+ *  [@p lo, @p hi]; a value outside exits 2 naming the flag and the
+ *  bound before anything runs, as --jobs 0 does. */
+inline long
+getInRange(const Options& opt, const std::string& k, long def, long lo,
+           long hi = std::numeric_limits<long>::max())
+{
+    const long v = opt.getI(k, def);
+    if (v >= lo && v <= hi)
+        return v;
+    std::fprintf(stderr, "--%s must be %s %ld (got %ld)\n", k.c_str(),
+                 v < lo ? ">=" : "<=", v < lo ? lo : hi, v);
+    std::exit(2);
 }
 
 /** Parse the shared engine flags; prints to stderr and returns false
@@ -329,7 +363,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
         return conflictingFlags("--check", "--sweep",
                                 "the working-set sweep has no "
                                 "directory or protocol state to check");
-    if (eng.sim.checkPeriod != 0 && opt.has("nomem"))
+    if (eng.sim.checkPeriod != 0 && opt.flag("nomem"))
         return conflictingFlags("--check", "--nomem",
                                 "a PRAM run has no memory system to "
                                 "check");

@@ -1,7 +1,9 @@
 /**
  * @file
- * Small fixed-width table formatter for the characterization benches,
- * so every bench prints rows shaped like the paper's tables/figures.
+ * The report layer of the characterization benches: a fixed-width
+ * table formatter, so every bench prints rows shaped like the paper's
+ * tables/figures, the command-line Options, and the file --csv names,
+ * which gets the same results as CSV rows beside the text report.
  */
 #ifndef SPLASH2_HARNESS_REPORT_H
 #define SPLASH2_HARNESS_REPORT_H
@@ -10,6 +12,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <memory>
 #include <optional>
 #include <set>
 #include <stdexcept>
@@ -17,6 +20,7 @@
 #include <vector>
 
 #include "base/log.h"
+#include "sim/stats.h"
 
 namespace splash::harness {
 
@@ -82,11 +86,65 @@ fmtU(std::uint64_t v)
     return buf;
 }
 
+/** @p lead followed by each of @p values formatted with @p f: one
+ *  row's values rendered for the text table or for the CSV. */
+inline std::vector<std::string>
+cells(std::vector<std::string> lead, const std::vector<double>& values,
+      const char* f)
+{
+    for (double v : values)
+        lead.push_back(fmt(f, v));
+    return lead;
+}
+
+/** The header of a Figures 4-6 traffic table whose rows start with
+ *  @p lead; kTrafficCsv names the same eight columns in a CSV. */
+inline std::vector<std::string>
+trafficHeader(std::string lead)
+{
+    return {std::move(lead), "RemShared", "RemCold",    "RemCap", "RemWB",
+            "RemOvhd",       "Local",     "TrueShared", "Total"};
+}
+inline const std::string kTrafficCsv =
+    "rem_shared,rem_cold,rem_cap,rem_wb,rem_ovhd,local,true_shared,total";
+
+/** @p v per 1000 references of @p m; 0 when @p m saw none. */
+inline double
+per1000(const sim::MemStats& m, double v)
+{
+    return m.accesses() > 0 ? 1000.0 * v / double(m.accesses()) : 0.0;
+}
+
+/** @p v per reference of @p m; 0 when @p m saw none. */
+inline double
+perRef(const sim::MemStats& m, double v)
+{
+    return m.accesses() > 0 ? v / double(m.accesses()) : 0.0;
+}
+
+/** The traffic columns of @p m in bytes per @p den: remote shared,
+ *  cold, capacity and writeback data, remote overhead, local data,
+ *  true-shared data and the total. */
+inline std::vector<double>
+trafficColumns(const sim::MemStats& m, double den)
+{
+    return {double(m.remoteSharedData) / den,
+            double(m.remoteColdData) / den,
+            double(m.remoteCapacityData) / den,
+            double(m.remoteWriteback) / den,
+            double(m.remoteOverhead) / den,
+            double(m.localData) / den,
+            double(m.trueSharedData) / den,
+            double(m.totalTraffic()) / den};
+}
+
 /** Parse `--key value` style options; keys not given keep defaults.
- *  A key with no value after it is a switch (`--quick`, `--csv` on a
- *  bench): has() answers for it, and asking for its value is fatal.
- *  Every lookup marks its key as read, so once a binary has read all
- *  its flags, allRead() can reject the ones it does not know. */
+ *  A switch (`--quick`, `--nohints`, `--nomem`) is read with flag(),
+ *  which is fatal when a value follows it; asking a valued flag given
+ *  with no value for its value is fatal too.  has() answers for any
+ *  flag given.  Every lookup marks its key as read, so once a binary
+ *  has read all its flags, allRead() can reject the ones it does not
+ *  know. */
 class Options
 {
   public:
@@ -156,6 +214,17 @@ class Options
 
     bool has(const std::string& k) const { return find(k) != kv_.end(); }
 
+    /** True when switch @p k is given; fatal when a value follows it
+     *  (`--nomem 0` would otherwise mean --nomem). */
+    bool
+    flag(const std::string& k) const
+    {
+        auto it = find(k);
+        if (it != kv_.end() && it->second)
+            fatal("option --" + k + " takes no value");
+        return it != kv_.end();
+    }
+
     /** True when every flag given has been read.  Otherwise prints
      *  "unknown flag --X" for each flag nothing read (and
      *  "unexpected argument" for each word that is not a flag) and
@@ -189,6 +258,63 @@ class Options
     std::vector<std::string> stray_;
     /** Keys given on the command line that some lookup asked for. */
     mutable std::set<std::string> read_;
+};
+
+/** The file `--csv FILE` names.  A binary that exports CSV prints its
+ *  text report to stdout whatever --csv says, and renders the same
+ *  results, from the same run, as rows of FILE; without --csv, row()
+ *  writes nothing. */
+class CsvFile
+{
+  public:
+    /** Reads --csv, so Options::allRead() accepts it. */
+    explicit CsvFile(const Options& opt)
+        : given_(opt.has("csv")), path_(opt.getS("csv", ""))
+    {}
+
+    /** True when --csv was given. */
+    explicit operator bool() const { return given_; }
+
+    /** Create FILE with @p header as its first line; fatal when FILE
+     *  cannot be written.  Call after Options::allRead() and before
+     *  any program runs, so that a bad command line truncates nothing
+     *  and an unwritable path costs no run. */
+    void
+    open(const std::string& header)
+    {
+        if (!given_)
+            return;
+        f_.reset(std::fopen(path_.c_str(), "w"));
+        if (!f_)
+            fatal("cannot write --csv file '" + path_ + "'");
+        // Line buffered: each row reaches the file as it is written,
+        // so row() sees a failed write, and closing has nothing to lose.
+        std::setvbuf(f_.get(), nullptr, _IOLBF, BUFSIZ);
+        row({header});
+    }
+
+    /** Append @p fields, joined by commas, as one row; fatal when the
+     *  write fails. */
+    void
+    row(const std::vector<std::string>& fields)
+    {
+        if (!f_)
+            return;
+        std::string line;
+        for (std::size_t i = 0; i < fields.size(); ++i)
+            line += (i ? "," : "") + fields[i];
+        if (std::fprintf(f_.get(), "%s\n", line.c_str()) < 0)
+            fatal("cannot write --csv file '" + path_ + "'");
+    }
+
+  private:
+    struct Close
+    {
+        void operator()(std::FILE* f) const { std::fclose(f); }
+    };
+    bool given_;
+    std::string path_;
+    std::unique_ptr<std::FILE, Close> f_;
 };
 
 } // namespace splash::harness

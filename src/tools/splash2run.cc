@@ -196,25 +196,19 @@ report(const App& app, const RunStats& r, bool with_mem,
 
 /** One --csv row per app: the race/false-sharing census behind
  *  results/races.csv (EXPERIMENTS.md). */
-void
-raceCsvRow(std::FILE* f, const App& app, int procs,
-           const sim::RaceOutcome& o)
+std::vector<std::string>
+raceCsvRow(const App& app, int procs, const sim::RaceOutcome& o)
 {
-    std::fprintf(
-        f,
-        "%s,%d,%s,%d,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,%llu,"
-        "%llu\n",
-        app.name().c_str(), procs, sim::raceGranularityName(o.gran),
-        o.granuleBytes, static_cast<unsigned long long>(o.races),
-        static_cast<unsigned long long>(o.racyGranules),
-        static_cast<unsigned long long>(o.dynamicRaces),
-        static_cast<unsigned long long>(o.granulesTracked),
-        static_cast<unsigned long long>(o.census.barrierArrivals),
-        static_cast<unsigned long long>(o.census.barrierDepartures),
-        static_cast<unsigned long long>(o.census.lockAcquires),
-        static_cast<unsigned long long>(o.census.lockReleases),
-        static_cast<unsigned long long>(o.census.flagSets),
-        static_cast<unsigned long long>(o.census.flagWaits));
+    std::vector<std::string> row{app.name(), std::to_string(procs),
+                                 sim::raceGranularityName(o.gran),
+                                 std::to_string(o.granuleBytes)};
+    for (std::uint64_t v :
+         {o.races, o.racyGranules, o.dynamicRaces, o.granulesTracked,
+          o.census.barrierArrivals, o.census.barrierDepartures,
+          o.census.lockAcquires, o.census.lockReleases,
+          o.census.flagSets, o.census.flagWaits})
+        row.push_back(fmtU(v));
+    return row;
 }
 
 /** One --sweep report: the Figure-3 working-set curves of @p app from
@@ -591,8 +585,8 @@ main(int argc, char** argv)
     cfg.seed = static_cast<unsigned>(opt.getI("seed", 1234));
     checkProblem(cfg);
 
-    bool with_mem = !opt.has("nomem");
-    bool hints = !opt.has("nohints");
+    bool with_mem = !opt.flag("nomem");
+    bool hints = !opt.flag("nohints");
     sim::CacheConfig cache;
     cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
     cache.assoc = static_cast<int>(opt.getI("assoc", 4));
@@ -600,15 +594,18 @@ main(int argc, char** argv)
 
     if (!checkModeConflicts(opt, eng))
         return 2;
-    const bool csv = opt.has("csv");
-    const std::string csvPath = opt.getS("csv", "");
+    CsvFile csv(opt);
     const bool raceOn = eng.race != sim::RaceGranularity::Off;
-    if (csv && (!raceOn || csvPath.empty())) {
+    if (csv && !raceOn) {
         std::fprintf(stderr, "--csv FILE needs --race word|line\n");
         return 2;
     }
     if (!opt.allRead())
         return 2;
+    csv.open("app,procs,granularity,granule_bytes,race_pairs,"
+             "racy_granules,dynamic_conflicts,granules_tracked,"
+             "barrier_arrivals,barrier_departures,lock_acquires,"
+             "lock_releases,flag_sets,flag_waits");
 
     if (opt.has("inject")) {
         if (!with_mem) {
@@ -690,6 +687,7 @@ main(int argc, char** argv)
             std::printf("\n-- race detection --\n");
             std::fputs(sim::raceSummary(races[i]).c_str(), stdout);
         }
+        csv.row(raceCsvRow(*apps[i], procs, races[i]));
         all_valid = all_valid && r.valid;
         // Word-granularity conflicts are true data races: fail the
         // run (CI leans on this).  Line-granularity conflicts are the
@@ -697,22 +695,6 @@ main(int argc, char** argv)
         word_races = word_races ||
                      (eng.race == sim::RaceGranularity::Word &&
                       !races[i].clean());
-    }
-
-    if (csv) {
-        std::FILE* f = std::fopen(csvPath.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "cannot write '%s'\n", csvPath.c_str());
-            return 2;
-        }
-        std::fprintf(f,
-                     "app,procs,granularity,granule_bytes,race_pairs,"
-                     "racy_granules,dynamic_conflicts,granules_tracked,"
-                     "barrier_arrivals,barrier_departures,lock_acquires,"
-                     "lock_releases,flag_sets,flag_waits\n");
-        for (std::size_t i = 0; i < apps.size(); ++i)
-            raceCsvRow(f, *apps[i], procs, races[i]);
-        std::fclose(f);
     }
 
     if (word_races) {

@@ -429,6 +429,21 @@ TEST(OptionsDeathTest, ValuedFlagWithoutValueIsFatal)
                 "option --csv expects a value");
 }
 
+// A switch takes no value: flag() is fatal when one follows, where
+// has() would have answered true and dropped it.  has() still answers
+// for a valued flag.
+TEST(OptionsDeathTest, SwitchGivenAValueIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    const Options opt =
+        optionsFor({"--quick", "1", "--nomem", "--sweep", "model"});
+    EXPECT_TRUE(opt.flag("nomem"));
+    EXPECT_FALSE(opt.flag("nohints"));
+    EXPECT_TRUE(opt.has("sweep"));
+    EXPECT_EXIT(opt.flag("quick"), ::testing::ExitedWithCode(1),
+                "option --quick takes no value");
+}
+
 // A flag no lookup asks for is an error, not a silent no-op: a typo
 // such as --replica would otherwise run the default, and --sweep
 // would change nothing on a binary that runs no sweep.  Machine flags
@@ -479,11 +494,23 @@ TEST(Options, FlagsNothingReadsAreRejected)
 #ifdef SPLASH2_BINARY_DIR
 namespace {
 
+/** The contents of the file at @p path ("" when there is none). */
+std::string
+slurp(const std::string& path)
+{
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
 /** Exit status of @p cmd, a space-separated command line whose
- *  program is relative to the build tree, with its stderr in @p err;
- *  -1 when it could not start or did not exit normally. */
+ *  program is relative to the build tree, with its stderr in @p err
+ *  and, when @p out is given, its stdout in @p out; -1 when it could
+ *  not start or did not exit normally. */
 int
-runBinary(const std::string& cmd, std::string* err)
+runBinary(const std::string& cmd, std::string* err,
+          std::string* out = nullptr)
 {
     std::vector<std::string> words;
     std::istringstream split(std::string(SPLASH2_BINARY_DIR) + "/" + cmd);
@@ -494,11 +521,14 @@ runBinary(const std::string& cmd, std::string* err)
         argv.push_back(w.data());
     argv.push_back(nullptr);
 
-    const std::string errFile = ::testing::TempDir() + "cli_stderr_" +
-                                std::to_string(::getpid());
+    const std::string tmp =
+        ::testing::TempDir() + "cli_" + std::to_string(::getpid());
+    const std::string errFile = tmp + "_stderr";
+    const std::string outFile = out ? tmp + "_stdout" : "/dev/null";
     posix_spawn_file_actions_t io{};
     posix_spawn_file_actions_init(&io);
-    posix_spawn_file_actions_addopen(&io, 1, "/dev/null", O_WRONLY, 0);
+    posix_spawn_file_actions_addopen(&io, 1, outFile.c_str(),
+                                     O_WRONLY | O_CREAT | O_TRUNC, 0644);
     posix_spawn_file_actions_addopen(&io, 2, errFile.c_str(),
                                      O_WRONLY | O_CREAT | O_TRUNC, 0644);
     pid_t pid = 0;
@@ -508,11 +538,12 @@ runBinary(const std::string& cmd, std::string* err)
     int status = 0;
     if (spawned != 0 || ::waitpid(pid, &status, 0) != pid)
         return -1;
-    std::ifstream in(errFile);
-    std::stringstream ss;
-    ss << in.rdbuf();
-    *err = ss.str();
+    *err = slurp(errFile);
     (void)std::remove(errFile.c_str());
+    if (out) {
+        *out = slurp(outFile);
+        (void)std::remove(outFile.c_str());
+    }
     return WIFEXITED(status) ? WEXITSTATUS(status) : -1;
 }
 
@@ -607,7 +638,7 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
 
 // A valued flag given with no value fails with a diagnostic before
 // anything runs, instead of reading a made-up "1": one processor for
-// --procs, a census file named 1 for splash2run's --csv.
+// --procs, a CSV file named 1 for --csv.
 TEST(ValuedFlags, MissingValueFailsBeforeAnythingRuns)
 {
     std::string err;
@@ -625,8 +656,139 @@ TEST(ValuedFlags, MissingValueFailsBeforeAnythingRuns)
                         &err),
               1);
     EXPECT_EQ(err, "fatal: option --csv expects a value\n");
+    EXPECT_EQ(runBinary("bench/fig1_speedups --app fft --maxprocs 2 "
+                        "--scale 0.05 --csv",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: option --csv expects a value\n");
     if (!hadOne) {
-        EXPECT_NE(::access("1", F_OK), 0) << "a census file named 1";
+        EXPECT_NE(::access("1", F_OK), 0) << "a CSV file named 1";
+    }
+}
+
+// A switch given a value fails instead of dropping it: `--nomem 0`
+// would run without a memory system, `--quick 1` at the quick size.
+TEST(ValuedFlags, SwitchGivenAValueFails)
+{
+    std::string err;
+    EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 "
+                        "--nomem 0",
+                        &err),
+              1);
+    EXPECT_EQ(err, "fatal: option --nomem takes no value\n");
+    EXPECT_EQ(runBinary("bench/fig2_synchronization --quick 1", &err), 1);
+    EXPECT_EQ(err, "fatal: option --quick takes no value\n");
+}
+
+// An --app no program answers to is refused before anything runs,
+// not run as an empty table.
+TEST(ValuedFlags, UnknownAppExitsTwoBeforeAnythingRuns)
+{
+    for (const char* b :
+         {"fig1_speedups", "fig2_synchronization", "fig3_working_sets",
+          "fig4_traffic", "fig7_miss_classification",
+          "table1_characterization", "ablation_protocol",
+          "interconnect_traffic"}) {
+        const std::string cmd =
+            std::string("bench/") + b + " --app nosuch --quick";
+        std::string err, out;
+        EXPECT_EQ(runBinary(cmd, &err, &out), 2) << cmd;
+        EXPECT_EQ(err, "unknown --app 'nosuch'\n") << cmd;
+        EXPECT_EQ(out, "") << cmd;
+    }
+}
+
+// A size flag out of range is refused with exit 2 and a message
+// naming it before anything runs, as --jobs 0 is: not a crash on an
+// empty processor list, an empty table, Ocean's default grid for
+// --n1 0, or a diagnostic about a table's P/2 or 4P column (or a
+// figure's P=128 one) after other runs.
+TEST(ValuedFlags, SizeOutOfRangeExitsTwoBeforeAnythingRuns)
+{
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"bench/fig1_speedups --app fft --quick --maxprocs 0",
+         "--maxprocs must be >= 1 (got 0)\n"},
+        {"bench/fig1_speedups --app fft --quick --maxprocs -4",
+         "--maxprocs must be >= 1 (got -4)\n"},
+        {"bench/fig1_speedups --app fft --quick --maxprocs 200",
+         "--maxprocs must be <= 64 (got 200)\n"},
+        {"bench/fig4_traffic --maxprocs 0",
+         "--maxprocs must be >= 1 (got 0)\n"},
+        {"bench/fig6_small_cache --maxprocs 0",
+         "--maxprocs must be >= 1 (got 0)\n"},
+        {"bench/fig5_ocean_scaling --n1 0", "--n1 must be >= 4 (got 0)\n"},
+        {"bench/table2_working_sets --quick --procs 1",
+         "--procs must be >= 2 (got 1)\n"},
+        {"bench/table3_comm_comp --quick --procs 32",
+         "--procs must be <= 16 (got 32)\n"},
+    };
+    for (const auto& [cmd, want] : cases) {
+        std::string err, out;
+        EXPECT_EQ(runBinary(cmd, &err, &out), 2) << cmd;
+        EXPECT_EQ(err, want) << cmd;
+        EXPECT_EQ(out, "") << cmd;
+    }
+}
+
+// --csv FILE never changes stdout: each bench that exports CSV prints
+// the text report it prints without the flag, and FILE gets the same
+// results as CSV rows, from the same run.
+TEST(CsvFlag, TextOnStdoutAndRowsInTheFile)
+{
+    const std::string csv = ::testing::TempDir() + "cli_csv_" +
+                            std::to_string(::getpid()) + ".csv";
+    const std::vector<std::pair<std::string, std::string>> benches = {
+        {"fig1_speedups --app fft --maxprocs 2", "app,procs,speedup\n"},
+        {"fig3_working_sets --app fft --procs 2",
+         "app,size_bytes,assoc,miss_rate\n"},
+        {"fig4_traffic --app fft --maxprocs 2", "app,procs,rem_shared,"},
+        {"fig5_ocean_scaling --procs 2 --n1 8 --n2 8",
+         "grid,procs,rem_shared,"},
+        {"fig6_small_cache --maxprocs 2", "app,procs,cachekb,rem_shared,"},
+        {"fig7_miss_classification --app fft --procs 2",
+         "app,line,cold,capacity,"},
+        {"ablation_protocol --app fft --procs 2",
+         "app,protocol,miss_per_1000,"},
+        {"interconnect_traffic --app fft --procs 2",
+         "app,protocol,interconnect,"},
+    };
+    for (const auto& [args, header] : benches) {
+        // fig5 takes its grids as --n1/--n2, not --scale.
+        const std::string cmd =
+            "bench/" + args +
+            (args.rfind("fig5", 0) == 0 ? "" : " --scale 0.05");
+        std::string err, text, withCsv;
+        ASSERT_EQ(runBinary(cmd, &err, &text), 0) << cmd << "\n" << err;
+        (void)std::remove(csv.c_str());
+        ASSERT_EQ(runBinary(cmd + " --csv " + csv, &err, &withCsv), 0)
+            << cmd << "\n"
+            << err;
+        EXPECT_EQ(withCsv, text) << cmd;
+        const std::string rows = slurp(csv);
+        EXPECT_EQ(rows.rfind(header, 0), 0u) << cmd << "\n" << rows;
+        EXPECT_GE(std::count(rows.begin(), rows.end(), '\n'), 2) << cmd;
+    }
+    (void)std::remove(csv.c_str());
+}
+
+// A --csv file that cannot be created, or one that takes no bytes,
+// fails before any program runs, on a bench and on splash2run's race
+// census alike.
+TEST(CsvFlag, UnwritablePathFailsBeforeAnythingRuns)
+{
+    for (const char* path : {"/dev/null/x.csv", "/dev/full"}) {
+        for (const char* bin :
+             {"bench/fig7_miss_classification --app fft --procs 2 "
+              "--scale 0.05",
+              "src/splash2run --app fft --procs 2 --n 4 --race line"}) {
+            const std::string cmd = std::string(bin) + " --csv " + path;
+            std::string err, out;
+            EXPECT_EQ(runBinary(cmd, &err, &out), 1) << cmd;
+            EXPECT_EQ(err, std::string("fatal: cannot write --csv file '") +
+                               path + "'\n")
+                << cmd;
+            EXPECT_EQ(out, "") << cmd;
+        }
     }
 }
 

@@ -166,8 +166,8 @@ TEST(Protocol, DifferentialInvariantsAcrossZoo)
 }
 
 // Golden regression: the committed FFT protocol-ablation rows
-// (results/ablation.csv, generated by `ablation_protocol --csv` at its
-// default operating point) must reproduce exactly.
+// (results/ablation.csv, written by `ablation_protocol --csv FILE` at
+// its default operating point) must reproduce exactly.
 #ifdef SPLASH2_SOURCE_DIR
 TEST(Protocol, ReproducesCommittedAblationFftRows)
 {
