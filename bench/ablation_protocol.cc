@@ -48,7 +48,7 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
-    int procs = static_cast<int>(opt.getI("procs", 16));
+    int procs = static_cast<int>(getInRange(opt, "procs", 16, 1, kMaxProcs));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
     const std::vector<App*> apps = selectApps(opt);

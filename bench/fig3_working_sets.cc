@@ -47,7 +47,7 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
         return 2;
-    int procs = static_cast<int>(opt.getI("procs", 32));
+    int procs = static_cast<int>(getInRange(opt, "procs", 32, 1, kMaxProcs));
     int line = static_cast<int>(opt.getI("line", 64));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 1.0);

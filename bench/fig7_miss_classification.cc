@@ -41,7 +41,8 @@ main(int argc, char** argv)
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
         return eng.listRequested ? 0 : 2;
     const bool quick = opt.flag("quick");
-    int procs = static_cast<int>(opt.getI("procs", quick ? 8 : 32));
+    int procs = static_cast<int>(
+        getInRange(opt, "procs", quick ? 8 : 32, 1, kMaxProcs));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", quick ? 0.25 : 1.0);
     const std::vector<App*> apps = selectApps(opt);

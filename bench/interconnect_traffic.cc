@@ -49,7 +49,7 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Check, &eng))
         return 2;
-    int procs = static_cast<int>(opt.getI("procs", 16));
+    int procs = static_cast<int>(getInRange(opt, "procs", 16, 1, kMaxProcs));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
     const std::vector<App*> apps = selectApps(opt);

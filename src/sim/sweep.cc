@@ -9,10 +9,17 @@
 namespace splash::sim {
 
 namespace {
-/** Initial and minimum Fenwick-tree capacity.  Compaction resizes the
- *  tree to ~4x the live line count, so the hot random-access array
- *  stays cache resident instead of spanning a fixed 2^21 slots. */
+/** Initial and minimum timestamp capacity.  Compaction resizes it to
+ *  ~4x the live line count, so the bitmap and its tree stay cache
+ *  resident instead of spanning a fixed 2^21 times. */
 constexpr std::uint64_t kTimeCapMin = 1u << 16;
+
+/** Bits 0 .. t % 64 of a word. */
+inline std::uint64_t
+upTo(std::uint64_t t)
+{
+    return ~std::uint64_t{0} >> (63 - (t & 63));
+}
 } // namespace
 
 CacheSweep::CacheSweep(const SweepConfig& cfg, int shard, int shards)
@@ -36,6 +43,7 @@ CacheSweep::CacheSweep(const SweepConfig& cfg, int shard, int shards)
     mine_ = nmine_ == 0 ? 0
                         : (~std::uint64_t{0} >> (64 - nmine_)) << first_;
     accesses_.assign(nmine_, 0);
+    last_.assign(nmine_, kNoLine);
     for (auto s : cfg_.sizes)
         if (!isPow2(s) || s < static_cast<std::uint64_t>(cfg_.lineSize))
             fatal("sweep cache size must be a power of two >= line size");
@@ -98,96 +106,115 @@ CacheSweep::CacheSweep(const SweepConfig& cfg, int shard, int shards)
 StackDistance::StackDistance()
 {
     timeCap_ = kTimeCapMin;
-    bit_.assign(timeCap_ + 1, 0);
+    live_.assign(timeCap_ / 64, 0);
+    tree_.assign(live_.size() + 1, 0);
 }
 
 void
-StackDistance::bitAdd(std::uint64_t i, int delta)
+StackDistance::treeAdd(std::uint64_t w, int delta)
 {
-    for (; i <= timeCap_; i += i & (~i + 1))
-        bit_[i] += delta;
+    for (std::uint64_t i = w + 1; i < tree_.size(); i += i & (~i + 1))
+        tree_[i] += delta;
 }
 
 std::uint64_t
-StackDistance::bitSum(std::uint64_t i) const
+StackDistance::liveBelow(std::uint64_t w) const
 {
     std::uint64_t s = 0;
-    for (; i > 0; i -= i & (~i + 1))
-        s += bit_[i];
+    for (; w > 0; w -= w & (~w + 1))
+        s += tree_[w];
     return s;
 }
 
 void
 StackDistance::compact()
 {
-    // Renumber live lines 1..k in lastTime order and rebuild the tree,
-    // sized to ~4x the live set so timestamps have headroom before the
-    // next compaction.  Relative order is preserved, so every stack
-    // distance computed afterwards is unchanged.
-    std::vector<std::pair<std::uint64_t, LineInfo*>> live;
-    live.reserve(lines_.size());
-    lines_.forEach([&](Addr, LineInfo& info) {
-        live.emplace_back(info.lastTime, &info);
+    // Renumber live lines 1..k in touch order -- a line's new time is
+    // its rank among the live times, so every stack distance computed
+    // afterwards is unchanged -- and size the times to ~4x the live
+    // set so they have headroom before the next compaction.
+    std::vector<std::uint64_t> below(live_.size());
+    std::uint64_t k = 0;
+    for (std::size_t w = 0; w < live_.size(); ++w) {
+        below[w] = k;
+        k += __builtin_popcountll(live_[w]);
+    }
+    lines_.forEach([&](Addr, std::uint64_t& e) {
+        const std::uint64_t t = e >> 1;
+        const std::uint64_t rank =
+            below[t >> 6] + __builtin_popcountll(live_[t >> 6] & upTo(t));
+        e = rank << 1 | (e & 1);
     });
-    std::sort(live.begin(), live.end());
     std::uint64_t want = kTimeCapMin;
-    while (want < 4 * (live.size() + 1))
+    while (want < 4 * (k + 1))
         want <<= 1;
     timeCap_ = want;
-    bit_.assign(timeCap_ + 1, 0);
-    std::uint64_t t = 0;
-    for (auto& [time, info] : live) {
-        (void)time;
-        info->lastTime = ++t;
-        bitAdd(t, 1);
-    }
-    now_ = t;
+    live_.assign(timeCap_ / 64, 0);
+    for (std::uint64_t t = 1; t <= k; ++t)
+        live_[t >> 6] |= std::uint64_t{1} << (t & 63);
+    now_ = k;
+    // Every word below now_'s enters the tree.
+    tree_.assign(live_.size() + 1, 0);
+    for (std::uint64_t w = 0; w < (now_ >> 6); ++w)
+        treeAdd(w, __builtin_popcountll(live_[w]));
 }
 
 std::uint64_t
-StackDistance::touch(Addr line, std::uint64_t oldVer,
-                     std::uint64_t newVer, bool isWrite)
+StackDistance::touch(Addr line)
 {
-    if (now_ + 1 > timeCap_)
+    if (now_ + 1 == timeCap_)
         compact();
+    std::uint64_t& e = lines_[line];
+    const std::uint64_t t = e >> 1;
+    std::uint64_t out = kCold;
+    if (t != 0) {
+        const std::uint64_t w = t >> 6;
+        if (e & 1) {
+            // Coherence-invalidated at every capacity.
+            out = kStale;
+        } else if (w == now_ >> 6) {
+            // Distance d lines were touched in between, all in now_'s
+            // word; the line hits at capacity >= d + 1 lines.
+            out = static_cast<std::uint64_t>(
+                __builtin_popcountll(live_[w] & ~upTo(t)));
+        } else {
+            // Every line but those touched up to t.
+            out = lines_.size() - liveBelow(w) -
+                  static_cast<std::uint64_t>(
+                      __builtin_popcountll(live_[w] & upTo(t)));
+        }
+        live_[w] &= ~(std::uint64_t{1} << (t & 63));
+        if (w != now_ >> 6)
+            treeAdd(w, -1);
+    }
     ++now_;
-    LineInfo& info = lines_[line];
-    if (info.lastTime == 0) {
-        bitAdd(now_, 1);
-        info = {now_, isWrite ? newVer : oldVer};
-        return kCold;
-    }
-    std::uint64_t out;
-    if (info.version != oldVer) {
-        // Coherence-invalidated at every capacity.
-        out = kStale;
-    } else {
-        // Distance d lines were touched in between; the line hits at
-        // capacity >= d + 1 lines.
-        out = bitSum(now_ - 1) - bitSum(info.lastTime);
-    }
-    bitAdd(info.lastTime, -1);
-    bitAdd(now_, 1);
-    info.lastTime = now_;
-    info.version = isWrite ? newVer : oldVer;
+    if ((now_ & 63) == 0)
+        treeAdd((now_ >> 6) - 1,
+                __builtin_popcountll(live_[(now_ >> 6) - 1]));
+    live_[now_ >> 6] |= std::uint64_t{1} << (now_ & 63);
+    e = now_ << 1;
     return out;
 }
 
-std::uint64_t
-VersionCoherence::advance(Addr lineAddr, ProcId p, bool isWrite,
-                          std::uint64_t* oldVer, std::uint64_t* newVer)
+void
+StackDistance::invalidate(Addr line)
 {
-    Line& c = map_[lineAddr];
-    *oldVer = c.version;
+    if (std::uint64_t* e = lines_.find(line))
+        *e |= 1;
+}
+
+std::uint64_t
+HolderCoherence::advance(Addr lineAddr, ProcId p, bool isWrite)
+{
+    std::uint64_t& h = holders_[lineAddr];
     const std::uint64_t me = std::uint64_t{1} << p;
-    std::uint64_t invalidated = 0;
-    if (isWrite && (c.holders & ~me) != 0) {
-        ++c.version;
-        invalidated = c.holders & ~me;
-        c.holders = 0;
+    if (!isWrite) {
+        h |= me;
+        return 0;
     }
-    c.holders |= me;
-    *newVer = c.version;
+    // Every other copy is invalidated, and the writer holds it alone.
+    const std::uint64_t invalidated = h & ~me;
+    h = me;
     return invalidated;
 }
 
@@ -205,19 +232,27 @@ void
 CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
 {
     const bool is_write = type == AccessType::Write;
-    std::uint64_t old_ver = 0, new_ver = 0;
-    // Every reference advances coherence, another shard's too: its
-    // invalidations decide what this shard's processors still hold.
+    const std::size_t i = static_cast<std::size_t>(p - first_);
+    if (!is_write && i < nmine_ && last_[i] == lineAddr) {
+        // A repeat read: a hit at level 1 of every set array and at
+        // stack distance 0, which moves no line and no holder.
+        ++accesses_[i];
+        ++repeats_;
+        if (!stacks_.empty())
+            profile_.record(p, 0);
+        return;
+    }
+    // Every other reference advances coherence, another shard's too:
+    // its invalidations decide what this shard's processors still hold.
     for (std::uint64_t stale =
-             coh_.advance(lineAddr, p, is_write, &old_ver, &new_ver) &
-             mine_;
+             coh_.advance(lineAddr, p, is_write) & mine_;
          stale != 0; stale &= stale - 1)
         invalidate(static_cast<std::size_t>(__builtin_ctzll(stale) - first_),
                    lineAddr);
-    const std::size_t i = static_cast<std::size_t>(p - first_);
     if (i >= nmine_)
         return;
     ++accesses_[i];
+    last_[i] = lineAddr;
 
     const std::uint64_t line_id = lineAddr >> lineShift_;
     const Addr front = lineAddr | 1;
@@ -250,8 +285,7 @@ CacheSweep::accessLine(ProcId p, Addr lineAddr, AccessType type)
     }
 
     if (!stacks_.empty())
-        profile_.record(
-            p, stacks_[i].touch(lineAddr, old_ver, new_ver, is_write));
+        profile_.record(p, stacks_[i].touch(lineAddr));
 }
 
 int
@@ -266,6 +300,10 @@ CacheSweep::wayOf(const Addr* set, int depth, Addr lineAddr)
 void
 CacheSweep::invalidate(std::size_t i, Addr lineAddr)
 {
+    if (last_[i] == lineAddr)
+        last_[i] = kNoLine;
+    if (!stacks_.empty())
+        stacks_[i].invalidate(lineAddr);
     const std::uint64_t line_id = lineAddr >> lineShift_;
     Addr* const ways = ways_.data() + i * procWords_;
     for (const SetArray& a : arrays_) {
@@ -284,6 +322,7 @@ void
 CacheSweep::resetStats()
 {
     std::fill(accesses_.begin(), accesses_.end(), 0);
+    repeats_ = 0;
     std::fill(hits_.begin(), hits_.end(), 0);
     profile_.clearCounts();
 }
@@ -311,8 +350,9 @@ CacheSweep::result() const
                 m = profile_.faMisses(size);
             } else {
                 // A miss at a level is a reference that found its line
-                // at no level up to it.
-                m = r.accesses_;
+                // at no level up to it (a repeat read found it at
+                // level 1).
+                m = r.accesses_ - repeats_;
                 for (std::size_t i = 0; i < nmine_; ++i) {
                     const std::uint64_t* h =
                         &hits_[(i * arrays_.size() + col->array) *

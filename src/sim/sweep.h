@@ -21,34 +21,41 @@
  *    listed way count whose cache holds the line -- in the low three
  *    bits (lines are at least 8 bytes).  A reference probes 13 sets,
  *    not one per column.
- *  - Coherence is eager: a per-line version is bumped whenever a
- *    write must invalidate other copies (another processor referenced
- *    the line since the last bump), and the bump empties the line's
- *    way in every set array of each processor that referenced it
- *    since the previous bump.  Those are exactly the copies the bump
- *    makes stale, at every geometry, because invalidations are
+ *  - Coherence is eager and keeps one mask per line: the processors
+ *    that referenced it since a write last invalidated other copies.
+ *    A write while other processors are in the mask empties the
+ *    line's way in every set array of each of them and marks the line
+ *    stale in their stacks.  Those are exactly the copies the write
+ *    invalidates, at every geometry, because invalidations are
  *    independent of capacity and associativity.
- *  - The fully associative column (kFullyAssoc) is one Mattson
- *    stack-distance walk per processor (Fenwick-tree implementation
- *    with periodic timestamp compaction; the tree's capacity adapts
- *    to the live line count so it stays cache resident) recorded into
- *    the sweep's reuse-distance profile (sim/reusedist.h).  The stack
- *    keeps its lines' version stamps, and a copy stored at a stale
- *    version misses at every capacity.  Every bucket boundary of that
- *    profile is a power of two, so it yields the stack's miss count at
- *    every power-of-two capacity without rounding, and the same
- *    profile is the analytical model's input.
+ *  - The fully associative column (kFullyAssoc) is one Mattson stack
+ *    per processor (a bitmap of live touch times under a Fenwick tree
+ *    of its words' popcounts, with periodic timestamp compaction; the
+ *    capacity adapts to the live line count so it stays cache
+ *    resident) recorded into the sweep's reuse-distance profile
+ *    (sim/reusedist.h).  A line marked stale misses at every
+ *    capacity.  Every bucket boundary of that profile is a power of
+ *    two, so it yields the stack's miss count at every power-of-two
+ *    capacity without rounding, and the same profile is the
+ *    analytical model's input.
+ *  - A read of the line its processor referenced last changes no
+ *    state: the reader is still in the line's holder mask, the line
+ *    is the front way of every set array at level 1, and its stack
+ *    distance is 0.  So such a repeat read counts one access, one hit
+ *    in every column and a distance of 0, and nothing else; an
+ *    invalidation of the line ends the repeats.
  *
  * Upgrades (a processor writing a Shared line it still holds) are
  * hits, matching the full MemSystem's accounting.
  *
  * The same independence splits the sweep across host threads: a
  * CacheSweep can simulate a contiguous range of processors only.  The
- * version stamps and holder masks are the only state shared between
- * processors, and every shard advances its own copy of both on every
- * reference, so K shards fed one stream (BroadcastReplay,
- * sim/replay.h) count exactly what one whole sweep counts -- their
- * results and profiles sum.  The whole sweep is the one-shard case.
+ * holder masks are the only state shared between processors, and
+ * every shard advances its own copy on every reference (a repeat read
+ * leaves the masks as they are, so the reader's shard skips it), so K
+ * shards fed one stream (BroadcastReplay, sim/replay.h) count exactly
+ * what one whole sweep counts -- their results and profiles sum.  The
+ * whole sweep is the one-shard case.
  */
 #ifndef SPLASH2_SIM_SWEEP_H
 #define SPLASH2_SIM_SWEEP_H
@@ -80,74 +87,73 @@ struct SweepConfig
     std::vector<int> assocs = fig3ReportAssocs();
 };
 
-/** Version stamps with holder masks: a per-line version is bumped
- *  whenever a write must invalidate other copies -- another processor
- *  referenced the line since the last bump.  A bump makes stale
- *  exactly the copies of the processors that referenced the line since
- *  the previous bump, at *every* cache geometry, because invalidations
- *  are independent of capacity and associativity.  The single piece of
- *  cross-configuration state of a sweep. */
-class VersionCoherence
+/** Holder masks: for each line, the processors that referenced it
+ *  since a write last invalidated other copies (that writer included).
+ *  A write invalidates the copies of the other processors in the mask
+ *  at *every* cache geometry, because invalidations are independent of
+ *  capacity and associativity.  The single piece of cross-configuration
+ *  state of a sweep. */
+class HolderCoherence
 {
   public:
-    /** Advance the state of @p lineAddr for one access by @p p and
-     *  report the (before, after) versions.  Returns the processors
-     *  whose copies the access invalidated, as a mask: on a bump, the
-     *  line's holders less @p p; otherwise 0. */
-    std::uint64_t advance(Addr lineAddr, ProcId p, bool isWrite,
-                          std::uint64_t* oldVer, std::uint64_t* newVer);
+    /** Advance the mask of @p lineAddr for one access by @p p.  Returns
+     *  the processors whose copies the access invalidated: on a write,
+     *  the line's holders less @p p, who then holds it alone; on a
+     *  read, 0. */
+    std::uint64_t advance(Addr lineAddr, ProcId p, bool isWrite);
 
   private:
-    struct Line
-    {
-        std::uint64_t version = 0;
-        /** Processors that referenced the line since its last bump
-         *  (the bumping writer included). */
-        std::uint64_t holders = 0;
-    };
-    LineTable<Line> map_;
+    LineTable<std::uint64_t> holders_;
 };
 
-/** Mattson LRU stack-distance core for one processor's line stream
- *  (Fenwick-tree implementation with periodic timestamp compaction;
- *  the tree's capacity adapts to the live line count so it stays
- *  cache resident).  CacheSweep records each outcome in its
+/** Mattson LRU stack-distance core for one processor's line stream.
+ *  Each line keeps the time of its last touch; a bitmap marks the live
+ *  times, one per line, and a Fenwick tree sums the popcounts of the
+ *  bitmap's 64-bit words below the word of the current time (that word
+ *  enters the tree when the time leaves it).  A reuse's distance is
+ *  the number of live times after the line's: the line count less the
+ *  live times up to it, one prefix walk over a tree of one slot per 64
+ *  times.  Times are renumbered 1..k when they run out, and the
+ *  capacity adapts to the live line count so the bitmap and the tree
+ *  stay cache resident.  CacheSweep records each outcome in its
  *  reuse-distance profile (ReuseDistProfile::record). */
 class StackDistance
 {
   public:
     /** touch() outcomes that are not distances: kCold is a first
-     *  touch, kStale a copy whose stored version was invalidated by
-     *  coherence -- both miss at every capacity. */
+     *  touch, kStale a copy that coherence invalidated since its last
+     *  touch -- both miss at every capacity. */
     static constexpr std::uint64_t kCold = ~std::uint64_t{0};
     static constexpr std::uint64_t kStale = ~std::uint64_t{0} - 1;
 
     StackDistance();
 
-    /** Reference @p line at the version transition (@p oldVer ->
-     *  @p newVer) reported by VersionCoherence::advance.  Returns
-     *  kCold, kStale, or the LRU stack distance d in lines: d
-     *  distinct lines were touched since the previous reference, so
-     *  the line hits in a fully associative LRU cache of capacity
-     *  >= d + 1 lines. */
-    std::uint64_t touch(Addr line, std::uint64_t oldVer,
-                        std::uint64_t newVer, bool isWrite);
+    /** Reference @p line.  Returns kCold, kStale, or the LRU stack
+     *  distance d in lines: d distinct lines were touched since the
+     *  previous reference, so the line hits in a fully associative LRU
+     *  cache of capacity >= d + 1 lines. */
+    std::uint64_t touch(Addr line);
+
+    /** Mark @p line's copy invalidated: its next touch is kStale.  A
+     *  line this stack has not seen is left alone. */
+    void invalidate(Addr line);
 
   private:
-    struct LineInfo
-    {
-        std::uint64_t lastTime = 0;
-        std::uint64_t version = 0;
-    };
-
-    void bitAdd(std::uint64_t i, int delta);
-    std::uint64_t bitSum(std::uint64_t i) const;
+    /** Fenwick sum of the popcounts of words [0, @p w). */
+    std::uint64_t liveBelow(std::uint64_t w) const;
+    void treeAdd(std::uint64_t w, int delta);
     void compact();
 
-    /** lastTime 0 marks a line this stack has not seen. */
-    LineTable<LineInfo> lines_;
-    std::vector<std::uint32_t> bit_;  // Fenwick tree over timestamps
-    std::uint64_t timeCap_ = 0;       // current tree capacity
+    /** A line's last touch time shifted left one, with the stale flag
+     *  in bit 0; 0 marks a line this stack has not seen. */
+    LineTable<std::uint64_t> lines_;
+    /** Bit t set iff some line was last touched at time t. */
+    std::vector<std::uint64_t> live_;
+    /** Fenwick tree over the popcounts of live_'s words below now_'s;
+     *  slot w + 1 is word w. */
+    std::vector<std::uint32_t> tree_;
+    /** Times run 1 .. timeCap_ - 1. */
+    std::uint64_t timeCap_ = 0;
     std::uint64_t now_ = 0;
 };
 
@@ -186,11 +192,11 @@ class CacheSweep final : public RefSink
     /** Simulate the columns @p cfg lists for the @p shard-th of
      *  @p shards contiguous processor ranges (default: all of them).
      *  Counters, set arrays and stacks exist for those processors
-     *  only, and only their profile rows fill; coherence still
-     *  advances on every reference, which is what makes a shard
-     *  exact.  Fatal for a processor count outside [1, 64], a line
-     *  below 8 bytes, or a way count that is not a power of two in
-     *  [1, 64]. */
+     *  only, and only their profile rows fill; the holder masks still
+     *  advance on every reference that can change them, which is what
+     *  makes a shard exact.  Fatal for a processor count outside
+     *  [1, 64], a line below 8 bytes, or a way count that is not a
+     *  power of two in [1, 64]. */
     explicit CacheSweep(const SweepConfig& cfg, int shard = 0,
                         int shards = 1);
 
@@ -279,9 +285,14 @@ class CacheSweep final : public RefSink
         int level = 0;
     };
 
+    /** last_ of a processor with no repeatable line (not a line
+     *  address: lines are at least 8 bytes). */
+    static constexpr Addr kNoLine = ~Addr{0};
+
     void accessLine(ProcId p, Addr lineAddr, AccessType type);
-    /** Empty @p lineAddr's way in every set array of the @p i-th
-     *  simulated processor. */
+    /** Invalidate the @p i-th simulated processor's copy of
+     *  @p lineAddr: empty its way in every set array and mark it stale
+     *  in the stack. */
     void invalidate(std::size_t i, Addr lineAddr);
     /** Position of @p lineAddr's way in @p set, else of the set's
      *  first empty way, else @p depth. */
@@ -295,7 +306,7 @@ class CacheSweep final : public RefSink
     int first_ = 0;
     std::size_t nmine_ = 0;
     std::uint64_t mine_ = 0;
-    VersionCoherence coh_;
+    HolderCoherence coh_;
     /** In increasing set count. */
     std::vector<SetArray> arrays_;
     /** The finite columns in (size, assoc) order. */
@@ -312,6 +323,12 @@ class CacheSweep final : public RefSink
     /** stacks_[p - first_]; empty unless kFullyAssoc is listed. */
     std::vector<StackDistance> stacks_;
     std::vector<std::uint64_t> accesses_;
+    /** last_[p - first_]: the line p referenced last, kNoLine once
+     *  another processor's write invalidated it. */
+    std::vector<Addr> last_;
+    /** Reads of a processor's last_, each a hit at every level of
+     *  every set array. */
+    std::uint64_t repeats_ = 0;
     ReuseDistProfile profile_;
 };
 

@@ -576,7 +576,7 @@ main(int argc, char** argv)
         return name.empty() ? 2 : 1;
     }
 
-    int procs = static_cast<int>(opt.getI("procs", 32));
+    int procs = static_cast<int>(getInRange(opt, "procs", 32, 1, kMaxProcs));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", 1.0);
     cfg.n = opt.getI("n", 0);

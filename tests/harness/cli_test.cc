@@ -701,8 +701,10 @@ TEST(ValuedFlags, UnknownAppExitsTwoBeforeAnythingRuns)
 // A size flag out of range is refused with exit 2 and a message
 // naming it before anything runs, as --jobs 0 is: not a crash on an
 // empty processor list, an empty table, Ocean's default grid for
-// --n1 0, or a diagnostic about a table's P/2 or 4P column (or a
-// figure's P=128 one) after other runs.
+// --n1 0, a diagnostic about a table's P/2 or 4P column (or a
+// figure's P=128 one) after other runs, a library diagnostic that
+// names no flag for --procs 0 or 65, or Ocean's multigrid failing
+// inside a job on a grid that is not a power of two.
 TEST(ValuedFlags, SizeOutOfRangeExitsTwoBeforeAnythingRuns)
 {
     const std::vector<std::pair<std::string, std::string>> cases = {
@@ -717,6 +719,28 @@ TEST(ValuedFlags, SizeOutOfRangeExitsTwoBeforeAnythingRuns)
         {"bench/fig6_small_cache --maxprocs 0",
          "--maxprocs must be >= 1 (got 0)\n"},
         {"bench/fig5_ocean_scaling --n1 0", "--n1 must be >= 4 (got 0)\n"},
+        {"bench/fig5_ocean_scaling --n1 6",
+         "--n1 must be a power of two (got 6)\n"},
+        {"bench/fig5_ocean_scaling --n2 100",
+         "--n2 must be a power of two (got 100)\n"},
+        {"bench/fig2_synchronization --procs 0 --app fft",
+         "--procs must be >= 1 (got 0)\n"},
+        {"bench/fig3_working_sets --procs 0 --app fft",
+         "--procs must be >= 1 (got 0)\n"},
+        {"bench/fig5_ocean_scaling --procs 65",
+         "--procs must be <= 64 (got 65)\n"},
+        {"bench/fig7_miss_classification --procs 0 --app fft",
+         "--procs must be >= 1 (got 0)\n"},
+        {"bench/table1_characterization --procs 65 --app fft",
+         "--procs must be <= 64 (got 65)\n"},
+        {"bench/ablation_protocol --procs -2 --app fft",
+         "--procs must be >= 1 (got -2)\n"},
+        {"bench/interconnect_traffic --procs 65 --app fft",
+         "--procs must be <= 64 (got 65)\n"},
+        {"src/splash2run --procs 65 --app fft",
+         "--procs must be <= 64 (got 65)\n"},
+        {"src/splash2run --procs 0 --app fft --nomem",
+         "--procs must be >= 1 (got 0)\n"},
         {"bench/table2_working_sets --quick --procs 1",
          "--procs must be >= 2 (got 1)\n"},
         {"bench/table3_comm_comp --quick --procs 32",
@@ -833,9 +857,8 @@ TEST(RaceFlag, LineGranulesFollowTheLineFlag)
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 100 --n 4 "
                         "--nomem --race word",
                         &err),
-              1);
-    EXPECT_EQ(err, "fatal: race checker processor count must be in [1, "
-                   "64] (got 100)\n");
+              2);
+    EXPECT_EQ(err, "--procs must be <= 64 (got 100)\n");
 }
 
 // The sweep and the memory system share one line-size floor: a 4-byte

@@ -81,9 +81,10 @@ TEST(Protocol, DescriptorSanity)
                 continue;
             LineState next = p.silentWriteNext[s];
             EXPECT_TRUE(stateIn(p.legalStates, next)) << p.name;
-            if (stateIn(p.silentHit[1], st))
+            if (stateIn(p.silentHit[1], st)) {
                 EXPECT_TRUE(stateIn(p.ownerStates, next))
                     << p.name << " state " << s;
+            }
         }
         EXPECT_EQ(p.hasExclusive,
                   stateIn(p.legalStates, LineState::Exclusive))
@@ -100,9 +101,10 @@ TEST(Protocol, DescriptorSanity)
                 EXPECT_TRUE(stateIn(p.legalStates, t.reqStateAlone))
                     << p.name << " cell " << e << "," << g;
                 // Only a dirty entry has an owner to supply or retag.
-                if (t.supply == Supply::Owner)
+                if (t.supply == Supply::Owner) {
                     EXPECT_EQ(g, static_cast<int>(DirGroup::Dirty))
                         << p.name;
+                }
             }
         }
         // Misses on an uncached line are reachable under any protocol.

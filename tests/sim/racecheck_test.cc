@@ -297,6 +297,16 @@ TEST(RaceCheckCore, SummaryMentionsConflicts)
     EXPECT_NE(s.find("P1 write"), std::string::npos);
 }
 
+TEST(RaceCheckCore, ProcessorCountOutsideTheClocksIsFatal)
+{
+    // splash2run refuses such a --procs at the flag; a library caller
+    // gets the checker's own diagnostic.
+    EXPECT_EXIT({ RaceChecker rc(wordCfg(100)); },
+                ::testing::ExitedWithCode(1),
+                "race checker processor count must be in \\[1, 64\\] "
+                "\\(got 100\\)");
+}
+
 TEST(RaceCheckCore, GranularityNamesRoundTrip)
 {
     RaceGranularity g;

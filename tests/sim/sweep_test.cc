@@ -1,10 +1,12 @@
 // Tests for the single-pass multi-configuration cache sweep, including
 // cross-validation against the full MemSystem simulator (every
 // column, fully associative too) and against a per-configuration
-// engine (every finite column, every line size, one or three shards),
-// column lists that leave the listed columns' counts unchanged,
-// exactness of processor-range shards on a threaded broadcast, and
-// reproduction of the committed Figure 3 curves.
+// engine (every finite column, every line size, one or three shards)
+// and an LRU-list oracle (every row of the fully associative column's
+// profile), the edges of repeated reads, column lists that leave the
+// listed columns' counts unchanged, exactness of processor-range
+// shards on a threaded broadcast, and reproduction of the committed
+// Figure 3 curves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +19,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "../rt/run_compare.h"
@@ -410,12 +413,18 @@ std::string
 perConfigName(const ::testing::TestParamInfo<PerConfigCase>& info)
 {
     const auto& [nprocs, lineSize, assocs, footprint, shards] = info.param;
-    std::string cols;
+    std::string name = "P";
+    name += std::to_string(nprocs);
+    name += "_L";
+    name += std::to_string(lineSize);
+    name += "_C";
     for (int a : assocs)
-        cols += a == kFullyAssoc ? "F" : std::to_string(a);
-    return "P" + std::to_string(nprocs) + "_L" + std::to_string(lineSize) +
-           "_C" + cols + "_F" + std::to_string(footprint) + "_S" +
-           std::to_string(shards);
+        name += a == kFullyAssoc ? "F" : std::to_string(a);
+    name += "_F";
+    name += std::to_string(footprint);
+    name += "_S";
+    name += std::to_string(shards);
+    return name;
 }
 
 } // namespace
@@ -490,6 +499,326 @@ INSTANTIATE_TEST_SUITE_P(
                           std::uint64_t{5000}),
         ::testing::Values(1, 3)),
     perConfigName);
+
+// ----------------------------------------------------------------------
+// Exactness of the fully associative column against an independent
+// per-processor LRU list: a reuse's stack distance is the line's
+// position in its processor's list, and a copy is stale when the
+// version stored with it differs from the line's.
+
+namespace {
+
+/** The fully associative column's profile, kept with one LRU list of
+ *  version-stamped lines per processor.  A write bumps a line's version
+ *  when another processor referenced the line since the last bump. */
+class LruListProfiler
+{
+  public:
+    LruListProfiler(int nprocs, int lineSize)
+        : lineSize_(lineSize), lists_(nprocs), seen_(nprocs),
+          profile_(nprocs, lineSize)
+    {
+    }
+
+    void
+    access(ProcId p, Addr addr, int size, AccessType t)
+    {
+        const Addr line = lineSize_;
+        for (Addr l = alignDown(addr, line);
+             l <= alignDown(addr + size - 1, line); l += line)
+            accessLine(p, l, t == AccessType::Write);
+    }
+
+    void resetStats() { profile_.clearCounts(); }
+    const ReuseDistProfile& profile() const { return profile_; }
+
+  private:
+    struct Entry
+    {
+        Addr line;
+        std::uint64_t version;
+    };
+
+    struct Coherence
+    {
+        std::uint64_t version = 0;
+        std::uint64_t holders = 0;
+    };
+
+    void
+    accessLine(ProcId p, Addr line, bool isWrite)
+    {
+        Coherence& c = coh_[line];
+        const std::uint64_t oldVer = c.version;
+        const std::uint64_t me = std::uint64_t{1} << p;
+        if (isWrite && (c.holders & ~me) != 0) {
+            ++c.version;
+            c.holders = 0;
+        }
+        c.holders |= me;
+        // Most recently used last: the distance is the number of
+        // entries behind the line's.
+        std::vector<Entry>& list = lists_[p];
+        std::uint64_t outcome = StackDistance::kCold;
+        if (!seen_[p].insert(line).second) {
+            auto it = std::find_if(list.rbegin(), list.rend(),
+                                   [&](const Entry& e) {
+                                       return e.line == line;
+                                   });
+            outcome = it->version != oldVer
+                          ? StackDistance::kStale
+                          : static_cast<std::uint64_t>(it - list.rbegin());
+            list.erase(std::next(it).base());
+        }
+        list.push_back({line, c.version});
+        profile_.record(p, outcome);
+    }
+
+    int lineSize_;
+    std::unordered_map<Addr, Coherence> coh_;
+    std::vector<std::vector<Entry>> lists_;
+    std::vector<std::unordered_set<Addr>> seen_;
+    ReuseDistProfile profile_;
+};
+
+/** (processors, footprint in lines). */
+using LruListCase = std::tuple<int, std::uint64_t>;
+
+std::string
+lruListName(const ::testing::TestParamInfo<LruListCase>& info)
+{
+    const auto& [nprocs, footprint] = info.param;
+    std::string name = "P";
+    name += std::to_string(nprocs);
+    name += "_F";
+    name += std::to_string(footprint);
+    return name;
+}
+
+/** Expect every profile row of @p got to equal @p want's. */
+void
+expectSameRows(const ReuseDistProfile& got, const ReuseDistProfile& want,
+               const std::string& what)
+{
+    ASSERT_EQ(got.procs.size(), want.procs.size()) << what;
+    for (std::size_t p = 0; p < want.procs.size(); ++p) {
+        const ReuseDistProfile::Row& g = got.procs[p];
+        const ReuseDistProfile::Row& w = want.procs[p];
+        EXPECT_EQ(g.accesses, w.accesses) << what << " P" << p;
+        EXPECT_EQ(g.cold, w.cold) << what << " P" << p;
+        EXPECT_EQ(g.stale, w.stale) << what << " P" << p;
+        EXPECT_EQ(g.count, w.count) << what << " P" << p;
+        EXPECT_EQ(g.sumDist, w.sumDist) << what << " P" << p;
+    }
+}
+
+} // namespace
+
+class SweepVsLruList : public ::testing::TestWithParam<LruListCase>
+{};
+
+// Processor 0 issues at least half the references, so its stack
+// outgrows the 2^16 timestamps it starts with and compacts.  The
+// references fall in a 64-line window that slides once across the
+// footprint (40000 lines grow processor 0's stack past 16384 live
+// lines, so its timestamp capacity grows), one in 16 anywhere in the
+// footprint (reuses at long distances), and one run in four repeats
+// its reference up to eight times with reads and writes mixed; sizes
+// of 1-16 bytes span lines.  The counters are reset mid-stream, and a
+// whole sweep and three shards see every reference.
+TEST_P(SweepVsLruList, EveryProfileRowMatches)
+{
+    const auto& [nprocs, footprint] = GetParam();
+    SweepConfig sc;
+    sc.nprocs = nprocs;
+    LruListProfiler oracle(nprocs, sc.lineSize);
+    std::vector<std::unique_ptr<CacheSweep>> sweeps;
+    sweeps.push_back(std::make_unique<CacheSweep>(sc));
+    for (int k = 0; k < 3; ++k)
+        sweeps.push_back(std::make_unique<CacheSweep>(sc, k, 3));
+
+    constexpr std::uint64_t kRefs = 160000;
+    constexpr std::uint64_t kWindow = 64;
+    Rng rng(footprint * 7919 + std::uint64_t(nprocs));
+    bool reset = false;
+    for (std::uint64_t i = 0; i < kRefs;) {
+        if (!reset && i >= kRefs / 2) {
+            reset = true;
+            oracle.resetStats();
+            for (auto& s : sweeps)
+                s->resetStats();
+        }
+        const std::uint64_t x = rng.next();
+        const ProcId p =
+            static_cast<ProcId>(x & 1 ? 0 : (x >> 1) % nprocs);
+        const std::uint64_t base = i * footprint / kRefs;
+        const std::uint64_t line = (x >> 8) % 16 == 0
+                                       ? (x >> 20) % footprint
+                                       : (base + (x >> 20) % kWindow) %
+                                             footprint;
+        const Addr a = 0x400000 + line * 64 + (x >> 32) % 64;
+        const int size = 1 + static_cast<int>((x >> 48) % 16);
+        const int run = (x >> 4) % 4 == 0 ? 1 + (x >> 40) % 8 : 1;
+        for (int k = 0; k < run; ++k, ++i) {
+            const AccessType t = (x >> (52 + k)) % 4 == 0
+                                     ? AccessType::Write
+                                     : AccessType::Read;
+            oracle.access(p, a, size, t);
+            for (auto& s : sweeps)
+                s->access(p, a, size, t);
+        }
+    }
+
+    expectSameRows(sweeps[0]->profile(), oracle.profile(), "whole");
+    ReuseDistProfile sharded;
+    for (std::size_t k = 1; k < sweeps.size(); ++k)
+        sharded += sweeps[k]->profile();
+    expectSameRows(sharded, oracle.profile(), "3 shards");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Streams, SweepVsLruList,
+    ::testing::Combine(::testing::Values(1, 2, 8, 32),
+                       ::testing::Values(std::uint64_t{40},
+                                         std::uint64_t{300},
+                                         std::uint64_t{40000})),
+    lruListName);
+
+// ----------------------------------------------------------------------
+// Edges of repeated references: a processor reading the line it
+// referenced last.  Each script runs on a whole sweep and on two
+// shards, one per processor, so the reader's shard and the other one
+// both see every reference.
+
+namespace {
+
+class WholeAndSplit
+{
+  public:
+    WholeAndSplit()
+    {
+        SweepConfig sc;
+        sc.nprocs = 2;
+        sweeps_.push_back(std::make_unique<CacheSweep>(sc));
+        for (int k = 0; k < 2; ++k)
+            sweeps_.push_back(std::make_unique<CacheSweep>(sc, k, 2));
+        want_ = ReuseDistProfile(sc.nprocs, sc.lineSize);
+    }
+
+    /** Issue one reference whose line references' StackDistance
+     *  outcomes should be @p outcomes, in address order.  Only two
+     *  lines are ever referenced, in different sets, so a line misses
+     *  at every operating point iff it is cold or stale. */
+    void
+    access(ProcId p, Addr a, int size, AccessType t,
+           std::vector<std::uint64_t> outcomes)
+    {
+        for (auto& s : sweeps_)
+            s->access(p, a, size, t);
+        for (std::uint64_t o : outcomes) {
+            want_.record(p, o);
+            misses_ += o == StackDistance::kCold ||
+                       o == StackDistance::kStale;
+        }
+    }
+
+    void
+    resetStats()
+    {
+        for (auto& s : sweeps_)
+            s->resetStats();
+        want_.clearCounts();
+        misses_ = 0;
+    }
+
+    void
+    expectCounts(const std::string& what) const
+    {
+        SweepResult split;
+        ReuseDistProfile splitProfile;
+        for (std::size_t k = 1; k < sweeps_.size(); ++k) {
+            split += sweeps_[k]->result();
+            splitProfile += sweeps_[k]->profile();
+        }
+        const SweepResult whole = sweeps_[0]->result();
+        const SweepConfig& sc = sweeps_[0]->config();
+        EXPECT_EQ(whole.accesses(), want_.accesses()) << what;
+        EXPECT_EQ(split.accesses(), want_.accesses()) << what;
+        for (std::uint64_t size : sc.sizes)
+            for (int assoc : sc.assocs) {
+                EXPECT_EQ(whole.misses(size, assoc), misses_)
+                    << what << " whole " << size << "B " << assoc;
+                EXPECT_EQ(split.misses(size, assoc), misses_)
+                    << what << " split " << size << "B " << assoc;
+            }
+        expectSameRows(sweeps_[0]->profile(), want_, what + " whole");
+        expectSameRows(splitProfile, want_, what + " split");
+    }
+
+  private:
+    std::vector<std::unique_ptr<CacheSweep>> sweeps_;
+    ReuseDistProfile want_;
+    std::uint64_t misses_ = 0;
+};
+
+constexpr std::uint64_t kCold = StackDistance::kCold;
+constexpr std::uint64_t kStale = StackDistance::kStale;
+constexpr AccessType kRead = AccessType::Read;
+constexpr AccessType kWrite = AccessType::Write;
+
+} // namespace
+
+TEST(SweepRepeat, InvalidatedRepeatMissesEverywhere)
+{
+    // P1's write between P0's two reads makes the second one stale.
+    WholeAndSplit s;
+    s.access(0, 0x1000, 8, kRead, {kCold});
+    s.access(1, 0x1000, 8, kWrite, {kCold});
+    s.access(0, 0x1000, 8, kRead, {kStale});
+    s.expectCounts("read, other's write, read");
+}
+
+TEST(SweepRepeat, RepeatAcrossOwnInvalidatingWrite)
+{
+    // P0's write invalidates P1's copy and keeps its own.
+    WholeAndSplit s;
+    s.access(1, 0x1000, 8, kRead, {kCold});
+    s.access(0, 0x1000, 8, kRead, {kCold});
+    s.access(0, 0x1000, 8, kWrite, {0});
+    s.access(0, 0x1000, 8, kRead, {0});
+    s.access(1, 0x1000, 8, kRead, {kStale});
+    s.access(1, 0x1000, 8, kRead, {0});
+    s.expectCounts("read, own write, read");
+}
+
+TEST(SweepRepeat, LineSpanningReferences)
+{
+    // 16 bytes over the boundary of lines 0x1000 and 0x1040: the
+    // second such read is no repeat of either line, since each was
+    // referenced after the other; the last read repeats 0x1040.
+    WholeAndSplit s;
+    s.access(0, 0x1038, 16, kRead, {kCold, kCold});
+    s.access(0, 0x1038, 16, kRead, {1, 1});
+    s.access(0, 0x1048, 8, kRead, {0});
+    s.access(0, 0x1048, 8, kWrite, {0});
+    s.access(0, 0x1038, 16, kRead, {1, 1});
+    s.expectCounts("line-spanning");
+}
+
+TEST(SweepRepeat, RepeatsOnBothSidesOfReset)
+{
+    WholeAndSplit s;
+    s.access(0, 0x1000, 8, kRead, {kCold});
+    s.access(0, 0x1000, 8, kRead, {0});
+    s.expectCounts("before the reset");
+    s.resetStats();
+    s.access(0, 0x1000, 8, kRead, {0});
+    s.access(0, 0x1008, 8, kRead, {0});
+    s.access(1, 0x1000, 8, kWrite, {kCold});
+    s.access(0, 0x1000, 8, kRead, {kStale});
+    s.access(0, 0x1000, 8, kRead, {0});
+    s.expectCounts("after the reset");
+}
 
 TEST(Sweep, CompactionPreservesCounts)
 {
