@@ -52,7 +52,7 @@ main(int argc, char** argv)
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
     const std::vector<App*> apps = selectApps(opt);
-    std::uint64_t small = std::uint64_t(opt.getI("cachekb", 16)) << 10;
+    std::uint64_t small = getCacheBytes(opt, 16);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;

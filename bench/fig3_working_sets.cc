@@ -48,7 +48,10 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) || !parseSweepFlag(opt, &eng))
         return 2;
     int procs = static_cast<int>(getInRange(opt, "procs", 32, 1, kMaxProcs));
-    int line = static_cast<int>(opt.getI("line", 64));
+    // A way keeps its level in a line address's low three bits, and
+    // the line must fit the smallest capacity.
+    int line = static_cast<int>(getPow2InRange(
+        opt, "line", 64, 8, static_cast<long>(sim::fig3Sizes().front())));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 1.0);
     cfg.n = opt.getI("n", 0);

@@ -42,7 +42,7 @@ main(int argc, char** argv)
         getInRange(opt, "maxprocs", quick ? 8 : 32, 1, kMaxProcs);
     const std::vector<App*> apps = selectApps(opt);
     sim::CacheConfig cache;
-    cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
+    cache.size = getCacheBytes(opt, 1024);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;

@@ -19,7 +19,6 @@
  *                           [--check N]
  */
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "harness/cli.h"
@@ -40,17 +39,8 @@ main(int argc, char** argv)
     int procs = static_cast<int>(
         getInRange(opt, "procs", quick ? 8 : 32, 1, kMaxProcs));
     // Ocean's grid is a power of two >= 4; 0 would mean its default.
-    const auto grid = [&](const char* k, long def) {
-        const long n = getInRange(opt, k, def, 4);
-        if (!isPow2(static_cast<std::uint64_t>(n))) {
-            std::fprintf(stderr, "--%s must be a power of two (got %ld)\n",
-                         k, n);
-            std::exit(2);
-        }
-        return n;
-    };
-    long n1 = grid("n1", quick ? 64 : 128);
-    long n2 = grid("n2", quick ? 128 : 256);
+    long n1 = getPow2InRange(opt, "n1", quick ? 64 : 128, 4);
+    long n2 = getPow2InRange(opt, "n2", quick ? 128 : 256, 4);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;

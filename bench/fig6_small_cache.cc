@@ -43,7 +43,7 @@ main(int argc, char** argv)
     const long maxp =
         getInRange(opt, "maxprocs", quick ? 8 : 32, 1, kMaxProcs);
     sim::CacheConfig small;
-    small.size = std::uint64_t(opt.getI("cachekb", 8)) << 10;
+    small.size = getCacheBytes(opt, 8);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;

@@ -104,10 +104,6 @@ struct EngineOpts
      *  from the memory-system characterization to the working-set
      *  sweep on it; fig3_working_sets always sweeps). */
     bool sweepRequested = false;
-    /** True when --interconnect was given explicitly (used to reject
-     *  contradictory combinations only when the user actually asked
-     *  for the non-default organization). */
-    bool interconnectRequested = false;
     /** Race-detector granularity (--race; splash2run only). */
     sim::RaceGranularity race = sim::RaceGranularity::Off;
 };
@@ -153,6 +149,30 @@ getInRange(const Options& opt, const std::string& k, long def, long lo,
     std::fprintf(stderr, "--%s must be %s %ld (got %ld)\n", k.c_str(),
                  v < lo ? ">=" : "<=", v < lo ? lo : hi, v);
     std::exit(2);
+}
+
+/** getInRange for a flag that must also be a power of two, such as a
+ *  grid or a cache dimension; 0 passes when @p lo admits it (--assoc 0
+ *  is fully associative).  Any other value exits 2 naming the flag. */
+inline long
+getPow2InRange(const Options& opt, const std::string& k, long def, long lo,
+               long hi = std::numeric_limits<long>::max())
+{
+    const long v = getInRange(opt, k, def, lo, hi);
+    if (v == 0 || isPow2(static_cast<std::uint64_t>(v)))
+        return v;
+    std::fprintf(stderr, "--%s must be a power of two (got %ld)\n",
+                 k.c_str(), v);
+    std::exit(2);
+}
+
+/** --cachekb (default @p defKb) in bytes: a power of two from 1 KB to
+ *  8 GB, whose 8-byte lines CacheConfig::numLines() can still count. */
+inline std::uint64_t
+getCacheBytes(const Options& opt, long defKb)
+{
+    return std::uint64_t(getPow2InRange(opt, "cachekb", defKb, 1, 1L << 23))
+           << 10;
 }
 
 /** Parse the shared engine flags; prints to stderr and returns false
@@ -258,7 +278,6 @@ parseMachineFlags(const Options& opt, MachineFlags upTo, EngineOpts* out)
     if (upTo == MachineFlags::Protocol)
         return true;
     std::string icName = opt.getS("interconnect", "directory");
-    out->interconnectRequested = opt.has("interconnect");
     if (!sim::parseInterconnect(icName, &out->sim.interconnect)) {
         std::fprintf(stderr,
                      "unknown --interconnect '%s' (directory or "
@@ -352,7 +371,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
                                     "the working-set sweep simulates "
                                     "the Figure-3 grid of capacities "
                                     "and associativities");
-    if (eng.interconnectRequested && bus && eng.sweepRequested)
+    if (bus && eng.sweepRequested)
         return conflictingFlags("--interconnect bus", "--sweep",
                                 "the working-set sweep models cache "
                                 "capacity only and has no "

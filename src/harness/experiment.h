@@ -211,50 +211,6 @@ checkProblem(const AppConfig& cfg)
               ", " + std::to_string(cfg.aux) + ")");
 }
 
-/** One replayed stream fanned out to several sinks in order (the
- *  trace reader takes a single sink). */
-class TeeRefSink final : public sim::RefSink
-{
-  public:
-    explicit TeeRefSink(std::vector<sim::RefSink*> sinks)
-        : sinks_(std::move(sinks))
-    {
-    }
-    void
-    access(const sim::AccessRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->access(r);
-    }
-    void
-    sync(const sim::SyncRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->sync(r);
-    }
-    void
-    place(const sim::PlaceRec& r) override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->place(r);
-    }
-    void
-    resetStats() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->resetStats();
-    }
-    void
-    streamBarrier() override
-    {
-        for (sim::RefSink* s : sinks_)
-            s->streamBarrier();
-    }
-
-  private:
-    std::vector<sim::RefSink*> sinks_;
-};
-
 /** Builds a pass's sink set -- the simulators that consume its
  *  reference stream -- once the source's home resolver is known (the
  *  live heap, or the replayed trace's placement).  The builder owns
@@ -268,9 +224,11 @@ using SinkSetBuilder =
  *  checker, if any, fanned out (fanOut) for this call only.  The
  *  source is live execution in an rt::Env, or -- with --replay -- the
  *  recorded trace, in which case nothing executes and the execution
- *  counters come from the trace footer.  A live pass is recorded when
- *  --record is set.  Every sink is quiesced (streamBarrier) before
- *  this returns the execution half of the RunStats. */
+ *  counters come from the trace footer.  Either source feeds the
+ *  fanned-out sink list as accessBatch runs cut at events.  A live
+ *  pass is recorded when --record is set.  Every sink is quiesced
+ *  (streamBarrier) before this returns the execution half of the
+ *  RunStats. */
 inline RunStats
 runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
         const SinkSetBuilder& build, sim::RaceChecker* race = nullptr)
@@ -290,12 +248,10 @@ runPass(App& app, int nprocs, const AppConfig& cfg, const SimOpts& so,
         if (rd == nullptr)
             fatal(err);
         const std::vector<sim::RefSink*> sinks = assemble(rd->placement());
-        if (!sinks.empty()) {
-            TeeRefSink tee(sinks);
-            if (!rd->replay(sinks.size() == 1 ? sinks[0] : &tee, &err))
-                fatal(err);
-            tee.streamBarrier();
-        }
+        if (!sinks.empty() && !rd->replay(sinks, &err))
+            fatal(err);
+        for (sim::RefSink* s : sinks)
+            s->streamBarrier();
         return statsFromProfile(rd->exec());
     }
     rt::Env env({rt::Mode::Sim, nprocs, so.quantum});

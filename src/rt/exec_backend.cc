@@ -21,8 +21,6 @@ namespace {
 class FiberBackend final : public ExecutionBackend
 {
   public:
-    BackendKind kind() const override { return BackendKind::Fiber; }
-
     void
     run(int nprocs, const std::function<void(ProcId)>& entry,
         ProcId first) override
@@ -100,8 +98,6 @@ class FiberBackend final : public ExecutionBackend
 class ThreadBackend final : public ExecutionBackend
 {
   public:
-    BackendKind kind() const override { return BackendKind::Thread; }
-
     void
     run(int nprocs, const std::function<void(ProcId)>& entry,
         ProcId first) override

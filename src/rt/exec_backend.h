@@ -54,8 +54,6 @@ class ExecutionBackend
   public:
     virtual ~ExecutionBackend() = default;
 
-    virtual BackendKind kind() const = 0;
-
     /** Run one team episode: create @p nprocs contexts that each
      *  execute entry(p) when first scheduled, hand control to
      *  @p first, and return once finish() has been called.  entry must

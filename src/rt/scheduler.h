@@ -91,8 +91,6 @@ class Scheduler
      *  This is how fiber-aware cur() resolves the running context. */
     ProcId running() const { return running_; }
 
-    BackendKind backendKind() const { return backend_->kind(); }
-
     /** Hook invoked with the outgoing processor immediately before any
      *  control transfer (yield, block, exit).  The batched reference
      *  delivery drains its record ring here, which is what makes the

@@ -135,7 +135,6 @@ class Flag
     void clear(ProcCtx& c);
     /** Wait until the flag is set. */
     void wait(ProcCtx& c);
-    bool isSet() const { return set_; }
 
     /** Stream-wide sync-object id (Env::registerSyncObj). */
     std::uint32_t id() const { return id_; }

@@ -48,8 +48,6 @@ class TaskQueues
     /** Mark one previously-gotten task as completed. */
     void done(ProcCtx& c);
 
-    int numQueues() const { return nqueues_; }
-
   private:
     static constexpr int kHeaderStride = 8;  // u64s; one line per header
 

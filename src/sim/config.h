@@ -10,6 +10,7 @@
 #ifndef SPLASH2_SIM_CONFIG_H
 #define SPLASH2_SIM_CONFIG_H
 
+#include <climits>
 #include <cstdint>
 #include <string>
 
@@ -48,6 +49,8 @@ struct CacheConfig
     {
         if (!isPow2(size) || !isPow2(lineSize))
             fatal("cache size and line size must be powers of two");
+        if (size / lineSize > INT_MAX)
+            fatal("cache line count must fit in an int");
         if (assoc < 0 || (assoc != 0 && numLines() % assoc != 0))
             fatal("cache associativity does not divide line count");
         if (lineSize < 8 || static_cast<std::uint64_t>(lineSize) > size)

@@ -22,7 +22,7 @@
  * the stream -- MemSystem, CacheSweep, the broadcast replay, the
  * race detector, the trace recorder -- is a RefSink, fed the same way
  * by a live rt::Env or by a trace replay (harness/experiment.h
- * runPass).
+ * runPass): accessBatch runs cut at every event, then the event.
  */
 #ifndef SPLASH2_SIM_TRACE_H
 #define SPLASH2_SIM_TRACE_H
@@ -102,10 +102,10 @@ class RefSink
      *  read just those fields. */
     virtual void access(const AccessRec& r) = 0;
 
-    /** Deliver @p n consecutive references; the batched ring drain
-     *  makes one such call per sink.  Default: access() each in
-     *  order.  Sinks with an inlined per-reference path override it
-     *  so their hot loop makes no virtual call per reference. */
+    /** Deliver @p n consecutive references: one call per sink per run of
+     *  the ring drain or the trace reader.  Default: access() each in
+     *  order.  Sinks with an inlined per-reference path override it so
+     *  their hot loop makes no virtual call per reference. */
     virtual void
     accessBatch(const AccessRec* recs, std::size_t n)
     {

@@ -589,7 +589,7 @@ TraceReader::parseHeaderAndIndex(std::string* err)
 }
 
 bool
-TraceReader::replay(RefSink* sink, std::string* err)
+TraceReader::replay(const std::vector<RefSink*>& sinks, std::string* err)
 {
     auto fail = [&](std::uint64_t chunk, const std::string& what) {
         if (err != nullptr)
@@ -600,7 +600,16 @@ TraceReader::replay(RefSink* sink, std::string* err)
     const auto np = static_cast<std::uint64_t>(meta_.nprocs);
     std::vector<ProcState> procs(np);
     ProcState* st = nullptr;  // the current processor's state
-    AccessRec r;
+    std::int16_t cur = -1;    // and its id
+    std::vector<AccessRec> run(kRunRecords);
+    std::size_t n = 0;  // records decoded into run, not yet delivered
+    auto deliver = [&] {
+        if (n == 0)
+            return;
+        for (RefSink* s : sinks)
+            s->accessBatch(run.data(), n);
+        n = 0;
+    };
     std::uint64_t seenRecords = 0;
     std::uint64_t seenSyncs = 0;
 
@@ -627,7 +636,7 @@ TraceReader::replay(RefSink* sink, std::string* err)
                 if ((f & kNewProc) != 0) {
                     if (!getVarint(&p, end, &v) || v >= np)
                         return fail(c, "record processor out of range");
-                    r.proc = static_cast<std::int16_t>(v);
+                    cur = static_cast<std::int16_t>(v);
                     st = &procs[v];
                 } else if (st == nullptr) {
                     return fail(c, "first record names no processor");
@@ -649,16 +658,20 @@ TraceReader::replay(RefSink* sink, std::string* err)
                     return truncated();
                 st->addr += static_cast<Addr>(unzigzag(v));
                 st->clock += st->step;
+                AccessRec& r = run[n];
                 r.addr = st->addr;
                 r.ltime = st->clock;
                 r.size = st->size;
+                r.proc = cur;
                 r.type = (f & kWrite) != 0 ? AccessType::Write
                                            : AccessType::Read;
                 r.flags = (f & kAtomic) != 0 ? AccessRec::kAtomic : 0;
-                sink->access(r);
+                if (++n == kRunRecords)
+                    deliver();
                 ++recs;
                 continue;
             }
+            deliver();  // as the live runtime drains its ring first
             ++events;
             if (f == kEvSync) {
                 if (p == end)
@@ -681,10 +694,12 @@ TraceReader::replay(RefSink* sink, std::string* err)
                 s.proc = static_cast<std::int16_t>(proc);
                 procs[proc].clock += static_cast<Tick>(unzigzag(dt));
                 s.ltime = procs[proc].clock;
-                sink->sync(s);
+                for (RefSink* sink : sinks)
+                    sink->sync(s);
                 ++seenSyncs;
             } else if (f == kEvReset) {
-                sink->resetStats();
+                for (RefSink* sink : sinks)
+                    sink->resetStats();
             } else if (f == kEvPlace) {
                 std::uint64_t addr = 0, bytes = 0, home = 0;
                 if (!getVarint(&p, end, &addr) ||
@@ -699,9 +714,11 @@ TraceReader::replay(RefSink* sink, std::string* err)
                 pr.home = static_cast<ProcId>(home);
                 // Quiesce consumers before the resolver mutates,
                 // exactly like the live runtime's placement observer.
-                sink->streamBarrier();
+                for (RefSink* sink : sinks)
+                    sink->streamBarrier();
                 placement_.apply(pr.addr, pr.bytes, pr.home);
-                sink->place(pr);
+                for (RefSink* sink : sinks)
+                    sink->place(pr);
             } else {
                 return fail(c, "unknown event kind " + std::to_string(f));
             }
@@ -710,6 +727,7 @@ TraceReader::replay(RefSink* sink, std::string* err)
             return fail(c, "item counts disagree with the chunk frame");
         seenRecords += recs;
     }
+    deliver();
     if (seenRecords != totalRecords_ || seenSyncs != totalSyncs_)
         return fail(totalChunks_,
                     "record/sync totals disagree with the header");

@@ -187,7 +187,6 @@ class TraceWriter final : public RefSink
     bool finalize(const ExecProfile& exec, std::string* err);
 
     std::uint64_t records() const { return totalRecords_; }
-    std::uint64_t bytesWritten() const { return bytesWritten_; }
 
   private:
     /** Grows the payload buffer to fit one more item; returns the
@@ -215,15 +214,16 @@ class TraceWriter final : public RefSink
     std::uint64_t bytesWritten_ = 0;
 };
 
-/** Replay path: mmaps a trace file, validates it, and feeds any
- *  RefSink the exact stream the runtime produced -- references, sync
- *  edges, resets, and placement changes in stream order, with a
- *  streamBarrier() quiesce before every placement mutation (mirroring
- *  the live Env), so a BroadcastReplay fed from disk is
- *  indistinguishable from one fed by a live execution. */
+/** Replay path: mmaps a trace file, validates it, and feeds a sink
+ *  list the exact stream the runtime produced, the way a live rt::Env
+ *  feeds it, so no sink can tell the two apart. */
 class TraceReader
 {
   public:
+    /** Longest accessBatch run replay() delivers: rt::Env's ring,
+     *  96 KB of AccessRec. */
+    static constexpr std::size_t kRunRecords = 4096;
+
     /** Open + validate header and file structure; null with @p err
      *  set on any defect (bad magic, stale version, CRC mismatch,
      *  truncation, unfinalized file, bad footer). */
@@ -238,18 +238,25 @@ class TraceReader
     const TraceMeta& meta() const { return meta_; }
     const ExecProfile& exec() const { return exec_; }
     std::uint64_t records() const { return totalRecords_; }
-    std::uint64_t syncs() const { return totalSyncs_; }
     std::uint64_t fileBytes() const { return size_; }
 
     /** Home resolver rebuilt from the recorded placement events;
      *  valid for replicas during and after replay(). */
     const HomeResolver* placement() const { return &placement_; }
 
-    /** Decode every chunk and deliver the stream to @p sink.  False
-     *  with @p err on any corruption.  Placement events mutate
-     *  placement() between a streamBarrier() and the next record,
-     *  exactly like the live runtime. */
-    bool replay(RefSink* sink, std::string* err);
+    /** Decode every chunk into one run of at most kRunRecords and hand
+     *  it to each of @p sinks through accessBatch when it fills, before
+     *  each event and at the end; each event then goes to every sink,
+     *  a placement change as every sink's streamBarrier(), the
+     *  placement() update, then every sink's place().  False with
+     *  @p err on any corruption. */
+    bool replay(const std::vector<RefSink*>& sinks, std::string* err);
+    /** replay() into @p sink alone. */
+    bool
+    replay(RefSink* sink, std::string* err)
+    {
+        return replay(std::vector<RefSink*>{sink}, err);
+    }
 
   private:
     TraceReader() = default;

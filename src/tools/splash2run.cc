@@ -588,9 +588,15 @@ main(int argc, char** argv)
     bool with_mem = !opt.flag("nomem");
     bool hints = !opt.flag("nohints");
     sim::CacheConfig cache;
-    cache.size = std::uint64_t(opt.getI("cachekb", 1024)) << 10;
-    cache.assoc = static_cast<int>(opt.getI("assoc", 4));
-    cache.lineSize = static_cast<int>(opt.getI("line", 64));
+    cache.size = getCacheBytes(opt, 1024);
+    // A way keeps state in a line address's low three bits; a sweep's
+    // line must fit its smallest capacity.
+    cache.lineSize = static_cast<int>(getPow2InRange(
+        opt, "line", 64, 8,
+        static_cast<long>(eng.sweepRequested ? sim::fig3Sizes().front()
+                                             : cache.size)));
+    cache.assoc = static_cast<int>(
+        getPow2InRange(opt, "assoc", 4, 0, cache.numLines()));
 
     if (!checkModeConflicts(opt, eng))
         return 2;

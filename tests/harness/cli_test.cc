@@ -280,13 +280,10 @@ TEST(EngineOpts, InterconnectNamesLand)
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
     EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
-    EXPECT_FALSE(eng.interconnectRequested);
     ASSERT_TRUE(parse({"--interconnect", "directory"}, &eng));
     EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
-    EXPECT_TRUE(eng.interconnectRequested);
     ASSERT_TRUE(parse({"--interconnect", "bus"}, &eng));
     EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Bus);
-    EXPECT_TRUE(eng.interconnectRequested);
 }
 
 TEST(EngineOpts, RejectsUnknownInterconnects)
@@ -745,6 +742,37 @@ TEST(ValuedFlags, SizeOutOfRangeExitsTwoBeforeAnythingRuns)
          "--procs must be >= 2 (got 1)\n"},
         {"bench/table3_comm_comp --quick --procs 32",
          "--procs must be <= 16 (got 32)\n"},
+        // Cache geometry: powers of two, a line in [8, cache bytes]
+        // ([8, 1 KB] under a sweep), an associativity of 0 or one that
+        // divides the line count, and a line count an int can hold.
+        {"src/splash2run --app fft --procs 2 --n 4 --cachekb 3",
+         "--cachekb must be a power of two (got 3)\n"},
+        {"src/splash2run --app fft --procs 1 --n 4 --cachekb 4294967296",
+         "--cachekb must be <= 8388608 (got 4294967296)\n"},
+        {"src/splash2run --app fft --procs 1 --n 4 --cachekb 2147483648",
+         "--cachekb must be <= 8388608 (got 2147483648)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --line 0",
+         "--line must be >= 8 (got 0)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --line 100000",
+         "--line must be a power of two (got 100000)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --cachekb 1 --line 2048",
+         "--line must be <= 1024 (got 2048)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --sweep exact --line 2048",
+         "--line must be <= 1024 (got 2048)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --assoc 3",
+         "--assoc must be a power of two (got 3)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --assoc 32768",
+         "--assoc must be <= 16384 (got 32768)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --assoc -1",
+         "--assoc must be >= 0 (got -1)\n"},
+        {"bench/ablation_protocol --cachekb 0",
+         "--cachekb must be >= 1 (got 0)\n"},
+        {"bench/fig4_traffic --cachekb 0", "--cachekb must be >= 1 (got 0)\n"},
+        {"bench/fig6_small_cache --cachekb 12",
+         "--cachekb must be a power of two (got 12)\n"},
+        {"bench/fig3_working_sets --line 4", "--line must be >= 8 (got 4)\n"},
+        {"bench/fig3_working_sets --line 2048",
+         "--line must be <= 1024 (got 2048)\n"},
     };
     for (const auto& [cmd, want] : cases) {
         std::string err, out;
@@ -852,8 +880,8 @@ TEST(RaceFlag, LineGranulesFollowTheLineFlag)
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 2 --n 4 --nomem "
                         "--race line --line 3",
                         &err),
-              1);
-    EXPECT_EQ(err, "fatal: race line size must be a power of two >= 4\n");
+              2);
+    EXPECT_EQ(err, "--line must be >= 8 (got 3)\n");
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 100 --n 4 "
                         "--nomem --race word",
                         &err),
@@ -862,7 +890,7 @@ TEST(RaceFlag, LineGranulesFollowTheLineFlag)
 }
 
 // The sweep and the memory system share one line-size floor: a 4-byte
-// line is refused with the same diagnostic whichever one runs.
+// line is refused at the flag whichever one would run.
 TEST(LineSize, SweepAndMemorySystemShareTheFloor)
 {
     for (const char* sweep : {"", " --sweep exact", " --sweep model"}) {
@@ -871,8 +899,8 @@ TEST(LineSize, SweepAndMemorySystemShareTheFloor)
                         "--line 4") +
             sweep;
         std::string err;
-        EXPECT_EQ(runBinary(cmd, &err), 1) << cmd;
-        EXPECT_EQ(err, "fatal: line size must be in [8, size]\n") << cmd;
+        EXPECT_EQ(runBinary(cmd, &err), 2) << cmd;
+        EXPECT_EQ(err, "--line must be >= 8 (got 4)\n") << cmd;
     }
     std::string err;
     EXPECT_EQ(runBinary("src/splash2run --app fft --procs 4 --scale 0.1 "

@@ -327,7 +327,16 @@ TEST(BusDeathTest, SixtyFiveProcessorMachineIsRejected)
     mc.cache.lineSize = 0;
     EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
                 "line size");
+    // A way keeps its state in a line address's low three bits.
+    mc.cache.lineSize = 4;
+    EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
+                "line size must be in \\[8, size\\]");
     mc.cache.lineSize = 64;
+    // 2^31 lines, one more than numLines()'s int can count.
+    mc.cache.size = std::uint64_t(1) << 37;
+    EXPECT_EXIT({ MemSystem mem(mc); }, ::testing::ExitedWithCode(1),
+                "line count");
+    mc.cache.size = std::uint64_t(1) << 20;
     // The boundary itself is legal.
     mc.nprocs = kMaxProcs;
     mc.interconnect = Interconnect::Bus;

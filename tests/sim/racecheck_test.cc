@@ -307,6 +307,15 @@ TEST(RaceCheckCore, ProcessorCountOutsideTheClocksIsFatal)
                 "\\(got 100\\)");
 }
 
+TEST(RaceCheckCore, LineGranuleBelowFourBytesIsFatal)
+{
+    // splash2run refuses a --line below 8 at the flag; a library
+    // caller gets the checker's own diagnostic.
+    EXPECT_EXIT({ RaceChecker rc(lineCfg(2, 3)); },
+                ::testing::ExitedWithCode(1),
+                "race line size must be a power of two >= 4");
+}
+
 TEST(RaceCheckCore, GranularityNamesRoundTrip)
 {
     RaceGranularity g;

@@ -238,6 +238,19 @@ INSTANTIATE_TEST_SUITE_P(
                                          std::uint64_t(1) << 16),
                        ::testing::Values(8, 256)));
 
+// splash2run and fig3 refuse a --line below 8 at the flag; a library
+// caller gets the sweep's own diagnostic, the memory system's floor (a
+// way keeps its level in a line address's low three bits).
+TEST(SweepDeathTest, LineBelowEightBytesIsFatal)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SweepConfig sc;
+    sc.nprocs = 2;
+    sc.lineSize = 4;
+    EXPECT_EXIT({ CacheSweep s(sc); }, ::testing::ExitedWithCode(1),
+                "line size must be in \\[8, size\\]");
+}
+
 // A sweep simulates only the columns it lists, and listing fewer never
 // changes a listed column: Table 2 sweeps {4} alone.  Each column sees
 // the same coherence stamps whatever else is simulated, so the counts

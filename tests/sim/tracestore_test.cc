@@ -1,6 +1,7 @@
 // Tests for the record-once trace store: codec round-trip + fuzz
 // (varint/zigzag, CRC-32), writer/reader round-trips with
-// chunk-spanning records and stream-ordered events, rejection of
+// chunk-spanning records and stream-ordered events (into one sink, and
+// into a sink list as accessBatch runs cut at events), rejection of
 // truncated/corrupted/stale files (a whole-file byte-flip fuzz pass,
 // and payload flips behind a re-sealed CRC that only the decoder's own
 // checks can catch), store identity checks, and app-level record ->
@@ -10,6 +11,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -17,6 +19,7 @@
 #include <fstream>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../rt/run_compare.h"
@@ -89,6 +92,32 @@ struct Journal final : RefSink
     {
         evs.push_back({recs.size(), 'b', {}, {}});
     }
+};
+
+/** Logs each accessBatch call as (position of its first record,
+ *  length), and the position of every event, to check where a replay
+ *  cuts its runs. */
+struct RunLog final : RefSink
+{
+    std::vector<std::pair<std::uint64_t, std::size_t>> runs;
+    std::vector<std::uint64_t> events;
+    std::uint64_t delivered = 0;
+
+    void
+    access(const AccessRec&) override
+    {
+        ADD_FAILURE() << "a record outside an accessBatch run";
+    }
+    void
+    accessBatch(const AccessRec*, std::size_t n) override
+    {
+        runs.emplace_back(delivered, n);
+        delivered += n;
+    }
+    void sync(const SyncRec&) override { events.push_back(delivered); }
+    void resetStats() override { events.push_back(delivered); }
+    void place(const PlaceRec&) override { events.push_back(delivered); }
+    void streamBarrier() override { events.push_back(delivered); }
 };
 
 TraceMeta
@@ -346,6 +375,66 @@ TEST(Crc32, KnownVectorAndSensitivity)
     }
 }
 
+/** @p got holds exactly what @p fed was fed: every record, and every
+ *  event at its stream position. */
+void
+expectSameJournal(const Journal& got, const Journal& fed)
+{
+    ASSERT_EQ(got.recs.size(), fed.recs.size());
+    for (std::size_t i = 0; i < fed.recs.size(); ++i)
+        ASSERT_TRUE(sameRec(got.recs[i], fed.recs[i])) << "record " << i;
+    ASSERT_EQ(got.evs.size(), fed.evs.size());
+    for (std::size_t i = 0; i < fed.evs.size(); ++i) {
+        ASSERT_EQ(got.evs[i].kind, fed.evs[i].kind) << "event " << i;
+        ASSERT_EQ(got.evs[i].pos, fed.evs[i].pos) << "event " << i;
+        if (fed.evs[i].kind == 's') {
+            EXPECT_EQ(got.evs[i].sync.obj, fed.evs[i].sync.obj);
+            EXPECT_EQ(got.evs[i].sync.proc, fed.evs[i].sync.proc);
+            EXPECT_EQ(got.evs[i].sync.ltime, fed.evs[i].sync.ltime);
+            EXPECT_EQ(got.evs[i].sync.op, fed.evs[i].sync.op);
+            EXPECT_EQ(got.evs[i].sync.prim, fed.evs[i].sync.prim);
+        } else if (fed.evs[i].kind == 'p') {
+            EXPECT_EQ(got.evs[i].place.addr, fed.evs[i].place.addr);
+            EXPECT_EQ(got.evs[i].place.bytes, fed.evs[i].place.bytes);
+            EXPECT_EQ(got.evs[i].place.home, fed.evs[i].place.home);
+        }
+    }
+}
+
+/** Replay @p path through the sink-list overload into two Journals
+ *  with a RunLog between them.  Both journals must equal @p fed, and
+ *  the runs must cover the stream, none longer than
+ *  TraceReader::kRunRecords, none straddling an event, and each ending
+ *  full, at an event or at the end. */
+RunLog
+replayIntoList(const std::string& path, const Journal& fed)
+{
+    RunLog log;
+    std::string err;
+    auto rd = TraceReader::open(path, &err);
+    EXPECT_NE(rd, nullptr) << err;
+    if (rd == nullptr)
+        return log;
+    Journal first, last;
+    EXPECT_TRUE(rd->replay({&first, &log, &last}, &err)) << err;
+    expectSameJournal(first, fed);
+    expectSameJournal(last, fed);
+    EXPECT_EQ(log.delivered, fed.recs.size());
+    for (const auto& [start, n] : log.runs) {
+        EXPECT_GT(n, 0u) << "run at " << start;
+        EXPECT_LE(n, TraceReader::kRunRecords) << "run at " << start;
+        for (const std::uint64_t e : log.events)
+            EXPECT_FALSE(start < e && e < start + n)
+                << "the run at " << start << " straddles an event at " << e;
+        const std::uint64_t stop = start + n;
+        EXPECT_TRUE(n == TraceReader::kRunRecords || stop == log.delivered ||
+                    std::find(log.events.begin(), log.events.end(), stop) !=
+                        log.events.end())
+            << "the run at " << start << " stops short at " << stop;
+    }
+    return log;
+}
+
 // ---------------------------------------------------------------------
 // Writer/reader round-trip.
 
@@ -371,25 +460,42 @@ TEST(TraceStore, RoundTripChunkSpanning)
 
     Journal got;
     ASSERT_TRUE(rd->replay(&got, &err)) << err;
-    ASSERT_EQ(got.recs.size(), fed.recs.size());
-    for (std::size_t i = 0; i < fed.recs.size(); ++i)
-        ASSERT_TRUE(sameRec(got.recs[i], fed.recs[i])) << "record " << i;
-    ASSERT_EQ(got.evs.size(), fed.evs.size());
-    for (std::size_t i = 0; i < fed.evs.size(); ++i) {
-        ASSERT_EQ(got.evs[i].kind, fed.evs[i].kind) << "event " << i;
-        ASSERT_EQ(got.evs[i].pos, fed.evs[i].pos) << "event " << i;
-        if (fed.evs[i].kind == 's') {
-            EXPECT_EQ(got.evs[i].sync.obj, fed.evs[i].sync.obj);
-            EXPECT_EQ(got.evs[i].sync.proc, fed.evs[i].sync.proc);
-            EXPECT_EQ(got.evs[i].sync.ltime, fed.evs[i].sync.ltime);
-            EXPECT_EQ(got.evs[i].sync.op, fed.evs[i].sync.op);
-            EXPECT_EQ(got.evs[i].sync.prim, fed.evs[i].sync.prim);
-        } else if (fed.evs[i].kind == 'p') {
-            EXPECT_EQ(got.evs[i].place.addr, fed.evs[i].place.addr);
-            EXPECT_EQ(got.evs[i].place.bytes, fed.evs[i].place.bytes);
-            EXPECT_EQ(got.evs[i].place.home, fed.evs[i].place.home);
+    expectSameJournal(got, fed);
+
+    // The same trace through the sink list, where an event every dozen
+    // records or so ends each run.
+    replayIntoList(path, fed);
+
+    // A sync-free stretch longer than a run: runs are cut at capacity
+    // too.  One sync lands a quarter of the way into the second run.
+    constexpr std::size_t kRun = TraceReader::kRunRecords;
+    const auto longRecs = randomStream(m.nprocs, 3 * kRun, 4);
+    const std::string longPath = tracestore::pathFor(tempDir(), m);
+    Journal longFed;
+    {
+        TraceWriter w(longPath, m);
+        for (std::size_t i = 0; i < longRecs.size(); ++i) {
+            if (i == kRun + kRun / 4) {
+                SyncRec s;
+                s.obj = 1;
+                s.proc = longRecs[i].proc;
+                s.ltime = longRecs[i].ltime + 1;
+                w.sync(s);
+                longFed.sync(s);
+            }
+            w.access(longRecs[i]);
+            longFed.access(longRecs[i]);
         }
+        ExecProfile e;
+        e.procs.assign(m.nprocs, ExecProfile::Row{});
+        ASSERT_TRUE(w.finalize(e, &err)) << err;
     }
+    const std::vector<std::pair<std::uint64_t, std::size_t>> want = {
+        {0, kRun},
+        {kRun, kRun / 4},
+        {kRun + kRun / 4, kRun},
+        {2 * kRun + kRun / 4, 3 * kRun / 4}};
+    EXPECT_EQ(replayIntoList(longPath, longFed).runs, want);
 }
 
 TEST(TraceStore, RoundTripFuzzGeometries)
