@@ -47,7 +47,7 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     int procs = static_cast<int>(getInRange(opt, "procs", 16, 1, kMaxProcs));
     AppConfig cfg;
     cfg.scale = opt.getD("scale", opt.flag("quick") ? 0.25 : 0.5);
@@ -60,36 +60,33 @@ main(int argc, char** argv)
              "inval_per_1000,update_per_1000,remote_per_ref,"
              "traffic_per_ref");
 
-    // Experiment order: [0] small+hints, [1] small no hints,
+    // Machine order: [0] small+hints, [1] small no hints,
     // [2] 1 MB placed (under --protocol, default MESI),
     // [3] 1 MB interleaved, [4..6] 1 MB placed under the three
     // protocols other than [2]'s -- the zoo reuses [2] for the base
     // protocol rather than simulating it twice.
-    std::vector<MemExperiment> exps(4);
-    exps[0].cache.size = small;
-    exps[1].cache.size = small;
-    exps[1].hints = false;
-    exps[3].placed = false;
-    for (MemExperiment& e : exps)
-        e.protocol = eng.sim.protocol;
+    std::vector<sim::MachineConfig> machines(4, eng.machine);
+    machines[0].cache.size = small;
+    machines[1].cache.size = small;
+    machines[1].replacementHints = false;
+    machines[3].placedHomes = false;
     std::vector<std::size_t> zooIdx(sim::kNumProtocols);
     for (int k = 0; k < sim::kNumProtocols; ++k) {
         auto proto = static_cast<sim::ProtocolKind>(k);
-        if (proto == eng.sim.protocol) {
+        if (proto == eng.machine.protocol) {
             zooIdx[k] = 2;
             continue;
         }
-        MemExperiment e;
-        e.protocol = proto;
-        zooIdx[k] = exps.size();
-        exps.push_back(e);
+        zooIdx[k] = machines.size();
+        machines.push_back(eng.machine);
+        machines.back().protocol = proto;
     }
 
     std::vector<std::vector<RunStats>> results(apps.size());
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), 1, [&, i] {
-            results[i] = runCharacterizations(*apps[i], procs, exps,
+            results[i] = runCharacterizations(*apps[i], procs, machines,
                                               cfg, eng.sim);
         });
     }

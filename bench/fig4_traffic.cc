@@ -34,15 +34,15 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     const bool quick = opt.flag("quick");
     AppConfig cfg;
     cfg.scale = opt.getD("scale", quick ? 0.25 : 1.0);
     const long maxp =
         getInRange(opt, "maxprocs", quick ? 8 : 32, 1, kMaxProcs);
     const std::vector<App*> apps = selectApps(opt);
-    sim::CacheConfig cache;
-    cache.size = getCacheBytes(opt, 1024);
+    sim::MachineConfig machine = eng.machine;
+    machine.cache.size = getCacheBytes(opt, 1024);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
@@ -61,8 +61,7 @@ main(int argc, char** argv)
                            std::to_string(procs[j]),
                        procs[j], [&, i, j] {
                            results[i][j] = runCharacterizations(
-                               *apps[i], procs[j],
-                               {experimentFor(cache, eng.sim)}, cfg,
+                               *apps[i], procs[j], {machine}, cfg,
                                eng.sim)[0];
                        });
         }
@@ -72,7 +71,7 @@ main(int argc, char** argv)
     std::printf("Figure 4: traffic breakdown (bytes per FLOP for "
                 "FP codes, bytes per instruction otherwise); %llu "
                 "KB 4-way 64 B caches, scale %.3g\n",
-                static_cast<unsigned long long>(cache.size >> 10),
+                static_cast<unsigned long long>(machine.cache.size >> 10),
                 cfg.scale);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         App* app = apps[i];

@@ -34,7 +34,7 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     const bool quick = opt.flag("quick");
     int procs = static_cast<int>(
         getInRange(opt, "procs", quick ? 8 : 32, 1, kMaxProcs));
@@ -47,7 +47,6 @@ main(int argc, char** argv)
     csv.open("grid,procs," + kTrafficCsv);
 
     App* ocean = findApp("Ocean");
-    sim::CacheConfig cache;  // 1 MB 4-way 64 B
 
     const std::vector<long> grids = {n1, n2};
     std::vector<RunStats> results(grids.size());
@@ -58,9 +57,7 @@ main(int argc, char** argv)
                        AppConfig cfg;
                        cfg.n = grids[i];
                        results[i] = runCharacterizations(
-                           *ocean, procs,
-                           {experimentFor(cache, eng.sim)}, cfg,
-                           eng.sim)[0];
+                           *ocean, procs, {eng.machine}, cfg, eng.sim)[0];
                    });
     }
     runner.run();

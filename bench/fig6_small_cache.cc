@@ -36,19 +36,20 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     const bool quick = opt.flag("quick");
     AppConfig cfg;
     cfg.scale = opt.getD("scale", quick ? 0.25 : 1.0);
     const long maxp =
         getInRange(opt, "maxprocs", quick ? 8 : 32, 1, kMaxProcs);
-    sim::CacheConfig small;
-    small.size = getCacheBytes(opt, 8);
+    // Figure 4's 1 MB baseline, and the small cache this figure varies.
+    const sim::MachineConfig large = eng.machine;
+    sim::MachineConfig small = large;
+    small.cache.size = getCacheBytes(opt, 8);
     CsvFile csv(opt);
     if (!opt.allRead())
         return 2;
     csv.open("app,procs,cachekb," + kTrafficCsv);
-    sim::CacheConfig large;  // Figure 4's 1 MB baseline
 
     const std::vector<const char*> names = {"FFT", "Ocean", "Radix",
                                             "Raytrace"};
@@ -67,17 +68,12 @@ main(int argc, char** argv)
         for (std::size_t j = 0; j < procs.size(); ++j) {
             runner.add(app->name() + "/P" + std::to_string(procs[j]),
                        procs[j], [&, app, i, j] {
-                           std::vector<MemExperiment> exps;
-                           MemExperiment e;
-                           e.protocol = eng.sim.protocol;
-                           e.cache = small;
-                           exps.push_back(e);
-                           if (csv) {
-                               e.cache = large;
-                               exps.push_back(e);
-                           }
+                           std::vector<sim::MachineConfig> machines = {
+                               small};
+                           if (csv)
+                               machines.push_back(large);
                            results[i][j] = runCharacterizations(
-                               *app, procs[j], exps, cfg, eng.sim);
+                               *app, procs[j], machines, cfg, eng.sim);
                        });
         }
     }
@@ -86,7 +82,7 @@ main(int argc, char** argv)
     std::printf("Figure 6: traffic with %llu KB 4-way 64 B caches "
                 "(bytes/FLOP for FFT and Ocean, bytes/instr for "
                 "the others), scale %.3g\n",
-                static_cast<unsigned long long>(small.size >> 10),
+                static_cast<unsigned long long>(small.cache.size >> 10),
                 cfg.scale);
     for (std::size_t i = 0; i < names.size(); ++i) {
         App* app = findApp(names[i]);
@@ -104,7 +100,7 @@ main(int argc, char** argv)
                 if (k == 0)
                     t.row(cells({p}, v, "%.4f"));
                 const std::uint64_t bytes =
-                    k == 0 ? small.size : large.size;
+                    k == 0 ? small.cache.size : large.cache.size;
                 csv.row(cells({app->name(), p, fmtU(bytes >> 10)}, v,
                               "%.6f"));
             }

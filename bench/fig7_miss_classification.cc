@@ -39,7 +39,7 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     const bool quick = opt.flag("quick");
     int procs = static_cast<int>(
         getInRange(opt, "procs", quick ? 8 : 32, 1, kMaxProcs));
@@ -56,14 +56,12 @@ main(int argc, char** argv)
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), 1, [&, i] {
-            std::vector<MemExperiment> exps;
+            std::vector<sim::MachineConfig> machines;
             for (int line : lines) {
-                MemExperiment e;
-                e.protocol = eng.sim.protocol;
-                e.cache.lineSize = line;
-                exps.push_back(e);
+                machines.push_back(eng.machine);
+                machines.back().cache.lineSize = line;
             }
-            results[i] = runCharacterizations(*apps[i], procs, exps,
+            results[i] = runCharacterizations(*apps[i], procs, machines,
                                               cfg, eng.sim);
         });
     }

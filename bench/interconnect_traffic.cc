@@ -60,16 +60,15 @@ main(int argc, char** argv)
              "inval_per_1000,update_per_1000,traffic_bytes_per_ref,"
              "bus_cycles_per_ref");
 
-    // Replica order: protocol-major, directory before bus, so
-    // exps[2*k] and exps[2*k+1] form the comparison pair of zoo
+    // Machine order: protocol-major, directory before bus, so
+    // machines[2*k] and machines[2*k+1] form the comparison pair of zoo
     // protocol k.
-    std::vector<MemExperiment> exps;
+    std::vector<sim::MachineConfig> machines;
     for (int k = 0; k < sim::kNumProtocols; ++k) {
         for (int ic = 0; ic < sim::kNumInterconnects; ++ic) {
-            MemExperiment e;
-            e.protocol = static_cast<sim::ProtocolKind>(k);
-            e.interconnect = static_cast<sim::Interconnect>(ic);
-            exps.push_back(e);
+            machines.push_back(eng.machine);
+            machines.back().protocol = static_cast<sim::ProtocolKind>(k);
+            machines.back().interconnect = static_cast<sim::Interconnect>(ic);
         }
     }
 
@@ -77,7 +76,7 @@ main(int argc, char** argv)
     Runner runner(eng.jobs);
     for (std::size_t i = 0; i < apps.size(); ++i) {
         runner.add(apps[i]->name(), 1, [&, i] {
-            results[i] = runCharacterizations(*apps[i], procs, exps,
+            results[i] = runCharacterizations(*apps[i], procs, machines,
                                               cfg, eng.sim);
         });
     }
@@ -90,11 +89,11 @@ main(int argc, char** argv)
     Table t({"Code", "Proto", "Interconn", "Miss/1000", "Inval/1000",
              "Upd/1000", "Bytes/ref", "BusCyc/ref"});
     for (std::size_t i = 0; i < apps.size(); ++i) {
-        for (std::size_t j = 0; j < exps.size(); ++j) {
+        for (std::size_t j = 0; j < machines.size(); ++j) {
+            const sim::MachineConfig& mc = machines[j];
             const sim::MemStats& m = results[i][j].mem;
-            const char* ic = sim::interconnectName(exps[j].interconnect);
-            const bool bus =
-                exps[j].interconnect == sim::Interconnect::Bus;
+            const char* ic = sim::interconnectName(mc.interconnect);
+            const bool bus = mc.interconnect == sim::Interconnect::Bus;
             const double miss = per1000(m, m.totalMisses());
             const double inval = per1000(m, m.invalidations);
             const double upd = per1000(m, m.updates);
@@ -102,13 +101,13 @@ main(int argc, char** argv)
             const double bytes = bus ? 0.0 : perRef(m, m.totalTraffic());
             const double cycles = bus ? perRef(m, m.busCycles()) : 0.0;
             t.row({j == 0 ? apps[i]->name() : std::string(),
-                   sim::protocol(exps[j].protocol).display, ic,
+                   sim::protocol(mc.protocol).display, ic,
                    fmt("%.3f", miss), fmt("%.3f", inval),
                    fmt("%.3f", upd),
                    bus ? std::string("-") : fmt("%.3f", bytes),
                    bus ? fmt("%.3f", cycles) : std::string("-")});
             csv.row(cells({apps[i]->name(),
-                           sim::protocolName(exps[j].protocol), ic},
+                           sim::protocolName(mc.protocol), ic},
                           {miss, per1000(m, m.upgrades), inval, upd,
                            bytes, cycles},
                           "%.6f"));

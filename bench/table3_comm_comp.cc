@@ -36,14 +36,16 @@ struct Ratio
                            ///< producer-consumer communication (LU)
 };
 
+/** The ratio point (@p procs, @p scale) of @p app on @p machine, whose
+ *  1 MB caches keep capacity effects minimal. */
 Ratio
-ratioAt(App& app, int procs, double scale, const SimOpts& simOpts)
+ratioAt(App& app, int procs, double scale,
+        const sim::MachineConfig& machine, const SimOpts& simOpts)
 {
-    sim::CacheConfig cache;  // 1 MB: capacity effects minimized
     AppConfig cfg;
     cfg.scale = scale;
-    RunStats r = runCharacterizations(
-        app, procs, {experimentFor(cache, simOpts)}, cfg, simOpts)[0];
+    RunStats r =
+        runCharacterizations(app, procs, {machine}, cfg, simOpts)[0];
     double den = trafficDenominator(app, r.exec);
     Ratio out;
     if (den > 0) {
@@ -92,7 +94,7 @@ main(int argc, char** argv)
     EngineOpts eng;
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Protocol, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     // The 4P column may not pass the machine's processor limit.
     int procs =
         static_cast<int>(getInRange(opt, "procs", 8, 1, kMaxProcs / 4));
@@ -122,8 +124,9 @@ main(int argc, char** argv)
             runner.add(apps[i]->name() + "/" + pt.tag,
                        pt.scale * pt.procs,
                        [&, i, v, pt] {
-                           ratios[i][v] = ratioAt(*apps[i], pt.procs,
-                                                  pt.scale, eng.sim);
+                           ratios[i][v] =
+                               ratioAt(*apps[i], pt.procs, pt.scale,
+                                       eng.machine, eng.sim);
                        });
         }
     }

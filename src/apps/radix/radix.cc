@@ -12,8 +12,9 @@ Radix::Radix(rt::Env& env, const Config& cfg) : env_(env), cfg_(cfg)
     const int p = env.nprocs();
     if (!isPow2(p))
         fatal("Radix: processor count must be a power of two");
-    if (!isPow2(cfg_.radix))
-        fatal("Radix: radix must be a power of two");
+    // Radix 1 would give zero-bit digits: at least 2.
+    if (cfg_.radix < 2 || !isPow2(cfg_.radix))
+        fatal("Radix: radix must be a power of two >= 2");
     if (cfg_.nkeys % p != 0)
         fatal("Radix: key count must be a multiple of the proc count");
     keysPerProc_ = cfg_.nkeys / p;

@@ -31,7 +31,7 @@ namespace splash::apps::radix {
 struct Config
 {
     long nkeys = 256 * 1024;
-    int radix = 1024;          ///< power of two
+    int radix = 1024;          ///< power of two >= 2
     int maxKeyLog2 = 20;       ///< keys uniform in [0, 2^maxKeyLog2)
     unsigned seed = 1234;
 };

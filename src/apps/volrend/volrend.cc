@@ -11,8 +11,8 @@ namespace splash::apps::volrend {
 Volrend::Volrend(rt::Env& env, const Config& cfg)
     : env_(env), cfg_(cfg), n_(cfg.size)
 {
-    ensure(isPow2(n_) && n_ >= 8, "Volrend: size must be a power of "
-                                  "two >= 8");
+    if (!isPow2(n_) || n_ < 8)
+        fatal("Volrend: size must be a power of two >= 8");
     std::size_t nvox = std::size_t(n_) * n_ * n_;
     vol_ = rt::SharedArray<double>(env, nvox);
     opac_ = rt::SharedArray<double>(env, nvox);

@@ -80,6 +80,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -96,10 +97,10 @@ struct EngineOpts
 {
     int jobs = 1;
     SimOpts sim;
-    /** True when parseMachineFlags handled an informational request
-     *  (--protocol list) and printed it: the caller should exit 0
-     *  instead of treating the false return as a usage error. */
-    bool listRequested = false;
+    /** The simulated machine the machine flags select (parseMachineFlags):
+     *  the paper's by default.  Each memory-system binary copies it and
+     *  changes only what its figure varies. */
+    sim::MachineConfig machine;
     /** True when --sweep was given explicitly (splash2run switches
      *  from the memory-system characterization to the working-set
      *  sweep on it; fig3_working_sets always sweeps). */
@@ -180,12 +181,7 @@ getCacheBytes(const Options& opt, long defKb)
 inline bool
 parseEngineOpts(const Options& opt, EngineOpts* out)
 {
-    long jobs = opt.getI("jobs", 1);
-    if (jobs < 1) {
-        std::fprintf(stderr, "--jobs must be >= 1 (got %ld)\n", jobs);
-        return false;
-    }
-    out->jobs = static_cast<int>(jobs);
+    out->jobs = static_cast<int>(getInRange(opt, "jobs", 1, 1, INT_MAX));
     long quantum = opt.getI("quantum", 250);
     if (quantum < 1) {
         std::fprintf(stderr, "--quantum must be >= 1 (got %ld)\n",
@@ -245,11 +241,12 @@ parseEngineOpts(const Options& opt, EngineOpts* out)
  *  comment for which binary stops where). */
 enum class MachineFlags : std::uint8_t { Check, Protocol, Interconnect };
 
-/** Parse the machine flags up to @p upTo.  Only the binaries that
- *  build a memory system call this; anywhere else, and above
- *  @p upTo, the flags stay unread and Options::allRead() rejects
- *  them.  Prints to stderr and returns false on an unrecognized value
- *  (or after printing --protocol list). */
+/** Parse the machine flags up to @p upTo into out->machine (--check
+ *  into out->sim).  Only the binaries that build a memory system call
+ *  this; anywhere else, and above @p upTo, the flags stay unread and
+ *  Options::allRead() rejects them.  Prints to stderr and returns
+ *  false on an unrecognized value; --protocol list prints the zoo and
+ *  exits 0 here, as selectApps() exits on an unknown program. */
 inline bool
 parseMachineFlags(const Options& opt, MachineFlags upTo, EngineOpts* out)
 {
@@ -265,10 +262,9 @@ parseMachineFlags(const Options& opt, MachineFlags upTo, EngineOpts* out)
     std::string protoName = opt.getS("protocol", "mesi");
     if (protoName == "list") {
         std::fputs(sim::protocolZoo().c_str(), stdout);
-        out->listRequested = true;
-        return false;
+        std::exit(0);
     }
-    if (!sim::parseProtocol(protoName, &out->sim.protocol)) {
+    if (!sim::parseProtocol(protoName, &out->machine.protocol)) {
         std::fprintf(stderr,
                      "unknown --protocol '%s' (msi, mesi, moesi, "
                      "dragon, or list)\n",
@@ -278,7 +274,7 @@ parseMachineFlags(const Options& opt, MachineFlags upTo, EngineOpts* out)
     if (upTo == MachineFlags::Protocol)
         return true;
     std::string icName = opt.getS("interconnect", "directory");
-    if (!sim::parseInterconnect(icName, &out->sim.interconnect)) {
+    if (!sim::parseInterconnect(icName, &out->machine.interconnect)) {
         std::fprintf(stderr,
                      "unknown --interconnect '%s' (directory or "
                      "bus)\n",
@@ -338,7 +334,7 @@ checkModeConflicts(const Options& opt, const EngineOpts& eng)
     const bool record = !eng.sim.record.empty();
     const bool replay = !eng.sim.replay.empty();
     const bool race = eng.race != sim::RaceGranularity::Off;
-    const bool bus = eng.sim.interconnect == sim::Interconnect::Bus;
+    const bool bus = eng.machine.interconnect == sim::Interconnect::Bus;
 
     if (inject && raceInject)
         return conflictingFlags("--inject", "--race-inject",

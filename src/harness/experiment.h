@@ -94,17 +94,11 @@ fanOut(std::vector<sim::RefSink*> sinks, Replicas replicas,
 /** Run-wide simulation knobs shared by the pipeline below.  The
  *  quantum sets the interleaving, and with it the statistics (every
  *  committed result uses 250); --replicas changes simulation speed
- *  only; `protocol` and `interconnect` select the machine measured. */
+ *  only.  The machine measured is not among them: it is a
+ *  sim::MachineConfig, which runCharacterizations takes per machine. */
 struct SimOpts
 {
     std::uint64_t quantum = 250;
-    /** Coherence protocol for memory-system runs (--protocol). */
-    sim::ProtocolKind protocol = sim::ProtocolKind::MESI;
-    /** Interconnect organization for memory-system runs
-     *  (--interconnect): the paper's point-to-point directory machine
-     *  or a snoopy broadcast bus (sim/bus.h).  Like `protocol`, this
-     *  selects the machine being measured. */
-    sim::Interconnect interconnect = sim::Interconnect::Directory;
     /** Working-set sweep engine (--sweep): the exact Mattson +
      *  tag-array simulation, the reuse-distance analytical model, or
      *  both side by side (sim/reusedist.h). */
@@ -294,48 +288,6 @@ runPram(App& app, int nprocs, const AppConfig& cfg,
         race);
 }
 
-/** One memory-system operating point of a multi-configuration
- *  characterization. */
-struct MemExperiment
-{
-    sim::CacheConfig cache;
-    bool hints = true;   ///< replacement hints (protocol ablation)
-    bool placed = true;  ///< placement-aware homes vs pure interleave
-    /** Coherence protocol of this replica; benches forward the
-     *  --protocol flag here (one broadcast replay can feed replicas
-     *  running different protocols side by side). */
-    sim::ProtocolKind protocol = sim::ProtocolKind::MESI;
-    /** Interconnect of this replica; one broadcast replay can feed a
-     *  directory replica and a bus replica from the same execution
-     *  (results/interconnect.csv is produced exactly that way). */
-    sim::Interconnect interconnect = sim::Interconnect::Directory;
-};
-
-/** The single operating point the run-wide flags select: @p cache
- *  under SimOpts' protocol and interconnect. */
-inline MemExperiment
-experimentFor(const sim::CacheConfig& cache, const SimOpts& so)
-{
-    MemExperiment e;
-    e.cache = cache;
-    e.protocol = so.protocol;
-    e.interconnect = so.interconnect;
-    return e;
-}
-
-/** The simulated machine of experiment @p e on @p nprocs. */
-inline sim::MachineConfig
-machineFor(const MemExperiment& e, int nprocs)
-{
-    sim::MachineConfig mc;
-    mc.nprocs = nprocs;
-    mc.cache = e.cache;
-    mc.replacementHints = e.hints;
-    mc.protocol = e.protocol;
-    mc.interconnect = e.interconnect;
-    return mc;
-}
-
 /** @p r with its memory-system half read from @p mem. */
 inline RunStats
 withMem(RunStats r, const sim::MemSystem& mem)
@@ -346,27 +298,16 @@ withMem(RunStats r, const sim::MemSystem& mem)
     return r;
 }
 
-/** Experiment @p e's MemSystem on @p nprocs under the run's checker
- *  period; a placed experiment resolves homes through @p homes. */
-inline std::unique_ptr<sim::MemSystem>
-memSystemFor(const MemExperiment& e, int nprocs,
-             const sim::HomeResolver* homes, const SimOpts& simOpts)
-{
-    auto mem = std::make_unique<sim::MemSystem>(machineFor(e, nprocs),
-                                                e.placed ? homes : nullptr);
-    mem->setCheckPeriod(simOpts.checkPeriod);
-    return mem;
-}
-
-/** Characterize @p app on @p nprocs under every configuration in
- *  @p exps from ONE pass.  The PRAM reference stream of a given
- *  (app, P) does not depend on the memory system, so the pass feeds
- *  one MemSystem per experiment, and @p race when the caller passes a
- *  checker.  Statistics equal those of a dedicated pass per
- *  experiment (tests/sim/replay_test.cc). */
+/** Characterize @p app on @p nprocs on every machine in @p machines
+ *  from ONE pass.  The PRAM reference stream of a given (app, P) does
+ *  not depend on the memory system, so the pass feeds one MemSystem
+ *  per machine -- on @p nprocs processors whatever the machine's own
+ *  count, under the run's checker period -- and @p race when the
+ *  caller passes a checker.  Statistics equal those of a dedicated
+ *  pass per machine (tests/sim/replay_test.cc). */
 inline std::vector<RunStats>
 runCharacterizations(App& app, int nprocs,
-                     const std::vector<MemExperiment>& exps,
+                     const std::vector<sim::MachineConfig>& machines,
                      const AppConfig& cfg, const SimOpts& simOpts = {},
                      sim::RaceChecker* race = nullptr)
 {
@@ -375,8 +316,10 @@ runCharacterizations(App& app, int nprocs,
         app, nprocs, cfg, simOpts,
         [&](const sim::HomeResolver* homes) {
             std::vector<sim::RefSink*> sinks;
-            for (const MemExperiment& e : exps) {
-                mems.push_back(memSystemFor(e, nprocs, homes, simOpts));
+            for (sim::MachineConfig mc : machines) {
+                mc.nprocs = nprocs;
+                mems.push_back(std::make_unique<sim::MemSystem>(mc, homes));
+                mems.back()->setCheckPeriod(simOpts.checkPeriod);
                 sinks.push_back(mems.back().get());
             }
             return sinks;

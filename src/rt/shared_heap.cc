@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <cstring>
+#include <string>
 
 #include "base/log.h"
 
@@ -54,7 +55,12 @@ SharedHeap::alloc(std::size_t bytes, std::size_t align)
     std::size_t misalign = cursor_ & (align - 1);
     if (misalign)
         cursor_ += align - misalign;
-    ensure(bytes <= kArenaBytes - cursor_, "shared-heap arena exhausted");
+    // The problem size is the user's choice, so running out is a user
+    // error, not a broken invariant.
+    if (bytes > kArenaBytes - cursor_)
+        fatal("shared-heap arena exhausted: the problem's shared data "
+              "exceeds the " + std::to_string(kArenaBytes >> 20) +
+              " MB arena");
     void* out = reinterpret_cast<void*>(base_ + cursor_);
     cursor_ += bytes;
     allocated_ += bytes;

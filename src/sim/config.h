@@ -81,6 +81,10 @@ struct MachineConfig
      *  power of two, at most one line): a line transfer occupies the
      *  data wires for lineSize / busWidthBytes cycles. */
     int busWidthBytes = 8;
+    /** Resolve homes through the program's data placement, when the
+     *  pass has one.  False interleaves lines across nodes regardless
+     *  (the ablation's "no placement" machine). */
+    bool placedHomes = true;
 
     void
     validate() const

@@ -22,7 +22,8 @@ MemSystem::MemSystem(const MachineConfig& cfg, const HomeResolver* homes)
     : cfg_(validated(cfg)), proto_(protocol(cfg.protocol)),
       bus_{cfg.cache.lineSize, cfg.busWidthBytes},
       writeSilent_(proto_.silentHit[static_cast<int>(AccessType::Write)]),
-      homes_(homes), defaultHomes_(cfg.nprocs, cfg.cache.lineSize),
+      homes_(cfg.placedHomes ? homes : nullptr),
+      defaultHomes_(cfg.nprocs, cfg.cache.lineSize),
       classifier_(cfg.nprocs, cfg.cache.lineSize), stats_(cfg.nprocs)
 {
     caches_.reserve(cfg_.nprocs);

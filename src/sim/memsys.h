@@ -65,8 +65,9 @@ class FaultInjector;     // sim/faultinject.h
 class MemSystem final : public RefSink
 {
   public:
-    /** @param homes maps lines to home nodes; if null, lines are
-     *  interleaved across nodes at line granularity. */
+    /** @param homes maps lines to home nodes; if null, or if
+     *  @p cfg does not use placed homes, lines are interleaved across
+     *  nodes at line granularity. */
     explicit MemSystem(const MachineConfig& cfg,
                        const HomeResolver* homes = nullptr);
 

@@ -59,6 +59,7 @@
  * replayed from a store prints what the live sweep printed.
  */
 #include <algorithm>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -80,29 +81,33 @@ namespace {
 
 void
 report(const App& app, const RunStats& r, bool with_mem,
-       const sim::CacheConfig& cache, bool hints, int procs,
-       const AppConfig& cfg, const SimOpts& simOpts)
+       const sim::MachineConfig& machine, const AppConfig& cfg,
+       std::uint64_t quantum)
 {
+    const int procs = machine.nprocs;
+    const sim::CacheConfig& cache = machine.cache;
+    const bool bus = machine.interconnect == sim::Interconnect::Bus;
     std::printf("%s on %d processors (scale %.3g)\n",
                 app.name().c_str(), procs, cfg.scale);
-    if (with_mem && simOpts.interconnect == sim::Interconnect::Bus)
+    if (with_mem && bus)
         std::printf("machine: %llu KB %d-way %dB-line caches, "
                     "snoopy bus %s\n",
                     static_cast<unsigned long long>(cache.size >> 10),
                     cache.assoc, cache.lineSize,
-                    sim::protocol(simOpts.protocol).display);
+                    sim::protocol(machine.protocol).display);
     else if (with_mem)
         std::printf("machine: %llu KB %d-way %dB-line caches, "
                     "directory %s%s\n",
                     static_cast<unsigned long long>(cache.size >> 10),
                     cache.assoc, cache.lineSize,
-                    sim::protocol(simOpts.protocol).display,
-                    hints ? " + replacement hints" : "");
+                    sim::protocol(machine.protocol).display,
+                    machine.replacementHints ? " + replacement hints"
+                                             : "");
     else
         std::printf("machine: PRAM (perfect memory)\n");
     std::printf("interleaver: fiber backend, quantum %llu, batched "
                 "delivery\n",
-                static_cast<unsigned long long>(simOpts.quantum));
+                static_cast<unsigned long long>(quantum));
 
     std::printf("\n-- execution --\n");
     std::printf("valid: %s\n", r.valid ? "yes" : "NO");
@@ -163,7 +168,7 @@ report(const App& app, const RunStats& r, bool with_mem,
         double den = trafficDenominator(app, r.exec);
         if (den <= 0)
             den = 1;
-        if (simOpts.interconnect == sim::Interconnect::Bus)
+        if (bus)
             // Broadcast transactions have no packet decomposition;
             // occupancy of the shared wires is the traffic metric.
             std::printf("bus occupancy (cycles per %s): %.4f "
@@ -402,12 +407,12 @@ runRaceInjection(App& app, int procs, const AppConfig& cfg,
 }
 
 /** Fault-injection harness (--inject): for each requested fault kind,
- *  run @p app to a realistic protocol state, prove the checker is
- *  silent on it, seed the corruption, and prove the checker fires.
- *  Returns 0 when every eligible fault was detected. */
+ *  run @p app on @p machine to a realistic protocol state, prove the
+ *  checker is silent on it, seed the corruption, and prove the checker
+ *  fires.  Returns 0 when every eligible fault was detected. */
 int
-runInjection(App& app, int procs, const sim::CacheConfig& cache,
-             bool hints, const AppConfig& cfg, const SimOpts& simOpts,
+runInjection(App& app, const sim::MachineConfig& machine,
+             const AppConfig& cfg, std::uint64_t quantum,
              const std::string& which, std::uint64_t seed)
 {
     std::vector<sim::FaultKind> todo;
@@ -430,16 +435,14 @@ runInjection(App& app, int procs, const sim::CacheConfig& cache,
     }
 
     std::printf("fault injection: %s on %d processors, seed %llu%s\n\n",
-                app.name().c_str(), procs,
+                app.name().c_str(), machine.nprocs,
                 static_cast<unsigned long long>(seed),
-                hints ? "" : " (replacement hints off)");
+                machine.replacementHints ? "" : " (replacement hints off)");
     int missed = 0;
     for (sim::FaultKind k : todo) {
         // Fresh simulator state per fault: injections must not compound.
-        rt::Env env({rt::Mode::Sim, procs, simOpts.quantum});
-        MemExperiment e = experimentFor(cache, simOpts);
-        e.hints = hints;
-        sim::MemSystem mem(machineFor(e, procs), &env.heap());
+        rt::Env env({rt::Mode::Sim, machine.nprocs, quantum});
+        sim::MemSystem mem(machine, &env.heap());
         env.attachSink(&mem);
         if (!app.run(env, cfg).valid) {
             std::fprintf(stderr, "%s: run failed validation\n",
@@ -506,7 +509,7 @@ main(int argc, char** argv)
     if (!parseEngineOpts(opt, &eng) ||
         !parseMachineFlags(opt, MachineFlags::Interconnect, &eng) ||
         !parseSweepFlag(opt, &eng) || !parseRaceFlag(opt, &eng))
-        return eng.listRequested ? 0 : 2;
+        return 2;
     (void)opt.getI("sweep-threads", 1);  // retired; the benchmark passes it
     std::string name = opt.getS("app", "");
     std::vector<App*> apps;
@@ -582,12 +585,15 @@ main(int argc, char** argv)
     cfg.n = opt.getI("n", 0);
     cfg.iters = opt.getI("iters", 0);
     cfg.aux = opt.getI("aux", 0);
-    cfg.seed = static_cast<unsigned>(opt.getI("seed", 1234));
+    cfg.seed =
+        static_cast<unsigned>(getInRange(opt, "seed", 1234, 0, UINT_MAX));
     checkProblem(cfg);
 
     bool with_mem = !opt.flag("nomem");
-    bool hints = !opt.flag("nohints");
-    sim::CacheConfig cache;
+    sim::MachineConfig& machine = eng.machine;
+    machine.nprocs = procs;
+    machine.replacementHints = !opt.flag("nohints");
+    sim::CacheConfig& cache = machine.cache;
     cache.size = getCacheBytes(opt, 1024);
     // A way keeps state in a line address's low three bits; a sweep's
     // line must fit its smallest capacity.
@@ -622,8 +628,8 @@ main(int argc, char** argv)
         }
         int rc = 0;
         for (App* app : apps)
-            rc = std::max(rc, runInjection(*app, procs, cache, hints,
-                                           cfg, eng.sim,
+            rc = std::max(rc, runInjection(*app, machine, cfg,
+                                           eng.sim.quantum,
                                            opt.getS("inject", "all"),
                                            cfg.seed));
         return rc;
@@ -662,10 +668,8 @@ main(int argc, char** argv)
                                            eng.sim, race.get());
                 results[i] = sweeps[i].stats;
             } else if (with_mem) {
-                MemExperiment e = experimentFor(cache, eng.sim);
-                e.hints = hints;
-                results[i] = runCharacterizations(*apps[i], procs, {e},
-                                                  cfg, eng.sim,
+                results[i] = runCharacterizations(*apps[i], procs,
+                                                  {machine}, cfg, eng.sim,
                                                   race.get())[0];
             } else {
                 results[i] =
@@ -687,8 +691,7 @@ main(int argc, char** argv)
             reportSweep(*apps[i], sweeps[i], eng.sim.sweep, procs,
                         cache.lineSize, cfg);
         else
-            report(*apps[i], r, with_mem, cache, hints, procs, cfg,
-                   eng.sim);
+            report(*apps[i], r, with_mem, machine, cfg, eng.sim.quantum);
         if (raceOn) {
             std::printf("\n-- race detection --\n");
             std::fputs(sim::raceSummary(races[i]).c_str(), stdout);

@@ -111,11 +111,17 @@ TEST(EngineOpts, ValidValuesLand)
     EXPECT_EQ(eng.sim.replicas, Replicas::On);
 }
 
-TEST(EngineOpts, RejectsBadJobCounts)
+// --jobs is read through getInRange: out of [1, INT_MAX] it exits 2
+// naming the flag (2^32, which used to wrap to 0, is a case of
+// SizeOutOfRangeExitsTwoBeforeAnythingRuns).
+TEST(EngineOptsDeathTest, RejectsBadJobCounts)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EngineOpts eng;
-    EXPECT_FALSE(parse({"--jobs", "0"}, &eng));
-    EXPECT_FALSE(parse({"--jobs", "-3"}, &eng));
+    EXPECT_EXIT(parse({"--jobs", "0"}, &eng), ::testing::ExitedWithCode(2),
+                "--jobs must be >= 1 \\(got 0\\)");
+    EXPECT_EXIT(parse({"--jobs", "-3"}, &eng), ::testing::ExitedWithCode(2),
+                "--jobs must be >= 1 \\(got -3\\)");
 }
 
 TEST(EngineOpts, RejectsBadQuanta)
@@ -155,22 +161,21 @@ TEST(EngineOpts, ProtocolNamesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MESI);
+    EXPECT_EQ(eng.machine.protocol, splash::sim::ProtocolKind::MESI);
     ASSERT_TRUE(parse({"--protocol", "msi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MSI);
+    EXPECT_EQ(eng.machine.protocol, splash::sim::ProtocolKind::MSI);
     ASSERT_TRUE(parse({"--protocol", "mesi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MESI);
+    EXPECT_EQ(eng.machine.protocol, splash::sim::ProtocolKind::MESI);
     ASSERT_TRUE(parse({"--protocol", "moesi"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::MOESI);
+    EXPECT_EQ(eng.machine.protocol, splash::sim::ProtocolKind::MOESI);
     ASSERT_TRUE(parse({"--protocol", "dragon"}, &eng));
-    EXPECT_EQ(eng.sim.protocol, splash::sim::ProtocolKind::Dragon);
+    EXPECT_EQ(eng.machine.protocol, splash::sim::ProtocolKind::Dragon);
 }
 
 TEST(EngineOpts, RejectsUnknownProtocols)
 {
     EngineOpts eng;
     EXPECT_FALSE(parse({"--protocol", "mosi"}, &eng));
-    EXPECT_FALSE(eng.listRequested) << "an error is not a listing";
     // Names are exact and lowercase; no case folding, no prefixes.
     EXPECT_FALSE(parse({"--protocol", "MESI"}, &eng));
     EXPECT_FALSE(parse({"--protocol", "mes"}, &eng));
@@ -221,7 +226,6 @@ TEST(EngineOpts, RejectsUnknownSweepModes)
 {
     EngineOpts eng;
     EXPECT_FALSE(parse({"--sweep", "analytic"}, &eng));
-    EXPECT_FALSE(eng.listRequested) << "an error is not a listing";
     // Names are exact and lowercase, like --protocol and --race.
     EXPECT_FALSE(parse({"--sweep", "Model"}, &eng));
     EXPECT_FALSE(parse({"--sweep", "exactmodel"}, &eng));
@@ -279,11 +283,11 @@ TEST(EngineOpts, InterconnectNamesLand)
 {
     EngineOpts eng;
     ASSERT_TRUE(parse({}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
+    EXPECT_EQ(eng.machine.interconnect, splash::sim::Interconnect::Directory);
     ASSERT_TRUE(parse({"--interconnect", "directory"}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Directory);
+    EXPECT_EQ(eng.machine.interconnect, splash::sim::Interconnect::Directory);
     ASSERT_TRUE(parse({"--interconnect", "bus"}, &eng));
-    EXPECT_EQ(eng.sim.interconnect, splash::sim::Interconnect::Bus);
+    EXPECT_EQ(eng.machine.interconnect, splash::sim::Interconnect::Bus);
 }
 
 TEST(EngineOpts, RejectsUnknownInterconnects)
@@ -372,20 +376,15 @@ TEST(EngineOpts, ConflictDiagnosticsShareOneShape)
     }
 }
 
-// --protocol list is informational: the parse "fails" so the caller
-// stops, but listRequested distinguishes exit 0 from a usage error.
-TEST(EngineOpts, ProtocolListIsInformationalNotAnError)
+// --protocol list is informational: the parser prints the zoo and
+// exits 0 where it reads the flag, as selectApps() exits on an unknown
+// program, so no caller has to tell it from a usage error.
+TEST(EngineOptsDeathTest, ProtocolListIsInformationalNotAnError)
 {
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EngineOpts eng;
-    ::testing::internal::CaptureStdout();
-    EXPECT_FALSE(parse({"--protocol", "list"}, &eng));
-    std::string zoo = ::testing::internal::GetCapturedStdout();
-    EXPECT_TRUE(eng.listRequested);
-    for (int k = 0; k < splash::sim::kNumProtocols; ++k)
-        EXPECT_NE(zoo.find(splash::sim::protocolName(
-                      static_cast<splash::sim::ProtocolKind>(k))),
-                  std::string::npos)
-            << "zoo listing is missing protocol " << k;
+    EXPECT_EXIT(parse({"--protocol", "list"}, &eng),
+                ::testing::ExitedWithCode(0), "");
 }
 
 // Non-numeric and partially-numeric values must terminate with an
@@ -618,7 +617,14 @@ TEST(UnknownFlags, EveryBinaryExitsTwo)
                         &err),
               0)
         << err;
-    EXPECT_EQ(runBinary("src/splash2run --protocol list", &err), 0);
+    std::string listing;
+    EXPECT_EQ(runBinary("src/splash2run --protocol list", &err, &listing),
+              0);
+    for (int k = 0; k < splash::sim::kNumProtocols; ++k)
+        EXPECT_NE(listing.find(splash::sim::protocolName(
+                      static_cast<splash::sim::ProtocolKind>(k))),
+                  std::string::npos)
+            << "zoo listing is missing protocol " << k;
     EXPECT_EQ(runBinary("bench/fig5_ocean_scaling --procs 2 --n1 8 "
                         "--n2 8 --protocol moesi --check 100",
                         &err),
@@ -773,10 +779,47 @@ TEST(ValuedFlags, SizeOutOfRangeExitsTwoBeforeAnythingRuns)
         {"bench/fig3_working_sets --line 4", "--line must be >= 8 (got 4)\n"},
         {"bench/fig3_working_sets --line 2048",
          "--line must be <= 1024 (got 2048)\n"},
+        // A seed or a job count does not wrap around: 2^32 is not seed
+        // 0, and 2^32 jobs are not 0 ("every CPU").
+        {"src/splash2run --app fft --procs 2 --n 4 --seed 4294967296",
+         "--seed must be <= 4294967295 (got 4294967296)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --seed -1",
+         "--seed must be >= 0 (got -1)\n"},
+        {"src/splash2run --app fft --procs 2 --n 4 --jobs 4294967296",
+         "--jobs must be <= 2147483647 (got 4294967296)\n"},
+        {"bench/fig4_traffic --quick --jobs 4294967296",
+         "--jobs must be <= 2147483647 (got 4294967296)\n"},
     };
     for (const auto& [cmd, want] : cases) {
         std::string err, out;
         EXPECT_EQ(runBinary(cmd, &err, &out), 2) << cmd;
+        EXPECT_EQ(err, want) << cmd;
+        EXPECT_EQ(out, "") << cmd;
+    }
+}
+
+// A problem size a program cannot build is a user error: it exits 1
+// with a fatal diagnostic before any report, not with a division by
+// zero (radix 1, SIGFPE) or a panic's abort (exit 134).
+TEST(ValuedFlags, UnbuildableProblemSizesAreFatal)
+{
+    const std::string radix =
+        "fatal: Radix: radix must be a power of two >= 2\n";
+    const std::string arena =
+        "fatal: shared-heap arena exhausted: the problem's shared data "
+        "exceeds the 1024 MB arena\n";
+    const std::vector<std::pair<std::string, std::string>> cases = {
+        {"--app radix --aux 1", radix},
+        {"--app radix --aux 3", radix},
+        {"--app volrend --n 2",
+         "fatal: Volrend: size must be a power of two >= 8\n"},
+        {"--app fft --n 40", arena},
+        {"--app raytrace --n 100000", arena},
+    };
+    for (const auto& [args, want] : cases) {
+        const std::string cmd = "src/splash2run --procs 2 " + args;
+        std::string err, out;
+        EXPECT_EQ(runBinary(cmd, &err, &out), 1) << cmd;
         EXPECT_EQ(err, want) << cmd;
         EXPECT_EQ(out, "") << cmd;
     }

@@ -44,11 +44,12 @@ struct Outputs
 Outputs
 runAll(App& app, const AppConfig& cfg, SimOpts so)
 {
-    std::vector<MemExperiment> six(6);
+    std::vector<sim::MachineConfig> six(6);
     for (std::size_t i = 0; i < six.size(); ++i)
         six[i].cache.lineSize = 8 << i;
     Outputs out;
-    out.one = runCharacterizations(app, kProcs, {MemExperiment{}}, cfg, so);
+    out.one =
+        runCharacterizations(app, kProcs, {sim::MachineConfig{}}, cfg, so);
     // Under --replicas on the checker shares the threaded broadcast
     // with the six MemSystems.
     sim::RaceChecker race({sim::RaceGranularity::Word, kProcs});
@@ -172,7 +173,7 @@ TEST(OnePass, SixLineSizesExecuteTheProgramOnce)
     CountingApp app(*fft);
     AppConfig cfg;
     cfg.scale = 0.1;
-    std::vector<MemExperiment> six(6);
+    std::vector<sim::MachineConfig> six(6);
     for (std::size_t i = 0; i < six.size(); ++i)
         six[i].cache.lineSize = 8 << i;
     for (Replicas replicas : {Replicas::Off, Replicas::On}) {

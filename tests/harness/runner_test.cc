@@ -97,11 +97,11 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     ASSERT_NE(app, nullptr);
     AppConfig cfg;
     cfg.scale = 0.25;
-    sim::CacheConfig cache;
-    cache.size = 64 << 10;
+    sim::MachineConfig machine;
+    machine.cache.size = 64 << 10;
 
-    const std::vector<MemExperiment> exps = {experimentFor(cache, {})};
-    RunStats alone = runCharacterizations(*app, 4, exps, cfg)[0];
+    const std::vector<sim::MachineConfig> machines = {machine};
+    RunStats alone = runCharacterizations(*app, 4, machines, cfg)[0];
 
     const int kCopies = 4;
     std::vector<RunStats> together(kCopies);
@@ -109,7 +109,7 @@ TEST(Runner, ConcurrentSimulationsAreBitIdenticalToSerial)
     for (int i = 0; i < kCopies; ++i)
         r.add("copy", 1.0, [&, i] {
             together[std::size_t(i)] =
-                runCharacterizations(*app, 4, exps, cfg)[0];
+                runCharacterizations(*app, 4, machines, cfg)[0];
         });
     r.run();
 

@@ -45,12 +45,10 @@ TEST(Harness, EveryProgramValidUnderMemSystem)
 {
     AppConfig cfg;
     cfg.scale = 0.1;
-    sim::CacheConfig cache;
-    cache.size = 64 << 10;  // small cache: exercises replacements
+    sim::MachineConfig machine;
+    machine.cache.size = 64 << 10;  // small cache: exercises replacements
     for (App* app : suite()) {
-        RunStats r =
-            runCharacterizations(*app, 4, {experimentFor(cache, {})},
-                                 cfg)[0];
+        RunStats r = runCharacterizations(*app, 4, {machine}, cfg)[0];
         EXPECT_TRUE(r.valid) << app->name();
         EXPECT_GT(r.mem.accesses(), 0u) << app->name();
         // Traffic sanity: every component non-negative and total
@@ -67,9 +65,7 @@ TEST(Harness, SweepAndMemSystemSeeSameAccessCounts)
     AppConfig cfg;
     cfg.scale = 0.1;
     App* fft = findApp("FFT");
-    sim::CacheConfig cache;
-    RunStats a = runCharacterizations(
-        *fft, 4, {experimentFor(cache, {})}, cfg)[0];
+    RunStats a = runCharacterizations(*fft, 4, {sim::MachineConfig{}}, cfg)[0];
     sim::SweepConfig sc;
     sc.nprocs = 4;
     RunStats b = runWorkingSets(*fft, 4, sc, cfg).stats;

@@ -108,16 +108,15 @@ runPairs(const std::string& appName, int procs, double scale)
     EXPECT_NE(app, nullptr) << appName;
     AppConfig cfg;
     cfg.scale = scale;
-    std::vector<MemExperiment> exps;
+    std::vector<MachineConfig> machines;
     for (int k = 0; k < kNumProtocols; ++k) {
         for (int ic = 0; ic < kNumInterconnects; ++ic) {
-            MemExperiment e;
-            e.protocol = static_cast<ProtocolKind>(k);
-            e.interconnect = static_cast<Interconnect>(ic);
-            exps.push_back(e);
+            machines.emplace_back();
+            machines.back().protocol = static_cast<ProtocolKind>(k);
+            machines.back().interconnect = static_cast<Interconnect>(ic);
         }
     }
-    return runCharacterizations(*app, procs, exps, cfg);
+    return runCharacterizations(*app, procs, machines, cfg);
 }
 
 } // namespace

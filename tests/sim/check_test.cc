@@ -248,16 +248,15 @@ TEST(CoherenceChecker, CheckerDoesNotPerturbCharacterization)
     AppConfig cfg;
     cfg.scale = 0.25;
     const int procs = 8;
-    sim::CacheConfig cache;
+    const std::vector<sim::MachineConfig> paper(1);  // the paper's machine
 
     SimOpts off;
-    RunStats plain = runCharacterizations(
-        *app, procs, {experimentFor(cache, off)}, cfg, off)[0];
+    RunStats plain = runCharacterizations(*app, procs, paper, cfg, off)[0];
 
     SimOpts checked;
     checked.checkPeriod = 1;  // full sweep every slow-path transaction
-    RunStats audited = runCharacterizations(
-        *app, procs, {experimentFor(cache, checked)}, cfg, checked)[0];
+    RunStats audited =
+        runCharacterizations(*app, procs, paper, cfg, checked)[0];
 
     EXPECT_TRUE(plain.valid);
     splash::testing::expectSameRun(plain, audited);

@@ -38,13 +38,12 @@ runZoo(const std::string& appName, int procs, double scale)
     EXPECT_NE(app, nullptr) << appName;
     AppConfig cfg;
     cfg.scale = scale;
-    std::vector<MemExperiment> exps;
+    std::vector<MachineConfig> machines;
     for (ProtocolKind k : zoo()) {
-        MemExperiment e;
-        e.protocol = k;
-        exps.push_back(e);
+        machines.emplace_back();
+        machines.back().protocol = k;
     }
-    return runCharacterizations(*app, procs, exps, cfg);
+    return runCharacterizations(*app, procs, machines, cfg);
 }
 
 } // namespace
@@ -200,14 +199,13 @@ TEST(Protocol, ReproducesCommittedAblationFftRows)
     AppConfig cfg;
     cfg.scale = 0.5;  // the bench's default operating point
     const int procs = 16;
-    std::vector<MemExperiment> exps;
+    std::vector<MachineConfig> machines;
     for (ProtocolKind k : zoo()) {
-        MemExperiment e;  // 1 MB placed, the zoo replica config
-        e.protocol = k;
-        exps.push_back(e);
+        machines.emplace_back();  // 1 MB placed, the zoo replica config
+        machines.back().protocol = k;
     }
-    auto got = runCharacterizations(*app, procs, exps, cfg);
-    ASSERT_EQ(got.size(), exps.size());
+    auto got = runCharacterizations(*app, procs, machines, cfg);
+    ASSERT_EQ(got.size(), machines.size());
 
     for (std::size_t i = 0; i < got.size(); ++i) {
         auto it = committed.find(protocolName(zoo()[i]));

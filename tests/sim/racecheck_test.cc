@@ -548,14 +548,13 @@ TEST(RaceCheckApps, CharacterizationStatsUnchangedByRaceChecking)
     const int procs = 4;
     App* app = findApp("lu");
     ASSERT_NE(app, nullptr);
-    CacheConfig cache;
+    const std::vector<MachineConfig> paper(1);  // the paper's machine
 
     const SimOpts so;
-    const MemExperiment e = experimentFor(cache, so);
-    RunStats a = runCharacterizations(*app, procs, {e}, smallCfg(), so)[0];
+    RunStats a = runCharacterizations(*app, procs, paper, smallCfg(), so)[0];
     RaceChecker word(wordCfg(procs));
-    RunStats b =
-        runCharacterizations(*app, procs, {e}, smallCfg(), so, &word)[0];
+    RunStats b = runCharacterizations(*app, procs, paper, smallCfg(), so,
+                                      &word)[0];
 
     ASSERT_TRUE(a.valid);
     ASSERT_TRUE(b.valid);
@@ -608,7 +607,7 @@ TEST(RaceCheckApps, BroadcastRaceReplicasMatchDedicatedRuns)
     const int procs = 4;
     App* app = findApp("radix");  // barriers + flags in one program
     ASSERT_NE(app, nullptr);
-    std::vector<MemExperiment> exps(2);
+    std::vector<MachineConfig> exps(2);
     exps[0].cache.lineSize = 64;
     exps[1].cache.lineSize = 32;
 

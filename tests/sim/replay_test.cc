@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -322,19 +323,19 @@ TEST(BroadcastReplay, AbortStreamQuiescesAndCleanRunStillMatches)
 
 namespace {
 
-/** The oracle: one single-experiment pass per experiment of @p exps. */
+/** The oracle: one single-machine pass per machine of @p machines. */
 std::vector<harness::RunStats>
 dedicatedRuns(harness::App& app, int procs,
-              const std::vector<harness::MemExperiment>& exps,
+              const std::vector<MachineConfig>& machines,
               const harness::AppConfig& cfg)
 {
     harness::SimOpts off;
     off.replicas = harness::Replicas::Off;
     std::vector<harness::RunStats> out;
-    out.reserve(exps.size());
-    for (const harness::MemExperiment& e : exps)
+    out.reserve(machines.size());
+    for (const MachineConfig& mc : machines)
         out.push_back(
-            harness::runCharacterizations(app, procs, {e}, cfg, off)[0]);
+            harness::runCharacterizations(app, procs, {mc}, cfg, off)[0]);
     return out;
 }
 
@@ -349,10 +350,10 @@ TEST(BroadcastReplay, AppCharacterizationsMatchDedicatedRuns)
     cfg.scale = 0.25;
     const int procs = 8;
 
-    std::vector<MemExperiment> exps(3);
+    std::vector<MachineConfig> exps(3);
     exps[0].cache.lineSize = 16;
     exps[1].cache.size = 8 << 10;
-    exps[2].hints = false;
+    exps[2].replacementHints = false;
 
     const auto oracle = dedicatedRuns(*app, procs, exps, cfg);
     for (Replicas replicas : {Replicas::Off, Replicas::On}) {
@@ -379,9 +380,9 @@ TEST(BroadcastReplay, PlacementHeavyAppMatchesDedicatedRuns)
     cfg.scale = 0.1;
     const int procs = 4;
 
-    std::vector<MemExperiment> exps(2);
+    std::vector<MachineConfig> exps(2);
     exps[0].cache.size = 16 << 10;
-    exps[1].placed = false;  // interleaved homes replica
+    exps[1].placedHomes = false;  // interleaved homes replica
 
     const auto oracle = dedicatedRuns(*app, procs, exps, cfg);
     for (Replicas replicas : {Replicas::Off, Replicas::On}) {
@@ -395,6 +396,41 @@ TEST(BroadcastReplay, PlacementHeavyAppMatchesDedicatedRuns)
                                 (replicas == Replicas::On ? " on"
                                                           : " off"));
     }
+}
+
+// A machine without placed homes interleaves lines across nodes even
+// when its pass has a placement: on Radiosity, which places its data,
+// it counts exactly what a MemSystem given no home resolver counts,
+// and not what the placed machine counts.
+TEST(PlacedHomes, OffIgnoresThePassPlacement)
+{
+    using namespace splash::harness;
+    App* app = findApp("radiosity");
+    ASSERT_NE(app, nullptr);
+    AppConfig cfg;
+    cfg.scale = 0.1;
+    const int procs = 4;
+    MachineConfig placed;
+    placed.nprocs = procs;
+    MachineConfig interleaved = placed;
+    interleaved.placedHomes = false;
+
+    std::unique_ptr<MemSystem> onPlaced, onInterleaved, unresolved;
+    SimOpts off;
+    off.replicas = Replicas::Off;
+    runPass(*app, procs, cfg, off, [&](const HomeResolver* homes) {
+        onPlaced = std::make_unique<MemSystem>(placed, homes);
+        onInterleaved = std::make_unique<MemSystem>(interleaved, homes);
+        unresolved = std::make_unique<MemSystem>(placed, nullptr);
+        return std::vector<RefSink*>{onPlaced.get(), onInterleaved.get(),
+                                     unresolved.get()};
+    });
+    const MemStats a = onInterleaved->total();
+    expectSameStats(unresolved->total(), a, "interleaved homes");
+    const MemStats p = onPlaced->total();
+    EXPECT_EQ(p.accesses(), a.accesses());
+    EXPECT_NE(p.localData, a.localData);
+    EXPECT_NE(p.remoteData(), a.remoteData());
 }
 
 // ----------------------------------------------------------------------
@@ -446,11 +482,10 @@ TEST(BroadcastRegression, ReproducesCommittedFig7FftRows)
     AppConfig cfg;  // default scale and problem size (as committed)
     const int procs = 32;
     const int lines[] = {8, 16, 32, 64, 128, 256};
-    std::vector<MemExperiment> exps;
+    std::vector<MachineConfig> exps;
     for (int line : lines) {
-        MemExperiment e;
-        e.cache.lineSize = line;
-        exps.push_back(e);
+        exps.emplace_back();
+        exps.back().cache.lineSize = line;
     }
     SimOpts simOpts;
     simOpts.replicas = Replicas::On;
@@ -486,9 +521,9 @@ TEST(BroadcastRegression, ReproducesCommittedFig4FftRow)
     ASSERT_NE(app, nullptr);
     AppConfig cfg;  // default scale (as committed)
     const int procs = 32;
-    sim::CacheConfig cache;  // 1 MB 4-way 64 B, the Figure 4 machine
-    RunStats r = runCharacterizations(
-        *app, procs, {experimentFor(cache, {})}, cfg)[0];
+    // The default machine, 1 MB 4-way 64 B: the Figure 4 machine.
+    RunStats r =
+        runCharacterizations(*app, procs, {MachineConfig{}}, cfg)[0];
 
     auto it = committed.find({"FFT", std::to_string(procs)});
     ASSERT_NE(it, committed.end());

@@ -856,7 +856,7 @@ TEST(TraceStore, RecordThenReplayCharacterizationIsIdentical)
     AppConfig cfg;
     cfg.scale = 0.25;
 
-    std::vector<MemExperiment> exps(2);
+    std::vector<sim::MachineConfig> exps(2);
     exps[0].cache.lineSize = 32;
     // exps[1] is the default machine.
 
